@@ -55,6 +55,9 @@ class BoundarySpace:
     def norm(self, values, alpha=None):
         return np.sqrt(np.sum(np.asarray(values, dtype=float) ** 2, axis=-1))
 
+    def sq_weights(self, alpha=None):
+        return np.ones(self.dim)
+
     def __repr__(self):
         return "BoundarySpace()"
 

@@ -74,14 +74,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(check: studies.Check, sink) -> bool:
-    line = check.line()
-    print(line)
-    if sink is not None:
-        sink.append(line)
-    return check.ok
-
-
 # -- subcommand bodies ------------------------------------------------------------
 
 

@@ -11,9 +11,10 @@ with the norm
              + [y']_{gamma,alpha-2gamma}
              + [R^y]_{gamma,alpha-gamma} + [R^y]_{2gamma,alpha-2gamma},
 
-all seminorms taken over grid pairs.  Values may live on the interior scale
-(spectral coefficients) or on the two-point boundary (Euclidean norm); the
-same machinery serves both.
+all seminorms taken over grid pairs in one fused pass over the lags
+(``rough_driver.lag_sups``) that forms y' and R once per lag.  Values may
+live on the interior scale (spectral coefficients) or on the two-point
+boundary (Euclidean norm); the same machinery serves both.
 
 Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (three bounded
@@ -32,7 +33,7 @@ import numpy as np
 
 from .boundary_lift import BOUNDARY, lift_controlled, lift_matrix
 from .errors import ConfigError, GridMismatch, ScaleIndexError
-from .rough_driver import RoughDriver
+from .rough_driver import RoughDriver, lag_sups
 from .spectral_scale import Scale, generator_coefficients
 
 _INDEX_TOL = 1e-9
@@ -107,25 +108,17 @@ def sup_norm(space, values, alpha) -> float:
 
 def path_seminorm(space, times, values, alpha, exponent) -> float:
     """[h]_exponent at the given index: sup over grid pairs."""
-    worst = 0.0
-    n = times.size - 1
-    h = (times[-1] - times[0]) / n
-    for lag in range(1, n + 1):
-        norms = space.norm(values[lag:] - values[:-lag], alpha)
-        worst = max(worst, float(np.max(norms)) / (lag * h) ** exponent)
-    return worst
+    return float(lag_sups(times, lambda lag: values[lag:] - values[:-lag],
+                          space.sq_weights(alpha)[None, :], (exponent,))[0])
 
 
 def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:
     """[R^y]_exponent at the given index over all grid pairs."""
-    worst = 0.0
-    n = times.size - 1
-    h = (times[-1] - times[0]) / n
-    for lag in range(1, n + 1):
-        dx = X[lag:] - X[:-lag]
-        r = y[lag:] - y[:-lag] - y_prime[:-lag] * dx[:, None]
-        worst = max(worst, float(np.max(space.norm(r, alpha))) / (lag * h) ** exponent)
-    return worst
+    def increments(lag):
+        return y[lag:] - y[:-lag] - y_prime[:-lag] * (X[lag:] - X[:-lag])[:, None]
+
+    return float(lag_sups(times, increments, space.sq_weights(alpha)[None, :],
+                          (exponent,))[0])
 
 
 def _check_grid(P: ControlledPath, D: RoughDriver):
@@ -137,13 +130,37 @@ def _check_grid(P: ControlledPath, D: RoughDriver):
 def crp_norm(P: ControlledPath, D: RoughDriver) -> float:
     """The controlled-rough-path norm of (y, y'), seminorms over all grid pairs."""
     _check_grid(P, D)
-    g = P.gamma
-    a = P.alpha
-    return (sup_norm(P.space, P.y, a)
-            + sup_norm(P.space, P.y_prime, a - g)
-            + path_seminorm(P.space, P.times, P.y_prime, a - 2 * g, g)
-            + remainder_seminorm(P.space, P.times, P.y, P.y_prime, D.X, a - g, g)
-            + remainder_seminorm(P.space, P.times, P.y, P.y_prime, D.X, a - 2 * g, 2 * g))
+    return crp_difference_norm(P, D, P.gamma)
+
+
+def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
+                        Q: ControlledPath | None = None,
+                        E: RoughDriver | None = None) -> float:
+    """The five-term norm of P - Q, each remainder over its own driver.
+
+    P runs over D and Q over E; Q = None gives the norm of P.  The seminorms
+    take the given Hoelder exponent (twice it for the second remainder term)
+    and all three come from one lag pass.
+    """
+    g, a, k = P.gamma, P.alpha, P.y.shape[1]
+    y, yp = (P.y, P.y_prime) if Q is None else (P.y - Q.y, P.y_prime - Q.y_prime)
+    stacked = np.hstack((yp, y))
+    # R = y_{t,s} - y'_s X_{t,s}: -y' over D for P, +y' over E for Q
+    legs = [(-P.y_prime, D.X)] + ([] if Q is None else [(Q.y_prime, E.X)])
+
+    def increments(lag):
+        d = stacked[lag:] - stacked[:-lag]
+        for p, X in legs:
+            d[:, k:] += p[:-lag] * (X[lag:] - X[:-lag])[:, None]
+        return d
+
+    W = np.zeros((3, 2 * k))
+    W[0, :k] = W[2, k:] = P.space.sq_weights(a - 2 * g)
+    W[1, k:] = P.space.sq_weights(a - g)
+    sem_prime, sem_r1, sem_r2 = lag_sups(P.times, increments, W,
+                                         (exponent, exponent, 2 * exponent))
+    return float(sup_norm(P.space, y, a) + sup_norm(P.space, yp, a - g)
+                 + sem_prime + sem_r1 + sem_r2)
 
 
 def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,

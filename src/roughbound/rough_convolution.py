@@ -188,7 +188,8 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     order = 2.0 if young else 3.0
     norm_drop = (1 if young else 2) * g
     sel = np.arange(0, P.n + 1, stride)
-    denom_norm = rho(D) * crp_norm(P, D)
+    rho_gamma, input_norm = rho(D), crp_norm(P, D)
+    denom_norm = rho_gamma * input_norm
     if denom_norm == 0:
         denom_norm = 1.0
     sups = np.zeros(len(betas))
@@ -212,5 +213,5 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
         for bi, beta in enumerate(betas):
             ratios = scale.norm(r, P.alpha - norm_drop + beta) / dt ** (order * g - beta)
             sups[bi] = max(sups[bi], float(np.max(ratios)))
-    return RemainderReport(tuple(betas), tuple(sups / denom_norm), rho(D),
-                           crp_norm(P, D), "young" if young else "rough")
+    return RemainderReport(tuple(betas), tuple(sups / denom_norm), rho_gamma,
+                           input_norm, "young" if young else "rough")

@@ -29,8 +29,8 @@ import numpy as np
 from scipy import signal
 
 from .controlled_path import (ControlledPath, SmoothMap, constant_path,
-                              crp_distance, diffusion_rows, lift_extrapolate,
-                              path_seminorm, sup_norm)
+                              crp_difference_norm, crp_distance, diffusion_rows,
+                              lift_extrapolate, path_seminorm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch)
 from .rough_convolution import rough_convolve, young_convolve
@@ -226,7 +226,7 @@ def _anchor(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
 
 
 def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
-    """Picard iteration on one window; returns (path, iterations, q) or None."""
+    """Picard iteration on one window; returns (path, steps run, q), path None on failure."""
     stride = _check_stride(D.n)
     u = _anchor(spec, scale, D, y0)
     prev_dist = None
@@ -235,6 +235,8 @@ def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
     for m in range(1, spec.picard.max_iter + 1):
         nxt = _picard_map(spec, scale, D, y0, u)
         dist = crp_distance(nxt, u, D, stride)
+        if not np.isfinite(dist):
+            return None, m, q
         u = nxt
         if prev_dist is not None and prev_dist > 0:
             q = dist / prev_dist
@@ -245,9 +247,9 @@ def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
                                    spec.solution_alpha, scale.gamma, scale)
             return final, m, q
         if rising >= 2:
-            return None
+            return None, m, q
         prev_dist = dist
-    return None
+    return None, spec.picard.max_iter, q
 
 
 def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
@@ -264,12 +266,10 @@ def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
     halvings = 0
     while True:
         window = D.restricted(1, stop=end) if end != D.n else D
-        got = _iterate_window(spec, scale, window, y0)
-        if got is not None:
-            path, iters, q = got
-            return LocalSolveResult(path, float(window.times[-1]),
-                                    total_iters + iters, q)
-        total_iters += spec.picard.max_iter
+        path, iters, q = _iterate_window(spec, scale, window, y0)
+        total_iters += iters
+        if path is not None:
+            return LocalSolveResult(path, float(window.times[-1]), total_iters, q)
         halvings += 1
         end //= 2
         if halvings > spec.picard.max_halvings or end < 1:
@@ -346,7 +346,7 @@ def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
 
 def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
                           y0):
-    """Picard pass for the Young mild equation on one window; None if diverging."""
+    """Picard pass for the Young mild equation on one window; (rows or None, steps run)."""
     eta = scale.eta
     g = window.gamma
     stride = _check_stride(window.n)
@@ -370,15 +370,17 @@ def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
         pa = ControlledPath(window.times, nxt, np.zeros_like(nxt), -eta, g, scale)
         pb = ControlledPath(window.times, u, np.zeros_like(u), -eta, g, scale)
         dist = _young_distance(pa, pb, eta, g, stride)
+        if not np.isfinite(dist):
+            return None, m
         u = nxt
         if dist < spec.picard.tol:
             return u, m
         if prev is not None and prev > 0:
             rising = rising + 1 if dist / prev >= 1.0 else 0
             if rising >= 2:
-                return None
+                return None, m
         prev = dist
-    return None
+    return None, spec.picard.max_iter
 
 
 def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
@@ -412,20 +414,18 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
         remaining = shift(D, D.times[t_idx])
         stop = end_idx - t_idx
         halvings = 0
-        got = None
-        while got is None:
+        u_rows = None
+        while u_rows is None:
             window = remaining.restricted(1, stop=stop)
-            got = _young_iterate_window(spec, scale, window, y_cur)
-            if got is None:
-                iterations += spec.picard.max_iter
+            u_rows, iters = _young_iterate_window(spec, scale, window, y_cur)
+            iterations += iters
+            if u_rows is None:
                 halvings += 1
                 stop //= 2
                 if halvings > spec.picard.max_halvings or stop < 1:
                     raise ContractionFailure(
                         f"Young iteration failed to contract after "
                         f"{halvings - 1} halvings")
-        u_rows, iters = got
-        iterations += iters
         rows.append(u_rows[1:])
         y_cur = u_rows[-1]
         t_idx += stop
@@ -459,32 +459,9 @@ def stability_distance(sol1: ControlledPath, sol2: ControlledPath,
     if sol1.times.shape != sol2.times.shape or not np.allclose(
             sol1.times, sol2.times, rtol=0, atol=1e-12):
         raise GridMismatch("solutions live on different grids")
-    g = sol1.gamma
-    if not (1.0 / 3.0 < gamma_prime < g):
+    if not (1.0 / 3.0 < gamma_prime < sol1.gamma):
         raise ConfigError(f"gamma_prime must lie in (1/3, gamma), got {gamma_prime}")
-    space = sol1.space
-    a = sol1.alpha
-    times = sol1.times
-    n = times.size - 1
-    h = (times[-1] - times[0]) / n
-
-    total = sup_norm(space, sol1.y - sol2.y, a)
-    total += sup_norm(space, sol1.y_prime - sol2.y_prime, a - g)
-    total += path_seminorm(space, times, sol1.y_prime - sol2.y_prime,
-                           a - 2 * g, gamma_prime)
-    sem1 = 0.0
-    sem2 = 0.0
-    for lag in range(1, n + 1):
-        dx1 = D1.X[lag:] - D1.X[:-lag]
-        dx2 = D2.X[lag:] - D2.X[:-lag]
-        r1 = sol1.y[lag:] - sol1.y[:-lag] - sol1.y_prime[:-lag] * dx1[:, None]
-        r2 = sol2.y[lag:] - sol2.y[:-lag] - sol2.y_prime[:-lag] * dx2[:, None]
-        dt = lag * h
-        worst1 = float(np.max(space.norm(r1 - r2, a - g)))
-        worst2 = float(np.max(space.norm(r1 - r2, a - 2 * g)))
-        sem1 = max(sem1, worst1 / dt ** gamma_prime)
-        sem2 = max(sem2, worst2 / dt ** (2 * gamma_prime))
-    return total + sem1 + sem2
+    return crp_difference_norm(sol1, D1, gamma_prime, sol2, D2)
 
 
 # -- cocycle ----------------------------------------------------------------------

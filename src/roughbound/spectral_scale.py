@@ -121,11 +121,12 @@ class Scale:
         w = self.mu ** float(alpha)
         return np.sqrt(np.sum((c * w) ** 2, axis=-1))
 
+    def sq_weights(self, alpha):
+        """Squared norm weights: |v|_alpha^2 = sum_k sq_weights(alpha)_k c_k^2."""
+        return self.mu ** (2.0 * float(alpha))
+
     def vector(self, coeffs, alpha):
         return SpectralVector(np.asarray(coeffs, dtype=float).copy(), float(alpha), self)
-
-    def zero(self, alpha):
-        return SpectralVector(np.zeros(self.K), float(alpha), self)
 
     def __repr__(self):
         return (f"Scale(bc={self.bc!r}, K={self.K}, eps={self.eps:.4f}, "

@@ -36,6 +36,17 @@ def brute_force_holder(times, values, norms_fn, exponent):
     return worst
 
 
+def brute_force_remainder(times, y, y_prime, X, norms_fn, exponent):
+    """Pairwise-loop remainder seminorm [R^y]_exponent (test oracle)."""
+    worst = 0.0
+    m = len(times)
+    for i in range(m):
+        for j in range(i + 1, m):
+            r = y[j] - y[i] - y_prime[i] * (X[j] - X[i])
+            worst = max(worst, norms_fn(r) / (times[j] - times[i]) ** exponent)
+    return worst
+
+
 def brute_force_crp_norm(path, driver):
     """Second implementation of the controlled-path norm, plain double loops."""
     sc = path.space
@@ -55,6 +66,54 @@ def brute_force_crp_norm(path, driver):
             for j in range(i + 1, len(times)):
                 r = y[j] - y[i] - yp[i] * (X[j] - X[i])
                 worst = max(worst, float(sc.norm(r, idx))
+                            / (times[j] - times[i]) ** expo)
+        total += worst
+    return total
+
+
+def brute_force_rough_metric(D1, D2, gamma):
+    """Pairwise-loop inhomogeneous rough-path distance; D2=None gives rho."""
+    def level_gap(i, j):
+        dx = D1.X[j] - D1.X[i]
+        dxx = D1.xx_entry(i, j)
+        if D2 is not None:
+            dx -= D2.X[j] - D2.X[i]
+            dxx -= D2.xx_entry(i, j)
+        return abs(dx), abs(dxx)
+
+    first = second = 0.0
+    times = D1.times
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            dx, dxx = level_gap(i, j)
+            dt = times[j] - times[i]
+            first = max(first, dx / dt ** gamma)
+            second = max(second, dxx / dt ** (2 * gamma))
+    return first + second
+
+
+def brute_force_stability_distance(sol1, sol2, D1, D2, gamma_prime):
+    """Second implementation of the solution distance, plain double loops."""
+    sc = sol1.space
+    g = sol1.gamma
+    a = sol1.alpha
+    times = sol1.times
+    dy = sol1.y - sol2.y
+    dp = sol1.y_prime - sol2.y_prime
+
+    def nrm(alpha):
+        return lambda row: float(sc.norm(row, alpha))
+
+    total = max(float(sc.norm(dy[i], a)) for i in range(len(times)))
+    total += max(float(sc.norm(dp[i], a - g)) for i in range(len(times)))
+    total += brute_force_holder(times, dp, nrm(a - 2 * g), gamma_prime)
+    for expo, idx in ((gamma_prime, a - g), (2 * gamma_prime, a - 2 * g)):
+        worst = 0.0
+        for i in range(len(times)):
+            for j in range(i + 1, len(times)):
+                r1 = sol1.y[j] - sol1.y[i] - sol1.y_prime[i] * (D1.X[j] - D1.X[i])
+                r2 = sol2.y[j] - sol2.y[i] - sol2.y_prime[i] * (D2.X[j] - D2.X[i])
+                worst = max(worst, float(sc.norm(r1 - r2, idx))
                             / (times[j] - times[i]) ** expo)
         total += worst
     return total

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from roughbound import (BoundaryVector, ConstantBoundary, ControlledPath,
+from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPath,
                         GridMismatch, LinearTrace, ScaleIndexError,
                         SquashedTrace, compose_smooth, constant_path,
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
 from roughbound.boundary_lift import lift_matrix
-from roughbound.controlled_path import crp_distance
+from roughbound.controlled_path import (crp_distance, path_seminorm,
+                                        remainder_seminorm)
 
-from conftest import brute_force_crp_norm
+from conftest import brute_force_crp_norm, brute_force_holder, brute_force_remainder
 
 
 def _squashed(scale, gain=0.8, amp=1.0, bias=(0.3, -0.2), delta2=2.0):
@@ -50,6 +51,26 @@ def test_crp_norm_matches_brute_force(neumann_scale):
     F = _squashed(neumann_scale)
     y0 = neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs
     p = lift_extrapolate(F, _anchor_path(neumann_scale, F, y0, D), neumann_scale)
+    assert crp_norm(p, D) == pytest.approx(brute_force_crp_norm(p, D), rel=1e-12)
+
+
+@pytest.mark.parametrize("space", ["interior", "boundary"])
+def test_seminorms_match_brute_force(neumann_scale, space):
+    # the boundary space is unweighted: every index gives the Euclidean norm
+    D = sample_fbm(0.45, 24, 1.0, seed=5, gamma=0.40)
+    sp, k = (neumann_scale, 16) if space == "interior" else (BOUNDARY, 2)
+    rng = np.random.default_rng(8)
+    p = ControlledPath(D.times, rng.standard_normal((25, k)),
+                       rng.standard_normal((25, k)), -0.3, 0.40, sp)
+
+    def nrm(alpha):
+        return lambda row: float(sp.norm(row, alpha))
+
+    assert path_seminorm(sp, p.times, p.y, -0.5, 0.40) == pytest.approx(
+        brute_force_holder(p.times, p.y, nrm(-0.5), 0.40), rel=1e-12)
+    assert remainder_seminorm(sp, p.times, p.y, p.y_prime, D.X, -1.1, 0.80) == (
+        pytest.approx(brute_force_remainder(p.times, p.y, p.y_prime, D.X,
+                                            nrm(-1.1), 0.80), rel=1e-12))
     assert crp_norm(p, D) == pytest.approx(brute_force_crp_norm(p, D), rel=1e-12)
 
 

@@ -7,6 +7,8 @@ from roughbound import (ChenViolation, ConfigError, GridMismatch,
                         rough_metric, sample_fbm, shift)
 from roughbound.rough_driver import geometric_chen_defect_max, save_csv
 
+from conftest import brute_force_holder, brute_force_rough_metric
+
 
 def test_brownian_increments_iid():
     # H = 1/2: increments are i.i.d. with variance T/n.  Fixed seed makes the
@@ -60,6 +62,14 @@ def test_driver_construction_guards():
         lift_geometric(t ** 2, np.zeros(9), 0.5)     # non-uniform grid
     with pytest.raises(ConfigError):
         lift_geometric(t, np.zeros(9), -0.1)
+    x = t.copy()
+    x[4] = np.nan
+    with pytest.raises(ConfigError):
+        lift_geometric(t, x, 0.5)                    # non-finite X
+    xx = 0.5 * (t[None, :] - t[:, None]) ** 2
+    xx[2, 6] = np.inf
+    with pytest.raises(ConfigError):
+        lift_explicit(t, t.copy(), xx, 0.5)          # non-finite XX
 
 
 def test_geometric_lift_linear_path():
@@ -129,6 +139,27 @@ def test_metric_axioms_on_samples():
     assert dab == pytest.approx(dba, rel=1e-14)
     assert rough_metric(a, c) <= dab + rough_metric(b, c) + 1e-12
     assert dab > 0
+
+
+def _ito_lift(D):
+    """Explicit non-geometric lift XX_{t,s} = X_{t,s}^2/2 + g_t - g_s, g = -t/2."""
+    xx = (0.5 * (D.X[None, :] - D.X[:, None]) ** 2
+          - 0.5 * (D.times[None, :] - D.times[:, None]))
+    return lift_explicit(D.times, D.X, xx, D.gamma)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_driver_seminorms_match_brute_force(explicit):
+    a = sample_fbm(0.45, 24, 1.0, seed=1)
+    b = sample_fbm(0.45, 24, 1.0, seed=2)
+    if explicit:
+        a, b = _ito_lift(a), _ito_lift(b)
+    assert holder_seminorm(a, 0.35) == pytest.approx(
+        brute_force_holder(a.times, a.X, abs, 0.35), rel=1e-12)
+    assert rho(a) == pytest.approx(brute_force_rough_metric(a, None, a.gamma),
+                                   rel=1e-12)
+    assert rough_metric(a, b) == pytest.approx(
+        brute_force_rough_metric(a, b, a.gamma), rel=1e-12)
 
 
 def test_metric_grid_mismatch():

@@ -15,8 +15,11 @@ from roughbound.controlled_path import (constant_path, crp_distance,
                                         diffusion_derivative_rows,
                                         diffusion_rows, lift_extrapolate)
 from roughbound.rough_convolution import rough_convolve
+from roughbound import solver
 from roughbound.solver import (_anchor, _picard_map, drift_convolve,
                                drift_convolve_path, semigroup_rows)
+
+from conftest import brute_force_stability_distance
 
 
 def _squashed(scale, gain=0.8, amp=1.0, delta2=2.0):
@@ -203,6 +206,62 @@ def test_contraction_failure_reported(neumann_scale, lifted_y0):
         solve_global(spec)
 
 
+def _count_distances(monkeypatch):
+    """Record every Picard distance evaluation the solvers make."""
+    calls = []
+    for name in ("crp_distance", "path_seminorm"):
+        def counted(*args, fn=getattr(solver, name), **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
+                                               lifted_y0, dirichlet_scale):
+    # both problems halve windows whose iteration stopped early on a rising
+    # distance; only the steps actually run may be reported
+    calls = _count_distances(monkeypatch)
+    w0, w1 = default_trace_weights(neumann_scale, 5.0)
+    F = SquashedTrace(w0, w1, 4.0, -neumann_scale.eta, 2.0, bias=(0.3, -0.2))
+    D = sample_fbm(0.45, 512, 1.0, seed=0, gamma=0.40)
+    res = solve_global(ProblemSpec(neumann_scale, D, F, lifted_y0))
+    assert len(res.window_ends) > 1
+    assert res.iterations == len(calls)
+
+    calls.clear()
+    y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
+    w0, w1 = default_trace_weights(dirichlet_scale, 0.8)
+    F = SquashedTrace(w0, w1, 1.0, -dirichlet_scale.eta, 2.5, bias=(0.3, -0.2))
+    D = sample_fbm(0.8, 2048, 1.0, seed=102, gamma=0.77)
+    res = solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, F, y0))
+    assert len(res.window_ends) > 1
+    assert res.iterations == len(calls)
+
+
+def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
+                                              lifted_y0, dirichlet_scale):
+    # a NaN diffusion makes the first distance NaN: each window must stop
+    # after that one step and halve, until the halving budget runs out
+    calls = _count_distances(monkeypatch)
+    picard = PicardParams(1e-9, 80, 3)
+    nan_rough = ConstantBoundary(np.nan, np.nan, neumann_scale.eps - 1.0, 2.0)
+    D = sample_fbm(0.45, 256, 1.0, seed=1, gamma=0.40)
+    with pytest.raises(ContractionFailure):
+        solve_global(ProblemSpec(neumann_scale, D, nan_rough, lifted_y0,
+                                 picard=picard))
+    assert len(calls) == picard.max_halvings + 1
+
+    calls.clear()
+    y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
+    nan_young = ConstantBoundary(np.nan, np.nan, -dirichlet_scale.eta, 2.5)
+    D = sample_fbm(0.8, 256, 1.0, seed=1, gamma=0.77)
+    with pytest.raises(ContractionFailure):
+        solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, nan_young, y0,
+                                          picard=picard))
+    assert len(calls) == picard.max_halvings + 1
+
+
 def test_bounded_drift_selector(neumann_scale, lifted_y0):
     d = SmoothBoundedDrift(2.0, 0.85)
     rows = np.array([[5.0, -7.0, 0.1] + [0.0] * 13])
@@ -362,6 +421,19 @@ def test_stability_distance_gamma_prime_range(neumann_scale, lifted_y0):
                                    lifted_y0))
     with pytest.raises(ConfigError):
         stability_distance(res.path, res.path, D, D, 0.45)
+
+
+def test_stability_distance_matches_brute_force(neumann_scale):
+    # two different drivers: each remainder is taken over its own driver
+    D1 = sample_fbm(0.45, 24, 1.0, seed=4, gamma=0.40)
+    D2 = sample_fbm(0.45, 24, 1.0, seed=9, gamma=0.40)
+    rng = np.random.default_rng(6)
+    sol1, sol2 = (ControlledPath(D1.times, rng.standard_normal((25, 16)),
+                                 rng.standard_normal((25, 16)),
+                                 -neumann_scale.eta, 0.40, neumann_scale)
+                  for _ in range(2))
+    assert stability_distance(sol1, sol2, D1, D2, 0.35) == pytest.approx(
+        brute_force_stability_distance(sol1, sol2, D1, D2, 0.35), rel=1e-12)
 
 
 def test_stability_linear_response(neumann_scale, lifted_y0):
