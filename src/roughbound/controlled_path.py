@@ -246,13 +246,14 @@ class SquashedTrace(SmoothMap):
     def value(self, y_rows):
         return self.amp * np.tanh(self._u(y_rows) / self.amp)
 
+    # sech^2 = 1 - tanh^2: cosh overflows for |u| above ~710, tanh saturates
     def dvalue(self, y_rows, h_rows):
-        sech2 = 1.0 / np.cosh(self._u(y_rows) / self.amp) ** 2
-        return sech2 * (np.asarray(h_rows, dtype=float) @ self.w)
+        t = np.tanh(self._u(y_rows) / self.amp)
+        return (1.0 - t * t) * (np.asarray(h_rows, dtype=float) @ self.w)
 
     def d2value(self, y_rows, h_rows, g_rows):
-        u = self._u(y_rows) / self.amp
-        phi2 = (-2.0 / self.amp) * np.tanh(u) / np.cosh(u) ** 2
+        t = np.tanh(self._u(y_rows) / self.amp)
+        phi2 = (-2.0 / self.amp) * t * (1.0 - t * t)
         return (phi2 * (np.asarray(h_rows, dtype=float) @ self.w)
                 * (np.asarray(g_rows, dtype=float) @ self.w))
 

@@ -25,7 +25,7 @@ class SingularLift(RoughboundError):
 
 
 class CovarianceNotPD(RoughboundError):
-    """Cholesky factorization of the increment covariance failed."""
+    """The Toeplitz increment covariance is not positive definite (a Schur rotation failed)."""
 
 
 class GridMismatch(RoughboundError):

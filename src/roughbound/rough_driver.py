@@ -8,13 +8,14 @@ second-order process XX.  For d = 1 the canonical geometric lift is
 which satisfies Chen's relation identically; explicit lifts are kept only for
 adversarial tests and are validated against Chen's relation on construction.
 
-Fractional Brownian paths are drawn exactly in law by Cholesky factorization
-of the increment covariance
+Fractional Brownian paths are drawn exactly in law from the Cholesky factor
+of the increment covariance, the Toeplitz matrix of the fGn autocovariance
 
-    E[dX_i dX_j] = (|t_{j+1}-t_i|^{2H} + |t_j-t_{i+1}|^{2H}
-                    - |t_j-t_i|^{2H} - |t_{j+1}-t_{i+1}|^{2H}) / 2,
+    c_k = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2 * (T/n)^{2H}.
 
-with the factor cached per (H, n, T).  Sampled paths are (H-)-Hoelder, so the
+The Schur algorithm factors it in O(n^2) from c alone (stable for positive
+definite Toeplitz matrices: Bojanczyk, Brent, de Hoog & Sweet 1995), and the
+factor is cached per (H, n, T).  Sampled paths are (H-)-Hoelder, so the
 recorded exponent defaults to gamma = H - 0.05.
 """
 
@@ -176,22 +177,42 @@ def geometric_chen_defect_max(D: RoughDriver) -> float:
 _chol_cache: dict[tuple, np.ndarray] = {}
 
 
+def _toeplitz_cholesky(c) -> np.ndarray:
+    """Upper factor U = L^T with U^T U = toeplitz(c), by the Schur algorithm.
+
+    c is the first column of a symmetric positive definite Toeplitz matrix.
+    The generator pair (u, v) carries column k of L in u; each step shifts u
+    down, rotates v[k] to zero with a hyperbolic rotation in the mixed form
+    and stores the new u as row k of U.  CovarianceNotPD if a rotation
+    coefficient r has |r| >= 1 or is NaN.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if not c[0] > 0:
+        raise CovarianceNotPD(f"Toeplitz column has non-positive diagonal {c[0]}")
+    U = np.zeros((n, n))
+    U[0] = u = c / np.sqrt(c[0])
+    v = np.concatenate(([0.0], u[1:]))
+    for k in range(1, n):
+        u, v = u[:-1], v[1:]
+        r = v[0] / u[0]
+        if not abs(r) < 1.0:
+            raise CovarianceNotPD(
+                f"Toeplitz covariance not positive definite at column {k} of {n}")
+        s = np.sqrt((1.0 - r) * (1.0 + r))
+        u = (u - r * v) / s
+        v = s * v - r * u
+        U[k, k:] = u
+    return U
+
+
 def _increment_cholesky(H: float, n: int, T: float) -> np.ndarray:
+    """Cached upper factor U of the fGn increment covariance (dX = z @ U)."""
     key = (round(H, 12), n, round(T, 12))
     if key not in _chol_cache:
-        t = np.linspace(0.0, T, n + 1)
-        left = t[:-1]
-        right = t[1:]
-        two_h = 2.0 * H
-        cov = 0.5 * (np.abs(right[None, :] - left[:, None]) ** two_h
-                     + np.abs(left[None, :] - right[:, None]) ** two_h
-                     - np.abs(left[None, :] - left[:, None]) ** two_h
-                     - np.abs(right[None, :] - right[:, None]) ** two_h)
-        try:
-            _chol_cache[key] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceNotPD(
-                f"increment covariance not PD for H={H}, n={n}") from exc
+        p = np.abs(np.arange(-1.0, n + 1.0)) ** (2.0 * H)
+        c = 0.5 * (p[2:] - 2.0 * p[1:-1] + p[:-2]) * (T / n) ** (2.0 * H)
+        _chol_cache[key] = _toeplitz_cholesky(c)
     return _chol_cache[key]
 
 
@@ -211,9 +232,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
         raise ConfigError(f"horizon must be positive, got T={T}")
     chol = _increment_cholesky(H, n, T)
     z = np.random.default_rng(seed).standard_normal(n)
-    x = np.empty(n + 1)
-    x[0] = 0.0
-    np.cumsum(chol @ z, out=x[1:])
+    x = np.concatenate(([0.0], np.cumsum(z @ chol)))
     if gamma is None:
         gamma = H - gamma_slack
     return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H, GEOMETRIC)

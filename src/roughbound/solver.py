@@ -38,6 +38,7 @@ from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, Scale
 
 _BLOWUP_FACTOR = 1e8
+_NONFINITE = "the Picard distance was non-finite in every window tried"
 
 
 # -- drift selectors -----------------------------------------------------------
@@ -226,17 +227,17 @@ def _anchor(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
 
 
 def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
-    """Picard iteration on one window; returns (path, steps run, q), path None on failure."""
+    """Picard iteration on one window: (path or None on failure, steps run, q, last distance)."""
     stride = _check_stride(D.n)
     u = _anchor(spec, scale, D, y0)
     prev_dist = None
-    q = 0.0
+    q = dist = 0.0
     rising = 0
     for m in range(1, spec.picard.max_iter + 1):
         nxt = _picard_map(spec, scale, D, y0, u)
         dist = crp_distance(nxt, u, D, stride)
         if not np.isfinite(dist):
-            return None, m, q
+            return None, m, q, dist
         u = nxt
         if prev_dist is not None and prev_dist > 0:
             q = dist / prev_dist
@@ -245,11 +246,11 @@ def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
             final = ControlledPath(D.times, u.y,
                                    diffusion_rows(spec.diffusion, scale, u.y),
                                    spec.solution_alpha, scale.gamma, scale)
-            return final, m, q
+            return final, m, q, dist
         if rising >= 2:
-            return None, m, q
+            return None, m, q, dist
         prev_dist = dist
-    return None, spec.picard.max_iter, q
+    return None, spec.picard.max_iter, q, dist
 
 
 def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
@@ -264,18 +265,20 @@ def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
     end = D.index_of(spec.horizon) if driver is None else D.n
     total_iters = 0
     halvings = 0
+    nonfinite = True
     while True:
         window = D.restricted(1, stop=end) if end != D.n else D
-        path, iters, q = _iterate_window(spec, scale, window, y0)
+        path, iters, q, dist = _iterate_window(spec, scale, window, y0)
         total_iters += iters
         if path is not None:
             return LocalSolveResult(path, float(window.times[-1]), total_iters, q)
+        nonfinite = nonfinite and not np.isfinite(dist)
         halvings += 1
         end //= 2
         if halvings > spec.picard.max_halvings or end < 1:
+            cause = _NONFINITE if nonfinite else "driver too rough or indices misconfigured"
             raise ContractionFailure(
-                f"no contraction after {halvings - 1} halvings "
-                f"(driver too rough or indices misconfigured)")
+                f"no contraction after {halvings - 1} halvings ({cause})")
 
 
 def solve_global(spec: ProblemSpec, window_cap: float | None = None) -> GlobalSolveResult:
@@ -346,7 +349,7 @@ def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
 
 def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
                           y0):
-    """Picard pass for the Young mild equation on one window; (rows or None, steps run)."""
+    """Young Picard pass on one window: (rows or None on failure, steps run, last distance)."""
     eta = scale.eta
     g = window.gamma
     stride = _check_stride(window.n)
@@ -364,6 +367,7 @@ def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
 
     u = base.copy()
     prev = None
+    dist = 0.0
     rising = 0
     for m in range(1, spec.picard.max_iter + 1):
         nxt = step(u)
@@ -371,16 +375,16 @@ def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
         pb = ControlledPath(window.times, u, np.zeros_like(u), -eta, g, scale)
         dist = _young_distance(pa, pb, eta, g, stride)
         if not np.isfinite(dist):
-            return None, m
+            return None, m, dist
         u = nxt
         if dist < spec.picard.tol:
-            return u, m
+            return u, m, dist
         if prev is not None and prev > 0:
             rising = rising + 1 if dist / prev >= 1.0 else 0
             if rising >= 2:
-                return None, m
+                return None, m, dist
         prev = dist
-    return None, spec.picard.max_iter
+    return None, spec.picard.max_iter, dist
 
 
 def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
@@ -414,18 +418,20 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
         remaining = shift(D, D.times[t_idx])
         stop = end_idx - t_idx
         halvings = 0
+        nonfinite = True
         u_rows = None
         while u_rows is None:
             window = remaining.restricted(1, stop=stop)
-            u_rows, iters = _young_iterate_window(spec, scale, window, y_cur)
+            u_rows, iters, dist = _young_iterate_window(spec, scale, window, y_cur)
             iterations += iters
             if u_rows is None:
+                nonfinite = nonfinite and not np.isfinite(dist)
                 halvings += 1
                 stop //= 2
                 if halvings > spec.picard.max_halvings or stop < 1:
-                    raise ContractionFailure(
-                        f"Young iteration failed to contract after "
-                        f"{halvings - 1} halvings")
+                    cause = f" ({_NONFINITE})" if nonfinite else ""
+                    raise ContractionFailure(f"Young iteration failed to contract "
+                                             f"after {halvings - 1} halvings{cause}")
         rows.append(u_rows[1:])
         y_cur = u_rows[-1]
         t_idx += stop

@@ -24,8 +24,7 @@ from .rough_convolution import remainder_certificate, rough_convolve, sewing_con
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
-from .solver import (GlobalSolveResult, ProblemSpec, additive_direct,
-                     cocycle_defect, solve_global, solve_young_dirichlet)
+from .solver import ProblemSpec, additive_direct, cocycle_defect, solve_global
 from .spectral_scale import Scale, generator_coefficients
 
 
@@ -256,33 +255,6 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     slope, dev = _fit_through_origin(preds, resps)
     initial_study = StabilityStudy("initial", tuple(preds), tuple(resps), slope, dev)
     return driver_study, initial_study
-
-
-# -- Young / Dirichlet --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class YoungStudy:
-    result: GlobalSolveResult
-    slope: float
-    target: float
-
-    @property
-    def ok(self):
-        return self.slope >= self.target
-
-
-def young_dirichlet_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
-                          T: float, gamma: float, seed: int, levels,
-                          drift=None) -> YoungStudy:
-    """Solve with Dirichlet boundary noise and fit the Young sewing slope."""
-    D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
-    spec = ProblemSpec(scale, D, F, np.asarray(y0, float), drift)
-    res = solve_young_dirichlet(spec)
-    g_rows = diffusion_rows(F, scale, res.path.y)
-    gp = ControlledPath(D.times, g_rows, np.zeros_like(g_rows),
-                        scale.eps - 1.0, gamma, scale)
-    rep = sewing_convergence(gp, D, T, levels, beta=0.0, young=True)
-    return YoungStudy(res, rep.slope, 2.0 * gamma - 1.0 - 0.1)
 
 
 # -- invariants battery ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from roughbound import (BoundaryVector, ScaleConfig, build_scale, neumann_map,
@@ -117,3 +118,21 @@ def brute_force_stability_distance(sol1, sol2, D1, D2, gamma_prime):
                             / (times[j] - times[i]) ** expo)
         total += worst
     return total
+
+
+def dense_increment_cholesky(H, n, T):
+    """Lower Cholesky factor of the dense fBm increment covariance (test oracle).
+
+    Builds E[dX_i dX_j] = (|t_{j+1}-t_i|^{2H} + |t_j-t_{i+1}|^{2H}
+    - |t_j-t_i|^{2H} - |t_{j+1}-t_{i+1}|^{2H}) / 2 from the grid times, as
+    an (n, n) matrix, and factors it with LAPACK.
+    """
+    t = np.linspace(0.0, T, n + 1)
+    left = t[:-1]
+    right = t[1:]
+    two_h = 2.0 * H
+    cov = 0.5 * (np.abs(right[None, :] - left[:, None]) ** two_h
+                 + np.abs(left[None, :] - right[:, None]) ** two_h
+                 - np.abs(left[None, :] - left[:, None]) ** two_h
+                 - np.abs(right[None, :] - right[:, None]) ** two_h)
+    return np.linalg.cholesky(cov)

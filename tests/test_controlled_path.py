@@ -195,6 +195,42 @@ def test_squashed_derivatives_match_finite_differences(neumann_scale):
     assert np.max(np.abs(fd2 - F.d2value(y, h, g))) <= 1e-7
 
 
+def _unit_squashed(amp):
+    # w picks coordinates 0 and 1, so u = (y[:, :2] + bias) / amp
+    return SquashedTrace(np.eye(16)[0], np.eye(16)[1], amp, -0.3, 2.0,
+                         bias=(0.3, -0.2))
+
+
+def test_squashed_derivatives_finite_at_saturation():
+    F = _unit_squashed(2.0)
+    y = np.zeros((4, 16))
+    y[:, 0] = [2e3, -2e3, 1.5e3, 800.0]
+    y[:, 1] = [-2e3, 2e3, 1e4, -1e5]
+    h = np.ones((4, 16))
+    with np.errstate(all="raise"):
+        d1 = F.dvalue(y, h)
+        d2 = F.d2value(y, h, h)
+    assert np.all(np.isfinite(d1)) and np.all(np.abs(d1) <= 1e-300)
+    assert np.all(np.isfinite(d2)) and np.all(np.abs(d2) <= 1e-300)
+
+
+def test_squashed_derivatives_match_the_cosh_formula():
+    amp = 1.5
+    F = _unit_squashed(amp)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((64, 16))
+    y[:, :2] = rng.uniform(-6.0, 6.0, (64, 2))
+    h = rng.standard_normal((64, 16))
+    g = rng.standard_normal((64, 16))
+    u = (y[:, :2] + F.bias) / amp
+    sech2 = 1.0 / np.cosh(u) ** 2
+    np.testing.assert_allclose(F.dvalue(y, h), sech2 * h[:, :2],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(F.d2value(y, h, g),
+                               (-2.0 / amp) * np.tanh(u) * sech2
+                               * h[:, :2] * g[:, :2], rtol=0, atol=1e-12)
+
+
 def test_lift_extrapolate_zero_map(neumann_scale, driver_small):
     F = ConstantBoundary(0.0, 0.0, -0.3, 2.0)
     p = constant_path(driver_small.times, np.ones(16), np.zeros(16), -0.3,

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roughbound import (ChenViolation, ConfigError, GridMismatch,
-                        holder_seminorm, lift_explicit, lift_geometric, rho,
-                        rough_metric, sample_fbm, shift)
-from roughbound.rough_driver import geometric_chen_defect_max, save_csv
+from roughbound import (ChenViolation, ConfigError, CovarianceNotPD,
+                        GridMismatch, holder_seminorm, lift_explicit,
+                        lift_geometric, rho, rough_metric, sample_fbm, shift)
+from roughbound.rough_driver import (_increment_cholesky, _toeplitz_cholesky,
+                                     geometric_chen_defect_max, save_csv)
 
-from conftest import brute_force_holder, brute_force_rough_metric
+from conftest import (brute_force_holder, brute_force_rough_metric,
+                      dense_increment_cholesky)
 
 
 def test_brownian_increments_iid():
@@ -43,6 +45,36 @@ def test_sampling_determinism_bitwise():
     assert np.array_equal(a.X, b.X)
     c = sample_fbm(0.45, 128, 1.0, seed=124)
     assert not np.array_equal(a.X, c.X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+@pytest.mark.parametrize("H", [0.35, 0.45, 0.5, 0.8])
+def test_schur_factor_matches_dense_cholesky(H, n):
+    L = dense_increment_cholesky(H, n, 1.0)
+    U = _increment_cholesky(H, n, 1.0)
+    assert np.array_equal(U, np.triu(U))
+    assert np.max(np.abs(U.T - L)) <= 1e-10 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("H, n", [(0.45, 1024), (0.8, 512), (0.35, 3)])
+def test_sample_fbm_draws_the_dense_cholesky_path(H, n):
+    # same draw per seed as L @ z with the LAPACK factor, up to roundoff
+    L = dense_increment_cholesky(H, n, 1.0)
+    for seed in (0, 7, 11):
+        z = np.random.default_rng(seed).standard_normal(n)
+        X = sample_fbm(H, n, 1.0, seed=seed).X
+        assert X[0] == 0.0
+        np.testing.assert_allclose(X[1:], np.cumsum(L @ z), rtol=0, atol=1e-10)
+
+
+def test_toeplitz_cholesky_rejects_non_pd_columns():
+    U = _toeplitz_cholesky([4.0, 2.0, 1.0])
+    np.testing.assert_allclose(U.T @ U, [[4, 2, 1], [2, 4, 2], [1, 2, 4]],
+                               rtol=1e-15)
+    for col in ([1.0, 1.5], [1.0, -1.0], [1.0, 0.9, -0.9], [0.0, 0.0],
+                [-1.0, 0.0], [1.0, np.nan]):
+        with pytest.raises(CovarianceNotPD):
+            _toeplitz_cholesky(col)
 
 
 def test_sampling_guards():

@@ -202,7 +202,7 @@ def test_contraction_failure_reported(neumann_scale, lifted_y0):
     D = sample_fbm(0.45, 2048, 1.0, seed=2, gamma=0.40)
     spec = ProblemSpec(neumann_scale, D, F, lifted_y0,
                        picard=PicardParams(1e-9, 25, 1))
-    with pytest.raises(ContractionFailure):
+    with pytest.raises(ContractionFailure, match="driver too rough"):
         solve_global(spec)
 
 
@@ -260,6 +260,27 @@ def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
         solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, nan_young, y0,
                                           picard=picard))
     assert len(calls) == picard.max_halvings + 1
+
+
+def test_non_finite_distance_is_named_in_the_failure(neumann_scale, lifted_y0,
+                                                    dirichlet_scale):
+    picard = PicardParams(1e-9, 80, 3)
+    nan_rough = ConstantBoundary(np.nan, np.nan, neumann_scale.eps - 1.0, 2.0)
+    D = sample_fbm(0.45, 256, 1.0, seed=1, gamma=0.40)
+    y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
+    nan_young = ConstantBoundary(np.nan, np.nan, -dirichlet_scale.eta, 2.5)
+    E = sample_fbm(0.8, 256, 1.0, seed=1, gamma=0.77)
+    cases = ((solve_global, neumann_scale, D, nan_rough, lifted_y0),
+             (solve_young_dirichlet, dirichlet_scale, E, nan_young, y0))
+    for solve, scale, driver, F, start in cases:
+        with pytest.raises(ContractionFailure,
+                           match="after 3 halvings.*non-finite"):
+            solve(ProblemSpec(scale, driver, F, start, picard=picard))
+        # a zero step budget evaluates no distance at all, finite or not
+        with pytest.raises(ContractionFailure) as info:
+            solve(ProblemSpec(scale, driver, F, start,
+                              picard=PicardParams(1e-9, 0, 1)))
+        assert "non-finite" not in str(info.value)
 
 
 def test_bounded_drift_selector(neumann_scale, lifted_y0):
