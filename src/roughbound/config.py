@@ -183,4 +183,4 @@ def build_problem(cfg: dict, seed: int | None = None) -> ProblemSpec:
     picard = PicardParams(cfg["tol"], cfg["max_iter"], cfg["max_halvings"])
     return ProblemSpec(scale, driver, build_diffusion_from(cfg, scale),
                        build_y0_from(cfg, scale), build_drift_from(cfg, scale),
-                       None, picard, cfg["out_stride"])
+                       None, picard)

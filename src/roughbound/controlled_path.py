@@ -33,7 +33,7 @@ import numpy as np
 
 from .boundary_lift import BOUNDARY, lift_controlled, lift_matrix
 from .errors import ConfigError, GridMismatch, ScaleIndexError
-from .rough_driver import RoughDriver, lag_sups
+from .rough_driver import RoughDriver, check_grid, lag_sups
 from .spectral_scale import Scale, generator_coefficients
 
 _INDEX_TOL = 1e-9
@@ -79,9 +79,7 @@ class ControlledPath:
                               self.space)
 
     def __sub__(self, other: "ControlledPath") -> "ControlledPath":
-        if self.times.shape != other.times.shape or not np.allclose(
-                self.times, other.times, rtol=0, atol=1e-12):
-            raise GridMismatch("controlled paths live on different grids")
+        check_grid(self, other)
         return ControlledPath(self.times, self.y - other.y,
                               self.y_prime - other.y_prime, self.alpha,
                               self.gamma, self.space)
@@ -121,15 +119,9 @@ def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:
                           (exponent,))[0])
 
 
-def _check_grid(P: ControlledPath, D: RoughDriver):
-    if P.times.shape != D.times.shape or not np.allclose(
-            P.times, D.times, rtol=0, atol=1e-12 * max(1.0, abs(D.T))):
-        raise GridMismatch("path and driver grids differ")
-
-
 def crp_norm(P: ControlledPath, D: RoughDriver) -> float:
     """The controlled-rough-path norm of (y, y'), seminorms over all grid pairs."""
-    _check_grid(P, D)
+    check_grid(P, D)
     return crp_difference_norm(P, D, P.gamma)
 
 

@@ -30,7 +30,7 @@ from scipy import signal, stats
 
 from .controlled_path import ControlledPath, crp_norm
 from .errors import ConfigError, GridMismatch, RegularityError
-from .rough_driver import RoughDriver, rho
+from .rough_driver import RoughDriver, check_grid, rho
 from .spectral_scale import Scale
 
 _LOG_FLOOR = 1e-300
@@ -42,41 +42,37 @@ def _require_interior(P: ControlledPath) -> Scale:
     return P.space
 
 
-def _check_fine_grid(P: ControlledPath, D: RoughDriver):
-    if P.times.shape != D.times.shape or not np.allclose(
-            P.times, D.times, rtol=0, atol=1e-12 * max(1.0, abs(D.T))):
-        raise GridMismatch("path and driver must share the fine grid")
+def mode_filter(damp, gain, xi):
+    """z_0 = 0, z_{i+1} = damp_k z_i + gain_k xi_i for every mode k; (n+1, K).
 
-
-def _recurrence(scale: Scale, h: float, xi):
-    """Solve z_{i+1} = e^{-mu h}(z_i + xi_i) for all modes; returns (n+1, K)."""
-    n = xi.shape[0]
-    z = np.zeros((n + 1, scale.K))
-    damp = np.exp(-scale.mu * h)
-    for k in range(scale.K):
-        z[1:, k] = signal.lfilter([damp[k]], [1.0, -damp[k]], xi[:, k])
+    The rough and Young convolutions take gain = damp = e^{-mu h}, the drift
+    convolution in the solver gain = 1.
+    """
+    z = np.zeros((xi.shape[0] + 1, damp.size))
+    for k in range(damp.size):
+        z[1:, k] = signal.lfilter([gain[k]], [1.0, -damp[k]], xi[:, k])
     return z
 
 
-def rough_convolve(P: ControlledPath, D: RoughDriver, out_stride: int = 1,
+def rough_convolve(P: ControlledPath, D: RoughDriver,
                    theta: float = 0.0) -> ControlledPath:
     """Compensated rough convolution of (y, y'); Gubinelli derivative z' = y.
 
     The output index is P.alpha + theta for any requested theta in [0, gamma);
-    out_stride subsamples the result (the sum always runs on the fine grid).
+    the sum runs on the fine grid.
     """
     scale = _require_interior(P)
-    _check_fine_grid(P, D)
+    check_grid(P, D)
     if not 0.0 <= theta < P.gamma:
         raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
     dx = np.diff(D.X)
     xi = P.y[:-1] * dx[:, None] + P.y_prime[:-1] * D.xx_adjacent()[:, None]
-    z = _recurrence(scale, D.step, xi)
-    out = ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, scale)
-    return out.restricted(out_stride) if out_stride > 1 else out
+    damp = np.exp(-scale.mu * D.step)
+    z = mode_filter(damp, damp, xi)
+    return ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, scale)
 
 
-def young_convolve(P: ControlledPath, D: RoughDriver, out_stride: int = 1,
+def young_convolve(P: ControlledPath, D: RoughDriver,
                    theta: float = 0.0) -> ControlledPath:
     """First-order compensated sum, valid for driver exponent above 1/2.
 
@@ -87,13 +83,13 @@ def young_convolve(P: ControlledPath, D: RoughDriver, out_stride: int = 1,
         raise RegularityError(
             f"Young convolution needs gamma > 1/2, got {D.gamma}")
     scale = _require_interior(P)
-    _check_fine_grid(P, D)
+    check_grid(P, D)
     if not 0.0 <= theta < D.gamma:
         raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
     xi = P.y[:-1] * np.diff(D.X)[:, None]
-    z = _recurrence(scale, D.step, xi)
-    out = ControlledPath(P.times, z, np.zeros_like(z), P.alpha + theta, P.gamma, scale)
-    return out.restricted(out_stride) if out_stride > 1 else out
+    damp = np.exp(-scale.mu * D.step)
+    z = mode_filter(damp, damp, xi)
+    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha + theta, P.gamma, scale)
 
 
 # -- dyadic sewing defects -----------------------------------------------------
@@ -148,7 +144,7 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     is alpha - gamma + beta.
     """
     scale = _require_interior(P)
-    _check_fine_grid(P, D)
+    check_grid(P, D)
     t_idx = D.index_of(t)
     lv = np.asarray(sorted(levels), dtype=int)
     idx = P.alpha - (1 if young else 2) * P.gamma + beta
@@ -180,8 +176,8 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     rough case and 2 for the Young case.  Pairs may be thinned with stride.
     """
     scale = _require_interior(P)
-    _check_fine_grid(P, D)
-    _check_fine_grid(Z, D)
+    check_grid(P, D)
+    check_grid(Z, D)
     g = P.gamma
     if betas is None:
         betas = (0.0, g, 2 * g)

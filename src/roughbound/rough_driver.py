@@ -240,10 +240,12 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
 
 # -- metric and shift ---------------------------------------------------------
 
-def _check_common_grid(D1: RoughDriver, D2: RoughDriver):
-    if D1.times.shape != D2.times.shape or not np.allclose(
-            D1.times, D2.times, rtol=0, atol=_GRID_RTOL * max(D1.T, 1.0)):
-        raise GridMismatch("drivers live on different grids")
+def check_grid(a, b):
+    """GridMismatch unless paths or drivers a, b share a grid to 1e-12 max(1, |T|)."""
+    if a.times.shape != b.times.shape or not np.allclose(
+            a.times, b.times, rtol=0, atol=1e-12 * max(1.0, abs(a.times[-1]))):
+        raise GridMismatch(f"{type(a).__name__} and {type(b).__name__} live on "
+                           "different grids")
 
 
 def lag_sups(times, increments, weights, exponents) -> np.ndarray:
@@ -275,7 +277,7 @@ def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:
 
 def rough_metric(D1: RoughDriver, D2: RoughDriver, gamma: float | None = None) -> float:
     """Inhomogeneous rough path distance over the common grid."""
-    _check_common_grid(D1, D2)
+    check_grid(D1, D2)
     g = D1.gamma if gamma is None else gamma
     X1, X2 = D1.X, D2.X
     return float(np.sum(lag_sups(D1.times, lambda lag: np.stack(

@@ -10,15 +10,19 @@ as the fixed point of
                   A_{-sigma} N F(u)),
 
 iterated from the anchor (S y0 + int S G(y0) dX, G(y0)) on controlled-path
-balls.  The contraction factor is estimated empirically from successive
-iterate distances; when it fails to contract the window is halved (the
-fixed-point argument only certifies some small window).  Global solutions are
-window concatenations with the Gubinelli derivative re-anchored to G(y(tau_i))
-at each restart, plus a no-blow-up monitor fitted to ||y|| <= M1 r e^{M2 t}.
+balls.  Dirichlet boundary noise is handled in the Young regime (driver
+exponent above 1 - 1/(2p)) with the first-order convolution and a plain
+Hoelder-norm Picard iteration.
 
-Dirichlet boundary noise is handled in the Young regime (driver exponent
-above 1 - 1/(2p)) with the first-order convolution and a plain Hoelder-norm
-Picard iteration.
+Both regimes run on one window engine, as the paper's global existence
+argument does: a Picard loop whose contraction factor is estimated from
+successive iterate distances, a halving loop that shortens the window until
+the loop contracts (the fixed-point argument only certifies some small
+window), and a concatenation loop that restarts each window from the last
+state on the shifted driver, with a no-blow-up monitor fitted to
+||y|| <= M1 r e^{M2 t}.  A regime supplies only its per-window Picard step,
+distance and starting point; the rough solution's Gubinelli derivative is
+re-anchored to G(y) on every window.
 """
 
 from __future__ import annotations
@@ -26,15 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .controlled_path import (ControlledPath, SmoothMap, constant_path,
                               crp_difference_norm, crp_distance, diffusion_rows,
                               lift_extrapolate, path_seminorm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch)
-from .rough_convolution import rough_convolve, young_convolve
-from .rough_driver import RoughDriver, shift
+from .rough_convolution import mode_filter, rough_convolve, young_convolve
+from .rough_driver import RoughDriver, check_grid, shift
 from .spectral_scale import DIRICHLET, NEUMANN, Scale
 
 _BLOWUP_FACTOR = 1e8
@@ -99,7 +102,6 @@ class ProblemSpec:
     drift: DriftMap | None = None
     T: float | None = None
     picard: PicardParams = field(default_factory=PicardParams)
-    out_stride: int = 1
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=float)
@@ -180,19 +182,15 @@ def drift_convolve(scale: Scale, times, f_rows):
     f_rows = np.asarray(f_rows, dtype=float)
     h = (times[-1] - times[0]) / (times.size - 1)
     damp, w_left, w_right = _phi_weights(scale, h)
-    u = w_left * f_rows[:-1] + w_right * f_rows[1:]
-    out = np.zeros_like(f_rows)
-    for k in range(scale.K):
-        out[1:, k] = signal.lfilter([1.0], [1.0, -damp[k]], u[:, k])
-    return out
+    return mode_filter(damp, np.ones_like(damp),
+                       w_left * f_rows[:-1] + w_right * f_rows[1:])
 
 
-def drift_convolve_path(P: ControlledPath, f: DriftMap, out_stride: int = 1):
+def drift_convolve_path(P: ControlledPath, f: DriftMap):
     """Spec-facing wrapper: drift convolution of f along a sampled path."""
     rows = drift_convolve(P.space, P.times, f.value(P.y))
-    out = ControlledPath(P.times, rows, np.zeros_like(rows), P.alpha, P.gamma,
-                         P.space)
-    return out.restricted(out_stride) if out_stride > 1 else out
+    return ControlledPath(P.times, rows, np.zeros_like(rows), P.alpha, P.gamma,
+                          P.space)
 
 
 def _check_stride(n: int, target_points: int = 128) -> int:
@@ -226,52 +224,85 @@ def _anchor(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
                           scale.gamma, scale)
 
 
-def _iterate_window(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
-    """Picard iteration on one window: (path or None on failure, steps run, q, last distance)."""
-    stride = _check_stride(D.n)
-    u = _anchor(spec, scale, D, y0)
-    prev_dist = None
-    q = dist = 0.0
-    rising = 0
-    for m in range(1, spec.picard.max_iter + 1):
-        nxt = _picard_map(spec, scale, D, y0, u)
-        dist = crp_distance(nxt, u, D, stride)
-        if not np.isfinite(dist):
-            return None, m, q, dist
-        u = nxt
-        if prev_dist is not None and prev_dist > 0:
-            q = dist / prev_dist
-            rising = rising + 1 if q >= 1.0 else 0
-        if dist < spec.picard.tol:
-            final = ControlledPath(D.times, u.y,
-                                   diffusion_rows(spec.diffusion, scale, u.y),
-                                   spec.solution_alpha, scale.gamma, scale)
-            return final, m, q, dist
-        if rising >= 2:
-            return None, m, q, dist
-        prev_dist = dist
-    return None, spec.picard.max_iter, q, dist
-
-
-def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
-                y0=None) -> LocalSolveResult:
-    """Fixed point of Phi on [0, tau], tau found by halving from the horizon."""
+def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
+    """Rough regime on one window: (step, distance, start) of the Picard loop."""
     scale = spec.scale
     if scale.bc != NEUMANN:
         raise ConfigError("the rough solver runs on the Neumann scale; "
                           "use solve_young_dirichlet for Dirichlet noise")
-    D = spec.driver if driver is None else driver
-    y0 = np.asarray(spec.y0 if y0 is None else y0, dtype=float)
-    end = D.index_of(spec.horizon) if driver is None else D.n
-    total_iters = 0
-    halvings = 0
+    stride = _check_stride(D.n)
+    return (lambda u: _picard_map(spec, scale, D, y0, u),
+            lambda a, b: crp_distance(a, b, D, stride),
+            _anchor(spec, scale, D, y0))
+
+
+def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
+                    gamma: float, stride: int) -> float:
+    a, b = P1.restricted(stride), P2.restricted(stride)
+    diff = a.y - b.y
+    space = P1.space
+    return (float(np.max(space.norm(diff, -eta)))
+            + path_seminorm(space, a.times, diff, -eta - gamma, gamma))
+
+
+def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
+    """Young regime on one window: (step, distance, start) in the Hoelder norm."""
+    scale, eta, g = spec.scale, spec.scale.eta, D.gamma
+    stride = _check_stride(D.n)
+    base = semigroup_rows(scale, D.times, y0)
+
+    def path(rows):  # no Gubinelli derivative in the Young regime
+        return ControlledPath(D.times, rows, np.zeros_like(rows), -eta, g, scale)
+
+    def step(u):
+        g_rows = diffusion_rows(spec.diffusion, scale, u.y)
+        rows = base + young_convolve(path(g_rows), D).y
+        if spec.drift is not None:
+            rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
+        return path(rows)
+
+    return step, lambda a, b: _young_distance(a, b, eta, g, stride), path(base)
+
+
+# -- the window engine -------------------------------------------------------------
+
+def _iterate(spec: ProblemSpec, step, distance, u0):
+    """Picard loop from u0: (fixed point or None, steps run, q, last distance).
+
+    It stops at a distance below tol, at a non-finite distance, or after two
+    rising distances in a row; q is the last ratio of successive distances.
+    """
+    u, prev, q, dist, rising = u0, 0.0, 0.0, 0.0, 0
+    for m in range(1, spec.picard.max_iter + 1):
+        nxt = step(u)
+        dist = distance(nxt, u)
+        if not np.isfinite(dist):
+            return None, m, q, dist
+        u = nxt
+        if prev > 0:
+            q = dist / prev
+            rising = rising + 1 if q >= 1.0 else 0
+        if dist < spec.picard.tol:
+            return u, m, q, dist
+        if rising >= 2:
+            return None, m, q, dist
+        prev = dist
+    return None, spec.picard.max_iter, q, dist
+
+
+def _halve(spec: ProblemSpec, D: RoughDriver, end: int, y0, regime):
+    """Fixed point on [0, t_end], the window halved until the loop contracts.
+
+    Returns (fixed point, window driver, Picard steps over all attempts, q).
+    """
+    steps = halvings = 0
     nonfinite = True
     while True:
         window = D.restricted(1, stop=end) if end != D.n else D
-        path, iters, q, dist = _iterate_window(spec, scale, window, y0)
-        total_iters += iters
-        if path is not None:
-            return LocalSolveResult(path, float(window.times[-1]), total_iters, q)
+        u, m, q, dist = _iterate(spec, *regime(spec, window, y0))
+        steps += m
+        if u is not None:
+            return u, window, steps, q
         nonfinite = nonfinite and not np.isfinite(dist)
         halvings += 1
         end //= 2
@@ -281,46 +312,41 @@ def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
                 f"no contraction after {halvings - 1} halvings ({cause})")
 
 
-def solve_global(spec: ProblemSpec, window_cap: float | None = None) -> GlobalSolveResult:
-    """Concatenate local solutions up to the horizon; monitor the growth bound."""
-    scale = spec.scale
-    D = spec.driver
-    horizon = spec.horizon
-    end_idx = D.index_of(horizon)
-    cap_idx = end_idx if window_cap is None else max(1, D.index_of(window_cap))
+def _concatenate(spec: ProblemSpec, regime, alpha: float, cap_idx: int | None = None):
+    """Local solutions, window after window, up to the horizon.
 
-    t_idx = 0
+    Each window restarts from the last state on the shifted driver and spans
+    at most cap_idx steps; the running sup at index alpha feeds the no-blow-up
+    monitor and the growth fit.  Returns the grid, the solution rows and the
+    remaining fields of a GlobalSolveResult.
+    """
+    scale, D = spec.scale, spec.driver
+    end_idx = D.index_of(spec.horizon)
+    t_idx = iterations = 0
     y_cur = np.asarray(spec.y0, dtype=float)
     rows = [y_cur[None, :]]
     window_ends = []
-    iterations = 0
-    r = max(1.0, float(scale.norm(y_cur, spec.solution_alpha)))
-    running_sup = [(0.0, float(scale.norm(y_cur, spec.solution_alpha)))]
+    r = max(1.0, float(scale.norm(y_cur, alpha)))
+    running_sup = [(0.0, float(scale.norm(y_cur, alpha)))]
 
     while t_idx < end_idx:
-        remaining = shift(D, D.times[t_idx])
-        stop = min(end_idx - t_idx, cap_idx)
-        local = solve_local(spec, driver=remaining.restricted(1, stop=stop),
-                            y0=y_cur)
-        iterations += local.iterations
-        rows.append(local.path.y[1:])
-        y_cur = local.path.y[-1]
-        t_idx += local.path.n
+        stop = min(end_idx - t_idx, end_idx if cap_idx is None else cap_idx)
+        u, window, steps, _ = _halve(spec, shift(D, D.times[t_idx]), stop, y_cur,
+                                     regime)
+        iterations += steps
+        rows.append(u.y[1:])
+        y_cur = u.y[-1]
+        t_idx += window.n
         window_ends.append(float(D.times[t_idx]))
-        sup_now = float(np.max(scale.norm(local.path.y, spec.solution_alpha)))
+        sup_now = float(np.max(scale.norm(u.y, alpha)))
         running_sup.append((float(D.times[t_idx]), sup_now))
         if sup_now > _BLOWUP_FACTOR * r:
             raise AprioriBoundViolation(
                 f"sup norm {sup_now:.3e} at t={D.times[t_idx]:.4f} exceeds "
                 f"{_BLOWUP_FACTOR:.0e} x max(1, |y0|)")
 
-    y_rows = np.vstack(rows)
-    times = D.times[:end_idx + 1]
-    path = ControlledPath(times.copy(), y_rows,
-                          diffusion_rows(spec.diffusion, scale, y_rows),
-                          spec.solution_alpha, scale.gamma, scale)
-    m1, m2 = _fit_growth_bound(running_sup, r)
-    return GlobalSolveResult(path, tuple(window_ends), iterations, m1, m2)
+    return (D.times[:end_idx + 1].copy(), np.vstack(rows), tuple(window_ends),
+            iterations, *_fit_growth_bound(running_sup, r))
 
 
 def _fit_growth_bound(history, r):
@@ -336,55 +362,32 @@ def _fit_growth_bound(history, r):
     return m1, m2
 
 
-# -- Young / Dirichlet -------------------------------------------------------------
+# -- public solvers -------------------------------------------------------------------
 
-def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
-                    gamma: float, stride: int) -> float:
-    a, b = P1.restricted(stride), P2.restricted(stride)
-    diff = a.y - b.y
-    space = P1.space
-    return (float(np.max(space.norm(diff, -eta)))
-            + path_seminorm(space, a.times, diff, -eta - gamma, gamma))
+def _rough_path(spec: ProblemSpec, times, rows) -> ControlledPath:
+    """Rough solution rows with the Gubinelli derivative re-anchored to G(y)."""
+    scale = spec.scale
+    return ControlledPath(times, rows, diffusion_rows(spec.diffusion, scale, rows),
+                          spec.solution_alpha, scale.gamma, scale)
 
 
-def _young_iterate_window(spec: ProblemSpec, scale: Scale, window: RoughDriver,
-                          y0):
-    """Young Picard pass on one window: (rows or None on failure, steps run, last distance)."""
-    eta = scale.eta
-    g = window.gamma
-    stride = _check_stride(window.n)
-    base = semigroup_rows(scale, window.times, y0)
+def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
+                y0=None) -> LocalSolveResult:
+    """Fixed point of Phi on [0, tau], tau found by halving from the horizon."""
+    D = spec.driver if driver is None else driver
+    y0 = np.asarray(spec.y0 if y0 is None else y0, dtype=float)
+    end = D.index_of(spec.horizon) if driver is None else D.n
+    u, window, steps, q = _halve(spec, D, end, y0, _rough_window)
+    return LocalSolveResult(_rough_path(spec, window.times, u.y),
+                            float(window.times[-1]), steps, q)
 
-    def step(u_rows):
-        g_rows = diffusion_rows(spec.diffusion, scale, u_rows)
-        gp = ControlledPath(window.times, g_rows, np.zeros_like(g_rows),
-                            -eta, g, scale)
-        rows = base + young_convolve(gp, window).y
-        if spec.drift is not None:
-            rows = rows + drift_convolve(scale, window.times,
-                                         spec.drift.value(u_rows))
-        return rows
 
-    u = base.copy()
-    prev = None
-    dist = 0.0
-    rising = 0
-    for m in range(1, spec.picard.max_iter + 1):
-        nxt = step(u)
-        pa = ControlledPath(window.times, nxt, np.zeros_like(nxt), -eta, g, scale)
-        pb = ControlledPath(window.times, u, np.zeros_like(u), -eta, g, scale)
-        dist = _young_distance(pa, pb, eta, g, stride)
-        if not np.isfinite(dist):
-            return None, m, dist
-        u = nxt
-        if dist < spec.picard.tol:
-            return u, m, dist
-        if prev is not None and prev > 0:
-            rising = rising + 1 if dist / prev >= 1.0 else 0
-            if rising >= 2:
-                return None, m, dist
-        prev = dist
-    return None, spec.picard.max_iter, dist
+def solve_global(spec: ProblemSpec, window_cap: float | None = None) -> GlobalSolveResult:
+    """Concatenate local solutions up to the horizon; monitor the growth bound."""
+    cap_idx = None if window_cap is None else max(1, spec.driver.index_of(window_cap))
+    times, rows, *rest = _concatenate(spec, _rough_window, spec.solution_alpha,
+                                      cap_idx)
+    return GlobalSolveResult(_rough_path(spec, times, rows), *rest)
 
 
 def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
@@ -393,8 +396,7 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
     Picard iteration in the norm ||.||_{inf,-eta_D} + [.]_{gamma,-eta_D-gamma};
     the diffusion enters through G_D = A_{-sigma_D} D F with the first-order
     convolution (no Gubinelli derivative is required).  Windows are halved
-    until the iteration contracts and local solutions are concatenated, as in
-    the rough case.
+    and concatenated by the same engine as in the rough case.
     """
     scale = spec.scale
     if scale.bc != DIRICHLET:
@@ -404,51 +406,10 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
         raise DirichletRegularityError(
             f"Dirichlet noise needs driver exponent > {young_floor}, "
             f"got {spec.driver.gamma}")
-    D = spec.driver
-    end_idx = D.index_of(spec.horizon)
-    t_idx = 0
-    y_cur = np.asarray(spec.y0, dtype=float)
-    rows = [y_cur[None, :]]
-    window_ends = []
-    iterations = 0
-    r = max(1.0, float(scale.norm(y_cur, -scale.eta)))
-    running_sup = [(0.0, float(scale.norm(y_cur, -scale.eta)))]
-
-    while t_idx < end_idx:
-        remaining = shift(D, D.times[t_idx])
-        stop = end_idx - t_idx
-        halvings = 0
-        nonfinite = True
-        u_rows = None
-        while u_rows is None:
-            window = remaining.restricted(1, stop=stop)
-            u_rows, iters, dist = _young_iterate_window(spec, scale, window, y_cur)
-            iterations += iters
-            if u_rows is None:
-                nonfinite = nonfinite and not np.isfinite(dist)
-                halvings += 1
-                stop //= 2
-                if halvings > spec.picard.max_halvings or stop < 1:
-                    cause = f" ({_NONFINITE})" if nonfinite else ""
-                    raise ContractionFailure(f"Young iteration failed to contract "
-                                             f"after {halvings - 1} halvings{cause}")
-        rows.append(u_rows[1:])
-        y_cur = u_rows[-1]
-        t_idx += stop
-        window_ends.append(float(D.times[t_idx]))
-        sup_now = float(np.max(scale.norm(u_rows, -scale.eta)))
-        running_sup.append((float(D.times[t_idx]), sup_now))
-        if sup_now > _BLOWUP_FACTOR * r:
-            raise AprioriBoundViolation(
-                f"sup norm {sup_now:.3e} at t={D.times[t_idx]:.4f} exceeds "
-                f"{_BLOWUP_FACTOR:.0e} x max(1, |y0|)")
-
-    y_rows = np.vstack(rows)
-    times = D.times[:end_idx + 1]
-    path = ControlledPath(times.copy(), y_rows, np.zeros_like(y_rows),
-                          -scale.eta, D.gamma, scale)
-    m1, m2 = _fit_growth_bound(running_sup, r)
-    return GlobalSolveResult(path, tuple(window_ends), iterations, m1, m2)
+    times, rows, *rest = _concatenate(spec, _young_window, -scale.eta)
+    path = ControlledPath(times, rows, np.zeros_like(rows), -scale.eta,
+                          spec.driver.gamma, scale)
+    return GlobalSolveResult(path, *rest)
 
 
 # -- stability metric ------------------------------------------------------------
@@ -462,9 +423,7 @@ def stability_distance(sol1: ControlledPath, sol2: ControlledPath,
     the gamma'-seminorm of the derivative difference at -eta - 2 gamma, and
     the gamma'/2 gamma'-seminorms of the remainder difference.
     """
-    if sol1.times.shape != sol2.times.shape or not np.allclose(
-            sol1.times, sol2.times, rtol=0, atol=1e-12):
-        raise GridMismatch("solutions live on different grids")
+    check_grid(sol1, sol2)
     if not (1.0 / 3.0 < gamma_prime < sol1.gamma):
         raise ConfigError(f"gamma_prime must lie in (1/3, gamma), got {gamma_prime}")
     return crp_difference_norm(sol1, D1, gamma_prime, sol2, D2)
@@ -481,7 +440,7 @@ def _solve_at_resolution(spec: ProblemSpec, D: RoughDriver, stop_time: float,
             f"resolution {resolution} does not divide the window of {stop_idx} steps")
     window = D.restricted(stop_idx // resolution, stop=stop_idx)
     sub = ProblemSpec(spec.scale, window, spec.diffusion, np.asarray(y0, float),
-                      spec.drift, None, spec.picard, 1)
+                      spec.drift, None, spec.picard)
     return solve_global(sub).path.y[-1]
 
 

@@ -2,15 +2,12 @@
 
 Each study is a pure function of explicit parameters returning a small report
 object; the CLI renders reports to CSV and pass/fail summary lines, and the
-acceptance tests assert on the same numbers.  Seed fan-out is deterministic:
-results are keyed by seed and aggregated in sorted order regardless of the
-execution schedule.
+acceptance tests assert on the same numbers.  Multi-seed studies run their
+seeds one after another, in the order given.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +16,12 @@ from scipy import stats
 from .boundary_lift import BoundaryVector, lift_controlled, neumann_map
 from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
                               diffusion_rows, lift_extrapolate)
-from .errors import ConfigError
 from .rough_convolution import remainder_certificate, rough_convolve, sewing_convergence
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
 from .solver import ProblemSpec, additive_direct, cocycle_defect, solve_global
 from .spectral_scale import Scale, generator_coefficients
-
-
-def thread_cap() -> int:
-    """Fan-out cap for multi-seed studies, from ROUGHBOUND_THREADS (default 1)."""
-    raw = os.environ.get("ROUGHBOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"ROUGHBOUND_THREADS must be an integer, got {raw!r}")
-
-
-def _map_seeds(fn, seeds):
-    """Apply fn to each seed, optionally in parallel; results in seed order."""
-    seeds = list(seeds)
-    workers = min(thread_cap(), len(seeds)) if seeds else 1
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> ControlledPath:
@@ -92,7 +69,7 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
         P = canonical_integrand(scale, F, y0, D)
         return sewing_convergence(P, D, T, levels, beta=beta, young=young).defects
 
-    all_defects = np.array(_map_seeds(one, seeds))
+    all_defects = np.array([one(s) for s in seeds])
     mean = np.exp(np.mean(np.log(np.maximum(all_defects, 1e-300)), axis=0))
     fit = stats.linregress(levels, np.log2(mean))
     k = 2.0 if young else 3.0
@@ -191,7 +168,7 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
         spec = ProblemSpec(scale, D, F, np.asarray(y0, float), drift)
         return [cocycle_defect(spec, t, tau, r) for r in resolutions]
 
-    defects = np.array(_map_seeds(one, seeds))
+    defects = np.array([one(s) for s in seeds])
     mean = stats.gmean(np.maximum(defects, 1e-300), axis=0)
     ratios = tuple(float(mean[i] / mean[i + 1]) for i in range(len(mean) - 1))
     return CocycleStudy(resolutions, tuple(float(m) for m in mean), ratios)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roughbound import (ChenViolation, ConfigError, CovarianceNotPD,
-                        GridMismatch, holder_seminorm, lift_explicit,
-                        lift_geometric, rho, rough_metric, sample_fbm, shift)
+from roughbound import (ChenViolation, ConfigError, ControlledPath,
+                        CovarianceNotPD, GridMismatch, crp_norm,
+                        holder_seminorm, lift_explicit, lift_geometric, rho,
+                        rough_convolve, rough_metric, sample_fbm, shift,
+                        stability_distance, young_convolve)
 from roughbound.rough_driver import (_increment_cholesky, _toeplitz_cholesky,
                                      geometric_chen_defect_max, save_csv)
 
@@ -199,6 +201,35 @@ def test_metric_grid_mismatch():
     b = sample_fbm(0.45, 32, 1.0, seed=1)
     with pytest.raises(GridMismatch):
         rough_metric(a, b)
+
+
+GRID_ENTRIES = {
+    "rough_convolve": lambda P, Q, D, E: rough_convolve(Q, D),
+    "young_convolve": lambda P, Q, D, E: young_convolve(Q, D),
+    "crp_norm": lambda P, Q, D, E: crp_norm(Q, D),
+    "path subtraction": lambda P, Q, D, E: P - Q,
+    "rough_metric": lambda P, Q, D, E: rough_metric(D, E),
+    "stability_distance": lambda P, Q, D, E: stability_distance(P, Q, D, E, 0.35),
+}
+
+
+@pytest.mark.parametrize("moved_by", [1e-10, 1e-3])
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+def test_grid_entries_reject_a_perturbed_grid(entry, moved_by, neumann_scale):
+    # one grid check with one tolerance, 1e-12 max(1, |T|), behind every entry:
+    # a grid whose last point moved by moved_by is another grid
+    D = sample_fbm(0.8, 32, 1.0, seed=5, gamma=0.77)
+    rows = np.random.default_rng(3).standard_normal((33, 16))
+    moved = np.linspace(0.0, 1.0 + moved_by, 33)
+
+    def path(times):
+        return ControlledPath(times, rows, rows, -neumann_scale.eta, 0.40,
+                              neumann_scale)
+
+    P, E = path(D.times), lift_geometric(moved, D.X, D.gamma)
+    GRID_ENTRIES[entry](P, path(D.times.copy()), D, D)   # same grid: accepted
+    with pytest.raises(GridMismatch):
+        GRID_ENTRIES[entry](P, path(moved), D, E)
 
 
 def test_holder_seminorm_growth_separates_exponents():

@@ -196,7 +196,7 @@ def test_linear_noise_self_convergence_envelope(neumann_scale, lifted_y0):
     assert g[1] / g[2] >= 1.2
 
 
-def test_contraction_failure_reported(neumann_scale, lifted_y0):
+def test_contraction_failure_reported(neumann_scale, lifted_y0, dirichlet_scale):
     w0, w1 = default_trace_weights(neumann_scale, 30.0)
     F = SquashedTrace(w0, w1, 20.0, -neumann_scale.eta, 2.0, bias=(0.5, -0.4))
     D = sample_fbm(0.45, 2048, 1.0, seed=2, gamma=0.40)
@@ -204,6 +204,16 @@ def test_contraction_failure_reported(neumann_scale, lifted_y0):
                        picard=PicardParams(1e-9, 25, 1))
     with pytest.raises(ContractionFailure, match="driver too rough"):
         solve_global(spec)
+
+    # the Young regime fails through the same halving loop, with the same text
+    y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
+    w0, w1 = default_trace_weights(dirichlet_scale, 30.0)
+    F = SquashedTrace(w0, w1, 20.0, -dirichlet_scale.eta, 2.5, bias=(0.5, -0.4))
+    D = sample_fbm(0.8, 2048, 1.0, seed=2, gamma=0.77)
+    spec = ProblemSpec(dirichlet_scale, D, F, y0, picard=PicardParams(1e-9, 25, 1))
+    with pytest.raises(ContractionFailure,
+                       match=r"after 1 halvings \(driver too rough"):
+        solve_young_dirichlet(spec)
 
 
 def _count_distances(monkeypatch):
@@ -220,14 +230,15 @@ def _count_distances(monkeypatch):
 def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
                                                lifted_y0, dirichlet_scale):
     # both problems halve windows whose iteration stopped early on a rising
-    # distance; only the steps actually run may be reported
+    # distance; only the steps actually run may be reported.  Window ends and
+    # step counts are pinned, so any move of a halved window shows.
     calls = _count_distances(monkeypatch)
     w0, w1 = default_trace_weights(neumann_scale, 5.0)
     F = SquashedTrace(w0, w1, 4.0, -neumann_scale.eta, 2.0, bias=(0.3, -0.2))
     D = sample_fbm(0.45, 512, 1.0, seed=0, gamma=0.40)
     res = solve_global(ProblemSpec(neumann_scale, D, F, lifted_y0))
-    assert len(res.window_ends) > 1
-    assert res.iterations == len(calls)
+    assert res.window_ends == (0.125, 0.15234375, 0.2578125, 0.267578125, 1.0)
+    assert res.iterations == len(calls) == 216
 
     calls.clear()
     y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
@@ -235,8 +246,8 @@ def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
     F = SquashedTrace(w0, w1, 1.0, -dirichlet_scale.eta, 2.5, bias=(0.3, -0.2))
     D = sample_fbm(0.8, 2048, 1.0, seed=102, gamma=0.77)
     res = solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, F, y0))
-    assert len(res.window_ends) > 1
-    assert res.iterations == len(calls)
+    assert res.window_ends == (0.25, 0.4375, 1.0)
+    assert res.iterations == len(calls) == 66
 
 
 def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
@@ -413,7 +424,6 @@ def test_young_regularity_guards(dirichlet_scale):
     object.__setattr__(bad, "drift", None)
     object.__setattr__(bad, "T", None)
     object.__setattr__(bad, "picard", PicardParams())
-    object.__setattr__(bad, "out_stride", 1)
     with pytest.raises(DirichletRegularityError):
         solve_young_dirichlet(bad)
 
