@@ -58,14 +58,18 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_rows(path: str, header: str, rows) -> None:
+def _write_lines(path: str, header: str, lines) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         raise IoError(path) from exc
+
+
+def _write_rows(path: str, header: str, rows) -> None:
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
 
 
 def _fmt(v) -> str:
@@ -95,9 +99,10 @@ def cmd_solve(cfg: dict, out: str) -> list:
     else:
         res = solve_young_dirichlet(spec)
     path = res.path.restricted(cfg["out_stride"]) if cfg["out_stride"] > 1 else res.path
-    rows = [(t, k, path.y[i, k])
-            for i, t in enumerate(path.times) for k in range(spec.scale.K)]
-    _write_rows(_out_path(out, "solution.csv"), "time,mode,coefficient", rows)
+    _write_lines(_out_path(out, "solution.csv"), "time,mode,coefficient",
+                 (f"{t:.17g},{k},{v:.17g}"
+                  for t, row in zip(path.times.tolist(), path.y.tolist())
+                  for k, v in enumerate(row)))
     sup = float(np.max(spec.scale.norm(path.y, spec.solution_alpha)))
     checks = [
         studies.Check("solve_completed", float(path.times[-1]), spec.horizon,

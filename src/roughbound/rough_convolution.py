@@ -66,7 +66,7 @@ def rough_convolve(P: ControlledPath, D: RoughDriver,
     if not 0.0 <= theta < P.gamma:
         raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
     dx = np.diff(D.X)
-    xi = P.y[:-1] * dx[:, None] + P.y_prime[:-1] * D.xx_adjacent()[:, None]
+    xi = P.y[:-1] * dx[:, None] + P.y_prime[:-1] * D.xx_lag(1)[:, None]
     damp = np.exp(-scale.mu * D.step)
     z = mode_filter(damp, damp, xi)
     return ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, scale)
@@ -113,11 +113,7 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
     dx = D.X[v] - D.X[u]
     xi = P.y[u] * dx[:, None]
     if with_lift:
-        if D.lift == "geometric":
-            xx = 0.5 * dx ** 2
-        else:
-            xx = D.XX[u, v]
-        xi = xi + P.y_prime[u] * xx[:, None]
+        xi = xi + P.y_prime[u] * D.xx_entry(u, v)[:, None]
     t_time = P.times[t_idx]
     weights = np.exp(-np.outer(t_time - P.times[u], scale.mu))
     return np.sum(weights * xi, axis=0)
@@ -197,14 +193,9 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
         dt = P.times[js] - P.times[i]
         damp = np.exp(-np.outer(dt, scale.mu))
         dx = D.X[js] - D.X[i]
-        if young:
-            head = P.y[i][None, :] * dx[:, None]
-        else:
-            if D.lift == "geometric":
-                xx = 0.5 * dx ** 2
-            else:
-                xx = D.XX[i, js]
-            head = P.y[i][None, :] * dx[:, None] + P.y_prime[i][None, :] * xx[:, None]
+        head = P.y[i][None, :] * dx[:, None]
+        if not young:
+            head = head + P.y_prime[i][None, :] * D.xx_entry(i, js)[:, None]
         r = Z.y[js] - damp * (Z.y[i][None, :] + head)
         for bi, beta in enumerate(betas):
             ratios = scale.norm(r, P.alpha - norm_drop + beta) / dt ** (order * g - beta)

@@ -1,12 +1,14 @@
 """Sampling, lifting, validating and shifting Hoelder rough paths on a grid.
 
 A driver is a scalar path X on a uniform grid with X_0 = 0, together with a
-second-order process XX.  For d = 1 the canonical geometric lift is
+second-order process XX.  For d = 1, XX satisfies Chen's relation exactly
+when XX_{t,s} - X_{t,s}^2 / 2 = g_t - g_s for a path g with g_0 = 0 (minus
+half the bracket [X]; Friz & Hairer, ch. 5), so every lift is stored as g:
 
-    XX_{t,s} = (X_t - X_s)^2 / 2,
+    XX_{t,s} = (X_t - X_s)^2 / 2 + g_t - g_s,
 
-which satisfies Chen's relation identically; explicit lifts are kept only for
-adversarial tests and are validated against Chen's relation on construction.
+and g = 0 is the canonical geometric lift.  Explicit lifts are kept only for
+adversarial tests; `lift_explicit` validates a supplied XX matrix in O(n^2).
 
 Fractional Brownian paths are drawn exactly in law from the Cholesky factor
 of the increment covariance, the Toeplitz matrix of the fGn autocovariance
@@ -27,9 +29,6 @@ import numpy as np
 
 from .errors import ChenViolation, ConfigError, CovarianceNotPD, GridMismatch, IoError
 
-GEOMETRIC = "geometric"
-EXPLICIT = "explicit"
-
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
 
@@ -38,14 +37,13 @@ _GRID_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RoughDriver:
-    """Sampled rough path: uniform grid, scalar path, lift tag, exponent."""
+    """Sampled rough path: uniform grid, X, exponent, bracket path g (None: 0)."""
 
     times: np.ndarray
     X: np.ndarray
     gamma: float
     H: float | None = None
-    lift: str = GEOMETRIC
-    XX: np.ndarray | None = field(default=None, repr=False)
+    g: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -61,20 +59,13 @@ class RoughDriver:
             raise ConfigError("rough paths are anchored at X_0 = 0")
         if not self.gamma > 0:
             raise ConfigError(f"Hoelder exponent must be positive, got {self.gamma}")
-        if self.lift == EXPLICIT:
-            if self.XX is None or self.XX.shape != (t.size, t.size):
-                raise ConfigError("explicit lift needs a full (n+1, n+1) XX array")
-            if not np.all(np.isfinite(self.XX)):
-                raise ConfigError("explicit lift XX must be finite")
-            defect = chen_defect_max(x, self.XX)
-            if defect > CHEN_TOL:
-                raise ChenViolation(f"Chen defect {defect:.3e} exceeds {CHEN_TOL}")
-        elif self.lift != GEOMETRIC:
-            raise ConfigError(f"unknown lift tag {self.lift!r}")
+        g = np.zeros(t.size) if self.g is None else np.asarray(self.g, dtype=float)
+        if g.shape != t.shape or not np.all(np.isfinite(g)) or g[0] != 0.0:
+            raise ConfigError("bracket path g needs n+1 finite points with g_0 = 0")
+        object.__setattr__(self, "g", g)
         t.setflags(write=False)
         x.setflags(write=False)
-        if self.XX is not None:
-            self.XX.setflags(write=False)
+        g.setflags(write=False)
 
     # -- grid helpers ------------------------------------------------------
 
@@ -98,27 +89,21 @@ class RoughDriver:
             raise GridMismatch(f"time {t} is not on the driver grid")
         return i
 
+    @property
+    def lift(self) -> str:
+        """"geometric" when the bracket path vanishes, else "explicit"."""
+        return "explicit" if np.any(self.g) else "geometric"
+
     # -- second-order process ----------------------------------------------
 
-    def xx_entry(self, i: int, j: int) -> float:
-        """XX_{t_j, t_i} for grid indices i <= j."""
-        if self.lift == GEOMETRIC:
-            return 0.5 * (self.X[j] - self.X[i]) ** 2
-        return float(self.XX[i, j])
-
-    def xx_adjacent(self):
-        """XX over consecutive grid cells, shape (n,)."""
-        if self.lift == GEOMETRIC:
-            return 0.5 * np.diff(self.X) ** 2
-        idx = np.arange(self.n)
-        return self.XX[idx, idx + 1]
+    def xx_entry(self, i, j):
+        """XX_{t_j, t_i} for grid indices i <= j (integers or index arrays)."""
+        return 0.5 * (self.X[j] - self.X[i]) ** 2 + (self.g[j] - self.g[i])
 
     def xx_lag(self, lag: int):
         """XX_{t_{i+lag}, t_i} for all i, shape (n+1-lag,)."""
-        if self.lift == GEOMETRIC:
-            return 0.5 * (self.X[lag:] - self.X[:-lag]) ** 2
-        idx = np.arange(self.times.size - lag)
-        return self.XX[idx, idx + lag]
+        return (0.5 * (self.X[lag:] - self.X[:-lag]) ** 2
+                + (self.g[lag:] - self.g[:-lag]))
 
     # -- derived drivers -----------------------------------------------------
 
@@ -130,22 +115,36 @@ class RoughDriver:
         if stop_idx % stride != 0:
             raise GridMismatch("restriction endpoint must be a stride multiple")
         sel = np.arange(0, stop_idx + 1, stride)
-        xx = self.XX[np.ix_(sel, sel)].copy() if self.lift == EXPLICIT else None
         return RoughDriver(self.times[sel].copy(), self.X[sel].copy(), self.gamma,
-                           self.H, self.lift, xx)
+                           self.H, self.g[sel])
 
 
 def lift_geometric(times, X, gamma: float, H: float | None = None) -> RoughDriver:
     """Canonical d=1 lift XX_{t,s} = X_{t,s}^2/2, evaluated on demand."""
     return RoughDriver(np.asarray(times, dtype=float).copy(),
-                       np.asarray(X, dtype=float).copy(), gamma, H, GEOMETRIC)
+                       np.asarray(X, dtype=float).copy(), gamma, H)
 
 
 def lift_explicit(times, X, XX, gamma: float, H: float | None = None) -> RoughDriver:
-    """Driver with a stored second-order process; rejects Chen violations."""
-    return RoughDriver(np.asarray(times, dtype=float).copy(),
-                       np.asarray(X, dtype=float).copy(), gamma, H, EXPLICIT,
-                       np.asarray(XX, dtype=float).copy())
+    """Driver with g_t = XX_{t,0} - X_{t,0}^2/2 read off XX[s, t] = XX_{t,s}.
+
+    The Chen defect of s <= u <= t is r_{t,s} - r_{u,s} - r_{t,u} for the pair
+    residual r_{t,s} = XX_{t,s} - X_{t,s}^2/2 - (g_t - g_s), so rejecting
+    max |r| > CHEN_TOL / 3 (ChenViolation) rejects every XX whose O(n^3) triple
+    scan `chen_defect_max` exceeds CHEN_TOL.  Entries below the diagonal are
+    only checked to be finite.
+    """
+    x = np.asarray(X, dtype=float).copy()
+    xx = np.asarray(XX, dtype=float)
+    if xx.shape != (x.size, x.size) or not np.all(np.isfinite(xx)):
+        raise ConfigError("explicit lift needs a finite (n+1, n+1) XX array")
+    g = xx[0] - 0.5 * (x - x[0]) ** 2
+    resid = np.triu(xx - 0.5 * (x[None, :] - x[:, None]) ** 2
+                    - (g[None, :] - g[:, None]))
+    defect = float(np.max(np.abs(resid)))
+    if defect > CHEN_TOL / 3:
+        raise ChenViolation(f"Chen pair residual {defect:.3e} exceeds {CHEN_TOL}/3")
+    return RoughDriver(np.asarray(times, dtype=float).copy(), x, gamma, H, g - g[0])
 
 
 def chen_defect_max(X, XX, chunk: int = 64) -> float:
@@ -235,7 +234,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
     x = np.concatenate(([0.0], np.cumsum(z @ chol)))
     if gamma is None:
         gamma = H - gamma_slack
-    return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H, GEOMETRIC)
+    return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H)
 
 
 # -- metric and shift ---------------------------------------------------------
@@ -296,16 +295,15 @@ def rho(D: RoughDriver, gamma: float | None = None) -> float:
 def shift(D: RoughDriver, tau: float) -> RoughDriver:
     """Wiener shift: X^theta_t = X_{tau+t} - X_tau on the remaining grid.
 
-    The geometric lift is re-derived, which reproduces the second-order
-    cocycle identity XX_{s+t,s}(w) = XX_{t,0}(theta_s w) exactly.
+    The bracket path is re-anchored as g_{tau+t} - g_tau, which reproduces
+    the second-order cocycle identity XX_{s+t,s}(w) = XX_{t,0}(theta_s w).
     """
     i = D.index_of(tau)
     x = D.X[i:] - D.X[i]
     t = D.times[i:] - D.times[i]
     if x.size < 2:
         raise GridMismatch("shift leaves fewer than two grid points")
-    xx = D.XX[i:, i:].copy() if D.lift == EXPLICIT else None
-    return RoughDriver(t.copy(), x.copy(), D.gamma, D.H, D.lift, xx)
+    return RoughDriver(t.copy(), x.copy(), D.gamma, D.H, D.g[i:] - D.g[i])
 
 
 def save_csv(D: RoughDriver, path) -> None:

@@ -238,11 +238,10 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
 
 def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
                     gamma: float, stride: int) -> float:
-    a, b = P1.restricted(stride), P2.restricted(stride)
-    diff = a.y - b.y
+    diff = P1.y[::stride] - P2.y[::stride]
     space = P1.space
     return (float(np.max(space.norm(diff, -eta)))
-            + path_seminorm(space, a.times, diff, -eta - gamma, gamma))
+            + path_seminorm(space, P1.times[::stride], diff, -eta - gamma, gamma))
 
 
 def _young_window(spec: ProblemSpec, D: RoughDriver, y0):

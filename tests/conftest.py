@@ -136,3 +136,44 @@ def dense_increment_cholesky(H, n, T):
                  - np.abs(left[None, :] - left[:, None]) ** two_h
                  - np.abs(right[None, :] - right[:, None]) ** two_h)
     return np.linalg.cholesky(cov)
+
+
+def dense_lift(D, g):
+    """Dense (n+1, n+1) matrix XX[s, t] = (X_t - X_s)^2 / 2 + g_t - g_s."""
+    return 0.5 * (D.X[None, :] - D.X[:, None]) ** 2 + (g[None, :] - g[:, None])
+
+
+def dense_rough_convolve(P, X, XX):
+    """Rough convolution by the one-step recurrence on XX[i, i+1] (test oracle)."""
+    damp = np.exp(-P.space.mu * (P.times[1] - P.times[0]))
+    z = np.zeros_like(P.y)
+    for i in range(P.n):
+        z[i + 1] = damp * (z[i] + P.y[i] * (X[i + 1] - X[i])
+                           + P.y_prime[i] * XX[i, i + 1])
+    return z
+
+
+def dense_level_sum(P, X, XX, t_idx, level, s_idx=0):
+    """Compensated sum over the level-n dyadic partition, read off XX (test oracle)."""
+    stride = (t_idx - s_idx) // 2 ** level
+    total = np.zeros(P.y.shape[1])
+    for u in range(s_idx, t_idx, stride):
+        v = u + stride
+        total += (np.exp(-P.space.mu * (P.times[t_idx] - P.times[u]))
+                  * (P.y[u] * (X[v] - X[u]) + P.y_prime[u] * XX[u, v]))
+    return total
+
+
+def dense_remainder_sups(P, Z, X, XX, betas):
+    """Unnormalised rough remainder sups over all grid pairs, read off XX (test oracle)."""
+    sc, g = P.space, P.gamma
+    sups = np.zeros(len(betas))
+    for i in range(P.n + 1):
+        for j in range(i + 1, P.n + 1):
+            dt = P.times[j] - P.times[i]
+            r = Z.y[j] - np.exp(-sc.mu * dt) * (
+                Z.y[i] + P.y[i] * (X[j] - X[i]) + P.y_prime[i] * XX[i, j])
+            for b, beta in enumerate(betas):
+                sups[b] = max(sups[b], float(sc.norm(r, P.alpha - 2 * g + beta))
+                              / dt ** (3 * g - beta))
+    return sups

@@ -90,7 +90,7 @@ def test_chasles_with_semigroup_compensation(neumann_scale, driver_small):
     s, t = 100, 230
     damp = np.exp(-neumann_scale.mu * (driver_small.times[t] - driver_small.times[s]))
     dx = np.diff(driver_small.X)
-    xx = driver_small.xx_adjacent()
+    xx = driver_small.xx_lag(1)
     acc = np.zeros(16)
     for u in range(s, t):
         w = np.exp(-neumann_scale.mu * (driver_small.times[t] - driver_small.times[u]))

@@ -7,7 +7,8 @@ from roughbound import (ChenViolation, ConfigError, ControlledPath,
                         holder_seminorm, lift_explicit, lift_geometric, rho,
                         rough_convolve, rough_metric, sample_fbm, shift,
                         stability_distance, young_convolve)
-from roughbound.rough_driver import (_increment_cholesky, _toeplitz_cholesky,
+from roughbound.rough_driver import (CHEN_TOL, _increment_cholesky,
+                                     _toeplitz_cholesky, chen_defect_max,
                                      geometric_chen_defect_max, save_csv)
 
 from conftest import (brute_force_holder, brute_force_rough_metric,
@@ -136,7 +137,6 @@ def test_chen_scan_matches_triple_loop_oracle():
     x = np.concatenate([[0.0], np.cumsum(rng.standard_normal(m - 1))])
     xx = 0.5 * (x[None, :] - x[:, None]) ** 2 + 1e-13 * rng.standard_normal((m, m))
     np.fill_diagonal(xx, 0.0)
-    from roughbound.rough_driver import chen_defect_max
     worst = 0.0
     for s in range(m):
         for u in range(s, m):
@@ -151,8 +151,35 @@ def test_explicit_lift_accept_and_reject():
     xx = 0.5 * (D.X[None, :] - D.X[:, None]) ** 2
     ok = lift_explicit(D.times, D.X, xx, D.gamma)
     assert ok.xx_entry(3, 17) == pytest.approx(xx[3, 17])
+    assert not np.any(ok.g)
     bad = xx.copy()
     bad[3, 17] += 1e-6
+    with pytest.raises(ChenViolation):
+        lift_explicit(D.times, D.X, bad, D.gamma)
+    # a clean Ito lift is accepted at a size the O(n^3) triple scan makes slow
+    big = sample_fbm(0.45, 512, 1.0, seed=2)
+    ito = _ito_lift(big)
+    np.testing.assert_allclose(ito.g, -0.5 * big.times, rtol=0, atol=1e-14)
+
+
+_CHEN_MOVES = {
+    "interior entry": [((3, 17), 1e-6)],
+    "row 0 entry": [((0, 11), 1e-6)],
+    # Chen defect 3 * CHEN_TOL / 2 on the triple (3, 9, 17), but each pair
+    # residual is CHEN_TOL / 2: rejected only because the bound is CHEN_TOL / 3
+    "triple at half the tolerance": [((3, 17), CHEN_TOL / 2),
+                                     ((3, 9), -CHEN_TOL / 2),
+                                     ((9, 17), -CHEN_TOL / 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHEN_MOVES))
+def test_explicit_lift_rejects_what_the_triple_scan_rejects(case):
+    D = sample_fbm(0.45, 24, 1.0, seed=2)
+    bad = 0.5 * (D.X[None, :] - D.X[:, None]) ** 2
+    for (s, t), delta in _CHEN_MOVES[case]:
+        bad[s, t] += delta
+    assert chen_defect_max(D.X, bad) > CHEN_TOL
     with pytest.raises(ChenViolation):
         lift_explicit(D.times, D.X, bad, D.gamma)
 
