@@ -6,6 +6,9 @@ The rough convolution delivered to callers is the finest-grid compensated sum
 
 computed per mode by the exact one-step recurrence z_{i+1} = E (z_i + xi_i)
 with E = e^{-mu h}; its Gubinelli derivative is the integrand path itself.
+The recurrence runs as a blocked scan (``mode_filter``): a scaled cumulative
+sum inside blocks of at most 32 steps, and a doubling scan that carries the
+block ends across blocks; it matches the sequential recurrence to roundoff.
 The distance to the ideal sewing limit is not computable exactly, so the
 testable content is quantified by two certificates: dyadic level defects
 (whose fitted decay slope is the sewing rate) and the normalized integral
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, stats
 
 from .controlled_path import ControlledPath, crp_norm
 from .errors import ConfigError, GridMismatch, RegularityError
@@ -34,6 +36,8 @@ from .rough_driver import RoughDriver, check_grid, rho
 from .spectral_scale import Scale
 
 _LOG_FLOOR = 1e-300
+_BLOCK = 32             # steps per block of the mode_filter scan
+_MAX_EXPONENT = 600.0   # largest mu h B the scan's in-block powers may reach
 
 
 def _require_interior(P: ControlledPath) -> Scale:
@@ -46,11 +50,40 @@ def mode_filter(damp, gain, xi):
     """z_0 = 0, z_{i+1} = damp_k z_i + gain_k xi_i for every mode k; (n+1, K).
 
     The rough and Young convolutions take gain = damp = e^{-mu h}, the drift
-    convolution in the solver gain = 1.
+    convolution in the solver gain = 1.  The n steps run as a blocked scan
+    with a = damp.  Inside a block of B steps, z_i = a^i cumsum_j(a^{-j} gain
+    xi_j) from a zero start; the block ends are carried across blocks by a
+    doubling scan (log2 of the block count steps, factor a^B per block), and
+    the carry c into a block enters its first step as a c, so that step i
+    adds a^{i+1} c.  One lower-triangular matmul per block does the cumsum,
+    written in place in the output when B divides n.  B is _BLOCK, halved
+    only until a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that
+    underflows to zero runs with B = 1, which forms no negative power.
     """
-    z = np.zeros((xi.shape[0] + 1, damp.size))
-    for k in range(damp.size):
-        z[1:, k] = signal.lfilter([gain[k]], [1.0, -damp[k]], xi[:, k])
+    n, k = xi.shape
+    B = _BLOCK
+    while B > 1 and np.min(damp) < np.exp(-_MAX_EXPONENT / B):
+        B //= 2
+    nb = -(-n // B)
+    up = damp ** np.arange(B)[:, None]           # a^i, (B, K)
+    steps = np.zeros((nb * B, k))
+    steps[:n] = xi
+    steps = steps.reshape(nb, B, k)
+    steps *= gain / up
+    ends = np.ones(B) @ steps * up[-1]
+    factor, span = damp ** B, 1
+    while span < nb:
+        ends[span:] += factor * ends[:-span]
+        factor, span = factor * factor, 2 * span
+    steps[1:, 0] += damp * ends[:-1]
+    z = np.empty((n + 1, k))
+    z[0] = 0.0
+    in_place = nb * B == n
+    blocks = z[1:].reshape(nb, B, k) if in_place else np.empty((nb, B, k))
+    np.matmul(np.tri(B), steps, out=blocks)
+    blocks *= up
+    if not in_place:
+        z[1:] = blocks.reshape(nb * B, k)[:n]
     return z
 
 
@@ -119,6 +152,14 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
     return np.sum(weights * xi, axis=0)
 
 
+def log2_slope(x, y) -> float:
+    """Least-squares slope of log2(y) against x, y floored at 1e-300."""
+    x = np.asarray(x, dtype=float)
+    x = x - x.mean()
+    ly = np.log2(np.maximum(y, _LOG_FLOOR))
+    return float(x @ (ly - ly.mean()) / (x @ x))
+
+
 @dataclass(frozen=True)
 class SewingReport:
     beta: float
@@ -148,8 +189,7 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
             for l in np.append(lv, lv[-1] + 1)}
     defects = np.array([scale.norm(sums[int(l)] - sums[int(l) + 1], idx)
                         for l in lv])
-    fit = stats.linregress(lv, np.log2(np.maximum(defects, _LOG_FLOOR)))
-    return SewingReport(beta, lv, defects, float(-fit.slope))
+    return SewingReport(beta, lv, defects, -log2_slope(lv, defects))
 
 
 # -- integral remainder certificate --------------------------------------------

@@ -107,6 +107,9 @@ class ProblemSpec:
         y0 = np.asarray(self.y0, dtype=float)
         if y0.shape != (self.scale.K,) or not np.all(np.isfinite(y0)):
             raise ConfigError("y0 must be a finite coefficient vector of length K")
+        for name, f in (("diffusion", self.diffusion), ("drift", self.drift)):
+            if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
+                raise ConfigError(f"the {name} map is non-finite at y0")
         g = self.scale.gamma
         if self.drift is not None and not (2 * g <= self.drift.delta1 < 1.0):
             raise ConfigError(
@@ -231,8 +234,9 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
         raise ConfigError("the rough solver runs on the Neumann scale; "
                           "use solve_young_dirichlet for Dirichlet noise")
     stride = _check_stride(D.n)
+    coarse = D.restricted(stride)
     return (lambda u: _picard_map(spec, scale, D, y0, u),
-            lambda a, b: crp_distance(a, b, D, stride),
+            lambda a, b: crp_distance(a, b, coarse, stride),
             _anchor(spec, scale, D, y0))
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .boundary_lift import BoundaryVector, lift_controlled, neumann_map
 from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
                               diffusion_rows, lift_extrapolate)
-from .rough_convolution import remainder_certificate, rough_convolve, sewing_convergence
+from .rough_convolution import (log2_slope, remainder_certificate, rough_convolve,
+                               sewing_convergence)
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
@@ -36,6 +36,11 @@ def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> Contr
     primes = np.tile(g0, (D.n + 1, 1))
     u = ControlledPath(D.times, rows, primes, scale.eps - 1.0, D.gamma, scale)
     return lift_extrapolate(F, u, scale)
+
+
+def _geometric_mean(values):
+    """Geometric mean over seeds (axis 0), values floored at 1e-300."""
+    return np.exp(np.mean(np.log(np.maximum(values, 1e-300)), axis=0))
 
 
 # -- sewing rate ----------------------------------------------------------------
@@ -70,11 +75,10 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
         return sewing_convergence(P, D, T, levels, beta=beta, young=young).defects
 
     all_defects = np.array([one(s) for s in seeds])
-    mean = np.exp(np.mean(np.log(np.maximum(all_defects, 1e-300)), axis=0))
-    fit = stats.linregress(levels, np.log2(mean))
+    mean = _geometric_mean(all_defects)
     k = 2.0 if young else 3.0
     target = k * gamma - 1.0 - 0.1
-    return SewingStudy(levels, mean, float(-fit.slope), beta, target)
+    return SewingStudy(levels, mean, -log2_slope(levels, mean), beta, target)
 
 
 # -- remainder certificate refinement --------------------------------------------
@@ -169,7 +173,7 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
         return [cocycle_defect(spec, t, tau, r) for r in resolutions]
 
     defects = np.array([one(s) for s in seeds])
-    mean = stats.gmean(np.maximum(defects, 1e-300), axis=0)
+    mean = _geometric_mean(defects)
     ratios = tuple(float(mean[i] / mean[i + 1]) for i in range(len(mean) - 1))
     return CocycleStudy(resolutions, tuple(float(m) for m in mean), ratios)
 

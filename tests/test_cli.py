@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import roughbound
 from roughbound.cli import run
 from roughbound.config import parse_config, parse_levels
 from roughbound.errors import ConfigError
@@ -15,6 +19,19 @@ def _write(tmp_path, name, text):
 
 def _digest(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would cost every CLI run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roughbound.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, roughbound, roughbound.cli, roughbound.studies; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_parsing_and_rejection(tmp_path):

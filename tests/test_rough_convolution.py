@@ -9,6 +9,8 @@ from roughbound import (BoundaryVector, ConfigError, ConstantBoundary,
                         remainder_certificate,
                         rough_convolve, sample_fbm, sewing_convergence,
                         young_convolve)
+from roughbound import studies
+from roughbound.rough_convolution import log2_slope, mode_filter
 from roughbound.studies import canonical_integrand, interchange_error
 
 
@@ -288,3 +290,59 @@ def test_young_sewing_rate(dirichlet_scale):
     st = sewing_study(dirichlet_scale, F, y0, H=0.8, n=2048, T=1.0, gamma=0.77,
                       seeds=range(5), levels=range(4, 10), beta=0.0, young=True)
     assert st.slope >= st.target
+
+
+# -- the per-mode recurrence and the fits ------------------------------------------
+
+def _sequential_filter(damp, gain, xi):
+    z = np.zeros((xi.shape[0] + 1, damp.size))
+    for i in range(xi.shape[0]):
+        z[i + 1] = damp * z[i] + gain * xi[i]
+    return z
+
+
+# mu h from 0 (damp = 1) through 750 and beyond (damp underflows to 0), which
+# shrinks the block to one step; the moderate rates keep a 16-step block
+RATES = {"full range": [0.0, 1e-4, 0.01, 0.3, 2.0, 20.0, 700.0, 750.0, 1e4],
+         "moderate": [0.5, 30.0]}
+
+
+@pytest.mark.parametrize("rates", sorted(RATES))
+@pytest.mark.parametrize("n", [1, 7, 32, 100, 1024, 2048])
+def test_mode_filter_matches_the_sequential_recurrence(n, rates):
+    rng = np.random.default_rng(n)
+    damp = np.exp(-np.array(RATES[rates]))
+    xi = rng.standard_normal((n, damp.size))
+    for gain in (damp, np.ones_like(damp)):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            z = mode_filter(damp, gain, xi)
+        ref = _sequential_filter(damp, gain, xi)
+        assert z.shape == (n + 1, damp.size) and np.all(np.isfinite(z))
+        assert np.all(z[0] == 0.0)
+        scale = np.maximum(np.max(np.abs(ref), axis=0), 1e-300)
+        assert np.all(np.max(np.abs(z - ref), axis=0) <= 1e-13 * scale)
+
+
+def test_log2_slope_is_the_least_squares_line():
+    rng = np.random.default_rng(2)
+    x = np.arange(4, 11)
+    y = 2.0 ** (-0.7 * x + 0.1 * rng.standard_normal(x.size))
+    expected = np.polyfit(x, np.log2(y), 1)[0]
+    assert abs(log2_slope(x, y) - expected) <= 1e-12
+    # zeros are floored, not turned into -inf
+    assert np.isfinite(log2_slope([1, 2, 3], [1.0, 0.0, 0.5]))
+
+
+def test_cocycle_study_mean_is_the_geometric_mean(monkeypatch, neumann_scale):
+    defects = np.random.default_rng(4).uniform(1e-6, 1e-3, (3, 2))
+    defects[1, 0] = 0.0  # floored at 1e-300 as before
+    feed = iter(defects.ravel())
+    monkeypatch.setattr(studies, "cocycle_defect", lambda *a: next(feed))
+    F = ConstantBoundary(0.0, 0.0, neumann_scale.eps - 1.0, 2.0)
+    y0 = np.zeros(neumann_scale.K)
+    st = studies.cocycle_study(neumann_scale, F, y0, H=0.5, master_n=16, T=1.0,
+                               gamma=0.40, seeds=range(3), resolutions=(4, 8),
+                               t=0.25, tau=0.25)
+    expected = stats.gmean(np.maximum(defects, 1e-300), axis=0)
+    assert np.allclose(st.mean_defects, expected, rtol=1e-14, atol=0.0)
+    assert np.isclose(st.final_ratio, expected[0] / expected[1], rtol=1e-14)

@@ -250,13 +250,45 @@ def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
     assert res.iterations == len(calls) == 66
 
 
+class _NanAwayFromStart(ConstantBoundary):
+    """Zero at the state y0 and NaN at every other state.
+
+    ProblemSpec checks the maps at y0 only, so this one reaches the solver and
+    makes the first Picard distance of every window NaN.
+    """
+
+    def __init__(self, y0, domain_alpha, delta2):
+        super().__init__(0.0, 0.0, domain_alpha, delta2)
+        self.y0 = np.asarray(y0, dtype=float)
+
+    def value(self, y_rows):
+        rows = np.asarray(y_rows, dtype=float)
+        out = super().value(rows)
+        out[~np.all(rows == self.y0, axis=1)] = np.nan
+        return out
+
+
+def test_non_finite_map_at_y0_is_rejected(neumann_scale, lifted_y0):
+    D = sample_fbm(0.45, 256, 1.0, seed=1, gamma=0.40)
+    nan_map = ConstantBoundary(np.nan, 0.0, neumann_scale.eps - 1.0, 2.0)
+    with pytest.raises(ConfigError, match="diffusion map is non-finite"):
+        ProblemSpec(neumann_scale, D, nan_map, lifted_y0)
+    with pytest.raises(ConfigError, match="drift map is non-finite"):
+        ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0,
+                    drift=LinearDrift(np.inf, 0.85))
+    # finite at y0 but NaN elsewhere: accepted here, the solver names it
+    ProblemSpec(neumann_scale, D,
+                _NanAwayFromStart(lifted_y0, neumann_scale.eps - 1.0, 2.0),
+                lifted_y0)
+
+
 def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
                                               lifted_y0, dirichlet_scale):
-    # a NaN diffusion makes the first distance NaN: each window must stop
-    # after that one step and halve, until the halving budget runs out
+    # a diffusion that is NaN off y0 makes the first distance NaN: each window
+    # must stop after that one step and halve, until the halving budget runs out
     calls = _count_distances(monkeypatch)
     picard = PicardParams(1e-9, 80, 3)
-    nan_rough = ConstantBoundary(np.nan, np.nan, neumann_scale.eps - 1.0, 2.0)
+    nan_rough = _NanAwayFromStart(lifted_y0, neumann_scale.eps - 1.0, 2.0)
     D = sample_fbm(0.45, 256, 1.0, seed=1, gamma=0.40)
     with pytest.raises(ContractionFailure):
         solve_global(ProblemSpec(neumann_scale, D, nan_rough, lifted_y0,
@@ -265,7 +297,7 @@ def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
 
     calls.clear()
     y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
-    nan_young = ConstantBoundary(np.nan, np.nan, -dirichlet_scale.eta, 2.5)
+    nan_young = _NanAwayFromStart(y0, -dirichlet_scale.eta, 2.5)
     D = sample_fbm(0.8, 256, 1.0, seed=1, gamma=0.77)
     with pytest.raises(ContractionFailure):
         solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, nan_young, y0,
@@ -276,10 +308,10 @@ def test_non_finite_distance_fails_the_window(monkeypatch, neumann_scale,
 def test_non_finite_distance_is_named_in_the_failure(neumann_scale, lifted_y0,
                                                     dirichlet_scale):
     picard = PicardParams(1e-9, 80, 3)
-    nan_rough = ConstantBoundary(np.nan, np.nan, neumann_scale.eps - 1.0, 2.0)
+    nan_rough = _NanAwayFromStart(lifted_y0, neumann_scale.eps - 1.0, 2.0)
     D = sample_fbm(0.45, 256, 1.0, seed=1, gamma=0.40)
     y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
-    nan_young = ConstantBoundary(np.nan, np.nan, -dirichlet_scale.eta, 2.5)
+    nan_young = _NanAwayFromStart(y0, -dirichlet_scale.eta, 2.5)
     E = sample_fbm(0.8, 256, 1.0, seed=1, gamma=0.77)
     cases = ((solve_global, neumann_scale, D, nan_rough, lifted_y0),
              (solve_young_dirichlet, dirichlet_scale, E, nan_young, y0))
