@@ -59,11 +59,10 @@ def _out_path(out_dir: str, name: str) -> str:
 
 
 def _write_lines(path: str, header: str, lines) -> None:
+    text = "\n".join([header, *lines]) + "\n"
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(path) from exc
 
@@ -92,6 +91,14 @@ def cmd_sample(cfg: dict, out: str) -> list:
                           D.n == cfg["n"])]
 
 
+def _solution_lines(times, y):
+    """`time,mode,coefficient` lines; each time is formatted once per row."""
+    modes = [f",{k}," for k in range(y.shape[1])]
+    for t, row in zip(times.tolist(), y.tolist()):
+        stamp = f"{t:.17g}"
+        yield from [f"{stamp}{k}{v:.17g}" for k, v in zip(modes, row)]
+
+
 def cmd_solve(cfg: dict, out: str) -> list:
     spec = build_problem(cfg)
     if spec.scale.bc == NEUMANN:
@@ -100,9 +107,7 @@ def cmd_solve(cfg: dict, out: str) -> list:
         res = solve_young_dirichlet(spec)
     path = res.path.restricted(cfg["out_stride"]) if cfg["out_stride"] > 1 else res.path
     _write_lines(_out_path(out, "solution.csv"), "time,mode,coefficient",
-                 (f"{t:.17g},{k},{v:.17g}"
-                  for t, row in zip(path.times.tolist(), path.y.tolist())
-                  for k, v in enumerate(row)))
+                 _solution_lines(path.times, path.y))
     sup = float(np.max(spec.scale.norm(path.y, spec.solution_alpha)))
     checks = [
         studies.Check("solve_completed", float(path.times[-1]), spec.horizon,

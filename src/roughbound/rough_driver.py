@@ -16,9 +16,13 @@ of the increment covariance, the Toeplitz matrix of the fGn autocovariance
     c_k = (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2 * (T/n)^{2H}.
 
 The Schur algorithm factors it in O(n^2) from c alone (stable for positive
-definite Toeplitz matrices: Bojanczyk, Brent, de Hoog & Sweet 1995), and the
-factor is cached per (H, n, T).  Sampled paths are (H-)-Hoelder, so the
-recorded exponent defaults to gamma = H - 0.05.
+definite Toeplitz matrices: Bojanczyk, Brent, de Hoog & Sweet 1995).  The
+draw dX = z @ U is summed over blocks of 64 rows of the upper factor U.  On
+a key's first draw the blocks stream from the recursion through one
+(64, n) buffer and U is never held; the one cached factor is built on a
+key's second draw in a row.  Streamed and cached draws are bitwise equal.
+Sampled paths are (H-)-Hoelder, so the recorded exponent defaults to
+gamma = H - 0.05.
 """
 
 from __future__ import annotations
@@ -173,46 +177,105 @@ def geometric_chen_defect_max(D: RoughDriver) -> float:
 
 # -- exact fBm sampling ------------------------------------------------------
 
-_chol_cache: dict[tuple, np.ndarray] = {}
+_BLOCK_ROWS = 64
+# The one cached factor, by (H, n, T) key, and the key of the previous draw.
+_factor: dict[tuple, np.ndarray] = {}
+_previous_key: tuple | None = None
 
 
-def _toeplitz_cholesky(c) -> np.ndarray:
-    """Upper factor U = L^T with U^T U = toeplitz(c), by the Schur algorithm.
+def _fgn_autocovariance(H: float, n: int, T: float) -> np.ndarray:
+    """c_k = E[dX_0 dX_k], k < n: the fGn autocovariance on steps of T/n.
+
+    The second difference (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}) / 2 cancels
+    for large k, so for k >= 1 it is evaluated as
+    k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))) / 2.
+    """
+    two_h = 2.0 * H
+    k = np.arange(1.0, n)
+    with np.errstate(divide="ignore"):      # log1p(-1) = -inf at k = 1
+        tail = 0.5 * k ** two_h * (np.expm1(two_h * np.log1p(1.0 / k))
+                                   + np.expm1(two_h * np.log1p(-1.0 / k)))
+    return np.concatenate(([1.0], tail)) * (T / n) ** two_h
+
+
+def _schur_row_blocks(c):
+    """Rows of the upper factor U (U^T U = toeplitz(c)) by the Schur algorithm.
 
     c is the first column of a symmetric positive definite Toeplitz matrix.
-    The generator pair (u, v) carries column k of L in u; each step shifts u
-    down, rotates v[k] to zero with a hyperbolic rotation in the mixed form
-    and stores the new u as row k of U.  CovarianceNotPD if a rotation
-    coefficient r has |r| >= 1 or is NaN.
+    The generator pair (u, v) carries column k of L = U^T in u; each step
+    shifts u down, rotates v[k] to zero with a hyperbolic rotation in the
+    mixed form and takes the new u as row k of U.  Yields (k0, R) with
+    R = U[k0:k0+b, k0:] for blocks of b <= _BLOCK_ROWS rows, written into
+    one reused (_BLOCK_ROWS, n) buffer, so R is valid until the next block.
+    CovarianceNotPD if a rotation coefficient r has |r| >= 1 or is NaN.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
     if not c[0] > 0:
         raise CovarianceNotPD(f"Toeplitz column has non-positive diagonal {c[0]}")
-    U = np.zeros((n, n))
-    U[0] = u = c / np.sqrt(c[0])
+    buf = np.empty((min(_BLOCK_ROWS, n), n))
+    u = c / np.sqrt(c[0])
     v = np.concatenate(([0.0], u[1:]))
-    for k in range(1, n):
-        u, v = u[:-1], v[1:]
-        r = v[0] / u[0]
-        if not abs(r) < 1.0:
-            raise CovarianceNotPD(
-                f"Toeplitz covariance not positive definite at column {k} of {n}")
-        s = np.sqrt((1.0 - r) * (1.0 + r))
-        u = (u - r * v) / s
-        v = s * v - r * u
-        U[k, k:] = u
+    for k0 in range(0, n, _BLOCK_ROWS):
+        R = buf[:min(_BLOCK_ROWS, n - k0), k0:]
+        for j, row in enumerate(R):
+            if k0 + j:
+                u, v = u[:-1], v[1:]
+                r = v[0] / u[0]
+                if not abs(r) < 1.0:
+                    raise CovarianceNotPD("Toeplitz covariance not positive "
+                                          f"definite at column {k0 + j} of {n}")
+                s = np.sqrt((1.0 - r) * (1.0 + r))
+                u = (u - r * v) / s
+                v = s * v - r * u
+            row[:j] = 0.0
+            row[j:] = u
+        yield k0, R
+
+
+def _toeplitz_cholesky(c) -> np.ndarray:
+    """Upper factor U = L^T with U^T U = toeplitz(c), from the Schur row blocks."""
+    n = np.size(c)
+    U = np.zeros((n, n))
+    for k0, R in _schur_row_blocks(c):
+        U[k0:k0 + R.shape[0], k0:] = R
     return U
 
 
+def _key(H: float, n: int, T: float) -> tuple:
+    return round(H, 12), n, round(T, 12)
+
+
 def _increment_cholesky(H: float, n: int, T: float) -> np.ndarray:
-    """Cached upper factor U of the fGn increment covariance (dX = z @ U)."""
-    key = (round(H, 12), n, round(T, 12))
-    if key not in _chol_cache:
-        p = np.abs(np.arange(-1.0, n + 1.0)) ** (2.0 * H)
-        c = 0.5 * (p[2:] - 2.0 * p[1:-1] + p[:-2]) * (T / n) ** (2.0 * H)
-        _chol_cache[key] = _toeplitz_cholesky(c)
-    return _chol_cache[key]
+    """Upper factor U of the fGn increment covariance, kept as the one cached factor."""
+    key = _key(H, n, T)
+    if key not in _factor:
+        _factor.clear()
+        _factor[key] = _toeplitz_cholesky(_fgn_autocovariance(H, n, T))
+    return _factor[key]
+
+
+def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
+    """dX = z @ U, summed over blocks of _BLOCK_ROWS rows of U.
+
+    The blocks come from the cached factor if it is this key's or if the
+    previous draw had this key too (which builds and keeps it); otherwise
+    they stream from the Schur recursion and nothing is kept.  Either way
+    the same blocks meet the same products, so the draw is bitwise equal.
+    """
+    global _previous_key
+    key = _key(H, n, T)
+    if key in _factor or key == _previous_key:
+        U = _increment_cholesky(H, n, T)
+        blocks = ((k0, U[k0:k0 + _BLOCK_ROWS, k0:])
+                  for k0 in range(0, n, _BLOCK_ROWS))
+    else:
+        blocks = _schur_row_blocks(_fgn_autocovariance(H, n, T))
+    _previous_key = key
+    dX = np.zeros(n)
+    for k0, R in blocks:
+        dX[k0:] += z[k0:k0 + R.shape[0]] @ R
+    return dX
 
 
 def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
@@ -229,9 +292,8 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
         raise ConfigError(f"need a grid of at least 2 steps, got n={n}")
     if T <= 0:
         raise ConfigError(f"horizon must be positive, got T={T}")
-    chol = _increment_cholesky(H, n, T)
     z = np.random.default_rng(seed).standard_normal(n)
-    x = np.concatenate(([0.0], np.cumsum(z @ chol)))
+    x = np.concatenate(([0.0], np.cumsum(_fgn_increments(H, n, T, z))))
     if gamma is None:
         gamma = H - gamma_slack
     return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H)

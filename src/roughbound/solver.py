@@ -207,10 +207,16 @@ def _check_stride(n: int, target_points: int = 128) -> int:
     return stride
 
 
-def _picard_map(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0, u: ControlledPath):
-    """One application of Phi; the derivative component is G(u)."""
+def _picard_map(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0,
+                u: ControlledPath, base=None):
+    """One application of Phi; the derivative component is G(u).
+
+    base is S_t y0 on the grid of D, computed here when not given.
+    """
+    if base is None:
+        base = semigroup_rows(scale, D.times, y0)
     lifted = lift_extrapolate(spec.diffusion, u, scale)
-    rows = semigroup_rows(scale, D.times, y0) + rough_convolve(lifted, D).y
+    rows = base + rough_convolve(lifted, D).y
     if spec.drift is not None:
         rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
     return ControlledPath(D.times, rows, lifted.y.copy(), spec.solution_alpha,
@@ -235,7 +241,8 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
                           "use solve_young_dirichlet for Dirichlet noise")
     stride = _check_stride(D.n)
     coarse = D.restricted(stride)
-    return (lambda u: _picard_map(spec, scale, D, y0, u),
+    base = semigroup_rows(scale, D.times, y0)
+    return (lambda u: _picard_map(spec, scale, D, y0, u, base),
             lambda a, b: crp_distance(a, b, coarse, stride),
             _anchor(spec, scale, D, y0))
 

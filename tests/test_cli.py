@@ -7,7 +7,7 @@ import pytest
 
 import roughbound
 from roughbound.cli import run
-from roughbound.config import parse_config, parse_levels
+from roughbound.config import build_problem, parse_config, parse_levels
 from roughbound.errors import ConfigError
 
 
@@ -91,6 +91,19 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
     assert "CHECK solve_completed PASS" in summary
     captured = capsys.readouterr().out
     assert "CHECK solve_completed PASS" in captured
+
+
+def test_solution_csv_bytes_match_per_value_formatting(tmp_path):
+    cfg = _write(tmp_path, "solve.cfg",
+                 "study = solve\nH = 0.45\nn = 64\nK = 4\nseed = 5\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+    path = roughbound.solve_global(build_problem(parse_config(cfg))).path
+    expected = "time,mode,coefficient\n" + "".join(
+        f"{t:.17g},{k},{v:.17g}\n"
+        for t, row in zip(path.times, path.y) for k, v in enumerate(row))
+    assert (out / "solution.csv").read_bytes() == expected.encode()
 
 
 def test_solve_dirichlet_young_path(tmp_path):

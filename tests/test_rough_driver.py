@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,9 +9,11 @@ from roughbound import (ChenViolation, ConfigError, ControlledPath,
                         holder_seminorm, lift_explicit, lift_geometric, rho,
                         rough_convolve, rough_metric, sample_fbm, shift,
                         stability_distance, young_convolve)
-from roughbound.rough_driver import (CHEN_TOL, _increment_cholesky,
-                                     _toeplitz_cholesky, chen_defect_max,
-                                     geometric_chen_defect_max, save_csv)
+from roughbound import rough_driver
+from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
+                                     _increment_cholesky, _toeplitz_cholesky,
+                                     chen_defect_max, geometric_chen_defect_max,
+                                     save_csv)
 
 from conftest import (brute_force_holder, brute_force_rough_metric,
                       dense_increment_cholesky)
@@ -68,6 +72,66 @@ def test_sample_fbm_draws_the_dense_cholesky_path(H, n):
         X = sample_fbm(H, n, 1.0, seed=seed).X
         assert X[0] == 0.0
         np.testing.assert_allclose(X[1:], np.cumsum(L @ z), rtol=0, atol=1e-10)
+
+
+@pytest.fixture
+def cold_sampler(monkeypatch):
+    """Sampler with no cached factor and no previous draw."""
+    monkeypatch.setattr(rough_driver, "_factor", {})
+    monkeypatch.setattr(rough_driver, "_previous_key", None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 777])
+@pytest.mark.parametrize("H", [0.35, 0.8])
+def test_streamed_caching_and_cached_draws_are_bitwise_equal(H, n, cold_sampler):
+    streamed = sample_fbm(H, n, 1.0, seed=5).X
+    assert not rough_driver._factor              # a first draw keeps nothing
+    caching = sample_fbm(H, n, 1.0, seed=5).X    # second in a row: builds U
+    assert list(rough_driver._factor) == [(H, n, 1.0)]
+    cached = sample_fbm(H, n, 1.0, seed=5).X
+    assert np.array_equal(streamed, caching)
+    assert np.array_equal(streamed, cached)
+
+
+def test_first_draw_streams_in_bounded_memory(cold_sampler):
+    # the 4096 x 4096 factor would be 128 MiB; the streamed draw needs a
+    # 64-row buffer (2 MiB) and O(n) vectors
+    tracemalloc.start()
+    try:
+        sample_fbm(0.45, 4096, 1.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert not rough_driver._factor
+
+
+def test_sampler_caches_one_factor(cold_sampler):
+    for n in (64, 128):
+        for seed in (1, 2):
+            sample_fbm(0.45, n, 1.0, seed=seed)
+    assert list(rough_driver._factor) == [(0.45, 128, 1.0)]
+    # a draw at another key in between streams and leaves the factor in place
+    sample_fbm(0.45, 64, 1.0, seed=3)
+    sample_fbm(0.45, 128, 1.0, seed=3)
+    assert list(rough_driver._factor) == [(0.45, 128, 1.0)]
+
+
+@pytest.mark.parametrize("H", [0.35, 0.45, 0.8])
+def test_fgn_autocovariance_matches_high_precision(H):
+    mpmath = pytest.importorskip("mpmath")
+    n = 2048
+    with mpmath.workdps(40):
+        two_h = mpmath.mpf(2 * H)
+        step = mpmath.mpf(1) / n
+        exact = np.array([float(((k + 1) ** two_h - 2 * mpmath.mpf(k) ** two_h
+                                 + abs(k - 1) ** two_h) / 2 * step ** two_h)
+                          for k in range(n)])
+    c = _fgn_autocovariance(H, n, 1.0)
+    # the second difference of k^{2H} is off by 2.6e-11 c_0 at H = 0.8
+    assert np.max(np.abs(c - exact)) <= 5e-14 * c[0]
+    np.testing.assert_allclose(_fgn_autocovariance(H, n, 2.0), c * (2.0 ** (2 * H)),
+                               rtol=1e-15, atol=0)
 
 
 def test_toeplitz_cholesky_rejects_non_pd_columns():
