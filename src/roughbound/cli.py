@@ -17,15 +17,16 @@ import sys
 import numpy as np
 
 from . import studies
-from .config import (build_diffusion_from, build_drift_from, build_problem,
-                     build_scale_from, build_y0_from, parse_config,
-                     parse_float_list, parse_int_list, parse_levels)
+from .config import (build_diffusion_from, build_drift_from, build_driver_from,
+                     build_problem, build_scale_from, build_y0_from,
+                     parse_config, parse_float_list, parse_int_list,
+                     parse_levels)
 from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      ContractionFailure, CovarianceNotPD,
                      DirichletRegularityError, GridMismatch, IoError,
                      RegularityError, RoughboundError, ScaleIndexError,
                      ScaleUnderflow, SingularLift)
-from .rough_driver import sample_fbm, save_csv
+from .rough_driver import save_csv
 from .solver import solve_global, solve_young_dirichlet
 from .spectral_scale import NEUMANN
 
@@ -80,9 +81,14 @@ def _fmt(v) -> str:
 # -- subcommand bodies ------------------------------------------------------------
 
 
+def _scale_map_y0(cfg: dict):
+    """The (scale, diffusion map, y0) triple every study starts from."""
+    scale = build_scale_from(cfg)
+    return scale, build_diffusion_from(cfg, scale), build_y0_from(cfg, scale)
+
+
 def cmd_sample(cfg: dict, out: str) -> list:
-    D = sample_fbm(cfg["H"], cfg["n"], cfg["T"], seed=cfg["seed"],
-                   gamma=cfg.get("gamma"), gamma_slack=cfg["gamma_slack"])
+    D = build_driver_from(cfg)
     save_csv(D, _out_path(out, "driver.csv"))
     meta = [("H", D.H), ("n", D.n), ("T", D.T), ("gamma", D.gamma),
             ("seed", cfg["seed"]), ("lift", D.lift)]
@@ -124,15 +130,11 @@ def cmd_solve(cfg: dict, out: str) -> list:
 
 
 def cmd_convergence(cfg: dict, out: str) -> list:
-    scale = build_scale_from(cfg)
-    F = build_diffusion_from(cfg, scale)
-    y0 = build_y0_from(cfg, scale)
-    levels = parse_levels(cfg["levels"])
-    gamma = cfg.get("gamma") or cfg["H"] - cfg["gamma_slack"]
+    scale, F, y0 = _scale_map_y0(cfg)
     study = studies.sewing_study(
-        scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=gamma,
+        scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
-        levels=levels, beta=cfg["beta"], young=scale.bc != NEUMANN)
+        levels=parse_levels(cfg["levels"]), beta=cfg["beta"])
     _write_rows(_out_path(out, "convergence.csv"), "level,defect,beta",
                 [(int(l), float(d), study.beta)
                  for l, d in zip(study.levels, study.mean_defects)])
@@ -140,13 +142,10 @@ def cmd_convergence(cfg: dict, out: str) -> list:
 
 
 def cmd_cocycle(cfg: dict, out: str) -> list:
-    scale = build_scale_from(cfg)
-    F = build_diffusion_from(cfg, scale)
-    y0 = build_y0_from(cfg, scale)
-    gamma = cfg.get("gamma") or cfg["H"] - cfg["gamma_slack"]
+    scale, F, y0 = _scale_map_y0(cfg)
     study = studies.cocycle_study(
-        scale, F, y0, H=cfg["H"], master_n=cfg["n"], T=cfg["T"], gamma=gamma,
-        seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
+        scale, F, y0, H=cfg["H"], master_n=cfg["n"], T=cfg["T"],
+        gamma=cfg["gamma"], seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
         resolutions=parse_int_list(cfg["resolutions"]),
         t=cfg["t"], tau=cfg["tau"], drift=build_drift_from(cfg, scale))
     _write_rows(_out_path(out, "cocycle.csv"), "resolution,defect",
@@ -156,12 +155,9 @@ def cmd_cocycle(cfg: dict, out: str) -> list:
 
 
 def cmd_stability(cfg: dict, out: str) -> list:
-    scale = build_scale_from(cfg)
-    F = build_diffusion_from(cfg, scale)
-    y0 = build_y0_from(cfg, scale)
-    gamma = cfg.get("gamma") or cfg["H"] - cfg["gamma_slack"]
+    scale, F, y0 = _scale_map_y0(cfg)
     driver_study, initial_study = studies.stability_study(
-        scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=gamma,
+        scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seed=cfg["seed"], gamma_prime=cfg["gamma_prime"],
         lambdas=parse_float_list(cfg["lambdas"]),
         eps0=parse_float_list(cfg["eps0"]),

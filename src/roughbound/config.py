@@ -3,7 +3,8 @@
 The format is one `key = value` pair per line, `#` comments, no nesting and
 no includes, so a run is fully determined by the config file plus the seed.
 Unknown or duplicate keys are rejected.  The full schema is documented in the
-README; every study key has a default, so minimal configs stay diff-able.
+README; every study key has a default, so minimal configs stay diff-able, and
+an absent `gamma` is filled in as H - gamma_slack.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ _DEFAULTS = {
     "y0": "lift", "y0_g0": 1.0, "y0_g1": 0.5, "y0_coeffs": "1.0",
     "tol": 1e-9, "max_iter": 80, "max_halvings": 10, "out_stride": 1,
     "levels": "4..9", "beta": 0.0, "seeds": 10, "t": 0.25, "tau": 0.25,
-    "resolutions": "512,1024,2048", "gamma_prime": 0.35,
+    "resolutions": "64,128,256", "gamma_prime": 0.35,
     "lambdas": "0.95,0.99,1.01,1.05", "eps0": "-0.05,-0.01,0.01,0.05",
 }
 
@@ -87,6 +88,7 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     if cfg["study"] not in STUDIES:
         raise ConfigError(f"unknown study {cfg['study']!r}; pick one of {STUDIES}")
+    cfg.setdefault("gamma", cfg["H"] - cfg["gamma_slack"])
     return cfg
 
 
@@ -117,19 +119,14 @@ def parse_int_list(text: str) -> tuple:
 
 
 def build_scale_from(cfg: dict) -> Scale:
-    gamma = cfg.get("gamma")
-    if gamma is None:
-        gamma = cfg["H"] - cfg["gamma_slack"]
     return build_scale(ScaleConfig(a=cfg["a"], b=cfg["b"], K=cfg["K"],
                                    bc=cfg["bc"], p=cfg["p"], delta=cfg["delta"],
-                                   gamma=gamma))
+                                   gamma=cfg["gamma"]))
 
 
-def build_driver_from(cfg: dict, seed: int | None = None):
-    gamma = cfg.get("gamma")
-    return sample_fbm(cfg["H"], cfg["n"], cfg["T"],
-                      seed=cfg["seed"] if seed is None else seed,
-                      gamma=gamma, gamma_slack=cfg["gamma_slack"])
+def build_driver_from(cfg: dict):
+    return sample_fbm(cfg["H"], cfg["n"], cfg["T"], seed=cfg["seed"],
+                      gamma=cfg["gamma"])
 
 
 def build_diffusion_from(cfg: dict, scale: Scale):
@@ -177,9 +174,9 @@ def build_y0_from(cfg: dict, scale: Scale) -> np.ndarray:
     raise ConfigError(f"unknown y0 selector {kind!r}")
 
 
-def build_problem(cfg: dict, seed: int | None = None) -> ProblemSpec:
+def build_problem(cfg: dict) -> ProblemSpec:
     scale = build_scale_from(cfg)
-    driver = build_driver_from(cfg, seed)
+    driver = build_driver_from(cfg)
     picard = PicardParams(cfg["tol"], cfg["max_iter"], cfg["max_halvings"])
     return ProblemSpec(scale, driver, build_diffusion_from(cfg, scale),
                        build_y0_from(cfg, scale), build_drift_from(cfg, scale),

@@ -62,9 +62,6 @@ class ControlledPath:
     def n(self):
         return self.times.size - 1
 
-    def value(self, i: int):
-        return self.y[i]
-
     def remainder(self, i: int, j: int, D: RoughDriver):
         """R^y_{t_j, t_i} for grid indices i <= j."""
         return self.y[j] - self.y[i] - self.y_prime[i] * (D.X[j] - D.X[i])

@@ -21,7 +21,9 @@ Splitting the sum at a grid point is exact (Chasles with S-compensation), so
 z_t - S_{t-s} z_s reproduces the window sum over [s, t] identically.
 
 The Young convolution drops the second-order term and applies when the
-driver exponent exceeds 1/2; its certificate exponent is 2 gamma - beta.
+driver exponent exceeds 1/2.  The certificates take that first-order germ
+exactly when gamma > 1/2 (index alpha - gamma + beta, exponent 2 gamma -
+beta); the remainder sups run in one lag pass (`rough_driver.lag_sups`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .controlled_path import ControlledPath, crp_norm
 from .errors import ConfigError, GridMismatch, RegularityError
-from .rough_driver import RoughDriver, check_grid, rho
+from .rough_driver import RoughDriver, check_grid, lag_sups, rho
 from .spectral_scale import Scale
 
 _LOG_FLOOR = 1e-300
@@ -87,6 +89,26 @@ def mode_filter(damp, gain, xi):
     return z
 
 
+def _germ(P: ControlledPath, D: RoughDriver, u, v, second_order: bool):
+    """y_u X_{v,u} (+ y'_u XX_{v,u} when second_order) for grid indices u < v."""
+    xi = P.y[u] * (D.X[v] - D.X[u])[:, None]
+    if second_order:
+        xi = xi + P.y_prime[u] * D.xx_entry(u, v)[:, None]
+    return xi
+
+
+def _convolve(P: ControlledPath, D: RoughDriver, theta: float, gamma: float,
+              second_order: bool):
+    """The compensated sum z on the fine grid; theta must lie in [0, gamma)."""
+    scale = _require_interior(P)
+    check_grid(P, D)
+    if not 0.0 <= theta < gamma:
+        raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
+    xi = _germ(P, D, slice(0, -1), slice(1, None), second_order)
+    damp = np.exp(-scale.mu * D.step)
+    return mode_filter(damp, damp, xi)
+
+
 def rough_convolve(P: ControlledPath, D: RoughDriver,
                    theta: float = 0.0) -> ControlledPath:
     """Compensated rough convolution of (y, y'); Gubinelli derivative z' = y.
@@ -94,15 +116,8 @@ def rough_convolve(P: ControlledPath, D: RoughDriver,
     The output index is P.alpha + theta for any requested theta in [0, gamma);
     the sum runs on the fine grid.
     """
-    scale = _require_interior(P)
-    check_grid(P, D)
-    if not 0.0 <= theta < P.gamma:
-        raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
-    dx = np.diff(D.X)
-    xi = P.y[:-1] * dx[:, None] + P.y_prime[:-1] * D.xx_lag(1)[:, None]
-    damp = np.exp(-scale.mu * D.step)
-    z = mode_filter(damp, damp, xi)
-    return ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, scale)
+    z = _convolve(P, D, theta, P.gamma, True)
+    return ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, P.space)
 
 
 def young_convolve(P: ControlledPath, D: RoughDriver,
@@ -115,24 +130,18 @@ def young_convolve(P: ControlledPath, D: RoughDriver,
     if D.gamma <= 0.5:
         raise RegularityError(
             f"Young convolution needs gamma > 1/2, got {D.gamma}")
-    scale = _require_interior(P)
-    check_grid(P, D)
-    if not 0.0 <= theta < D.gamma:
-        raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
-    xi = P.y[:-1] * np.diff(D.X)[:, None]
-    damp = np.exp(-scale.mu * D.step)
-    z = mode_filter(damp, damp, xi)
-    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha + theta, P.gamma, scale)
+    z = _convolve(P, D, theta, D.gamma, False)
+    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha + theta, P.gamma, P.space)
 
 
 # -- dyadic sewing defects -----------------------------------------------------
 
 def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
-              s_idx: int = 0, with_lift: bool = True):
+              s_idx: int = 0):
     """Compensated sum over the level-n dyadic partition of [t_s, t_t].
 
     Partition points must be grid points: (t_idx - s_idx) must be divisible
-    by 2^level.
+    by 2^level.  The germ is the Young one when P.gamma > 1/2.
     """
     scale = _require_interior(P)
     span = t_idx - s_idx
@@ -142,11 +151,7 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
             f"level {level} partition does not fit the grid span {span}")
     stride = span // pieces
     u = np.arange(s_idx, t_idx, stride)
-    v = u + stride
-    dx = D.X[v] - D.X[u]
-    xi = P.y[u] * dx[:, None]
-    if with_lift:
-        xi = xi + P.y_prime[u] * D.xx_entry(u, v)[:, None]
+    xi = _germ(P, D, u, u + stride, P.gamma <= 0.5)
     t_time = P.times[t_idx]
     weights = np.exp(-np.outer(t_time - P.times[u], scale.mu))
     return np.sum(weights * xi, axis=0)
@@ -167,25 +172,21 @@ class SewingReport:
     defects: np.ndarray
     slope: float          # fitted decay exponent: defect ~ 2^{-slope * level}
 
-    def rows(self):
-        return [(int(l), float(d), self.beta)
-                for l, d in zip(self.levels, self.defects)]
-
 
 def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
-                       beta: float = 0.0, young: bool = False) -> SewingReport:
+                       beta: float = 0.0) -> SewingReport:
     """Dyadic level defects |I^{P^n} - I^{P^{n+1}}| at index alpha - 2 gamma + beta.
 
     The fitted slope is the decay rate of the defects per level (base 2).
-    In the Young regime the second-order term is dropped and the norm index
-    is alpha - gamma + beta.
+    In the Young regime (P.gamma > 1/2) the second-order term is dropped and
+    the norm index is alpha - gamma + beta.
     """
     scale = _require_interior(P)
     check_grid(P, D)
     t_idx = D.index_of(t)
     lv = np.asarray(sorted(levels), dtype=int)
-    idx = P.alpha - (1 if young else 2) * P.gamma + beta
-    sums = {int(l): level_sum(P, D, t_idx, int(l), with_lift=not young)
+    idx = P.alpha - (1 if P.gamma > 0.5 else 2) * P.gamma + beta
+    sums = {int(l): level_sum(P, D, t_idx, int(l))
             for l in np.append(lv, lv[-1] + 1)}
     defects = np.array([scale.norm(sums[int(l)] - sums[int(l) + 1], idx)
                         for l in lv])
@@ -200,45 +201,36 @@ class RemainderReport:
     sup_ratios: tuple
     rho_gamma: float
     input_norm: float
-    exponent_kind: str  # "rough" (3g - b) or "young" (2g - b)
 
 
 def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
-                          betas=None, stride: int = 1,
-                          young: bool = False) -> RemainderReport:
-    """sup over grid pairs of |R_{t,s}|_{alpha-2g+b} / ((t-s)^{kg-b} rho ||P||).
+                          stride: int = 1) -> RemainderReport:
+    """sup over grid pairs of |R_{t,s}|_{alpha-kg+b} / ((t-s)^{(k+1)g-b} rho ||P||).
 
-    Z must be the convolution of P over D on the same fine grid; k = 3 for the
-    rough case and 2 for the Young case.  Pairs may be thinned with stride.
+    Z must be the convolution of P over D on the same fine grid, and b runs
+    over (0, g, 2g).  k = 2 with the rough germ; k = 1 with the Young germ,
+    taken when g = P.gamma > 1/2.  The pairs are those of every stride-th
+    grid point, and one lag pass gives all three sups.
     """
     scale = _require_interior(P)
     check_grid(P, D)
     check_grid(Z, D)
     g = P.gamma
-    if betas is None:
-        betas = (0.0, g, 2 * g)
-    order = 2.0 if young else 3.0
-    norm_drop = (1 if young else 2) * g
+    rough = g <= 0.5
+    k = 2 if rough else 1
+    betas = (0.0, g, 2 * g)
     sel = np.arange(0, P.n + 1, stride)
+    times, z = P.times[sel], Z.y[sel]
+
+    def increments(lag):
+        damp = np.exp(-scale.mu * (times[lag] - times[0]))
+        germ = _germ(P, D, sel[:-lag], sel[lag:], rough)
+        return z[lag:] - damp * (z[:-lag] + germ)
+
+    W = np.array([scale.sq_weights(P.alpha - k * g + b) for b in betas])
+    sups = lag_sups(times, increments, W, [(k + 1) * g - b for b in betas])
     rho_gamma, input_norm = rho(D), crp_norm(P, D)
     denom_norm = rho_gamma * input_norm
     if denom_norm == 0:
         denom_norm = 1.0
-    sups = np.zeros(len(betas))
-    for a in range(len(sel)):
-        i = sel[a]
-        js = sel[a + 1:]
-        if js.size == 0:
-            continue
-        dt = P.times[js] - P.times[i]
-        damp = np.exp(-np.outer(dt, scale.mu))
-        dx = D.X[js] - D.X[i]
-        head = P.y[i][None, :] * dx[:, None]
-        if not young:
-            head = head + P.y_prime[i][None, :] * D.xx_entry(i, js)[:, None]
-        r = Z.y[js] - damp * (Z.y[i][None, :] + head)
-        for bi, beta in enumerate(betas):
-            ratios = scale.norm(r, P.alpha - norm_drop + beta) / dt ** (order * g - beta)
-            sups[bi] = max(sups[bi], float(np.max(ratios)))
-    return RemainderReport(tuple(betas), tuple(sups / denom_norm), rho_gamma,
-                           input_norm, "young" if young else "rough")
+    return RemainderReport(betas, tuple(sups / denom_norm), rho_gamma, input_norm)

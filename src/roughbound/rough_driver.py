@@ -279,12 +279,11 @@ def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
 
 
 def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
-               gamma: float | None = None,
-               gamma_slack: float = DEFAULT_GAMMA_SLACK) -> RoughDriver:
+               gamma: float | None = None) -> RoughDriver:
     """Exact-in-law fractional Brownian sample with the geometric lift.
 
-    Deterministic given (H, n, T, seed).  gamma defaults to H - gamma_slack;
-    pass gamma explicitly to pin the exponent used downstream.
+    Deterministic given (H, n, T, seed).  gamma defaults to H - 0.05
+    (DEFAULT_GAMMA_SLACK); pass gamma to pin the exponent used downstream.
     """
     if not 0.0 < H < 1.0:
         raise ConfigError(f"Hurst parameter must lie in (0,1), got {H}")
@@ -295,7 +294,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
     z = np.random.default_rng(seed).standard_normal(n)
     x = np.concatenate(([0.0], np.cumsum(_fgn_increments(H, n, T, z))))
     if gamma is None:
-        gamma = H - gamma_slack
+        gamma = H - DEFAULT_GAMMA_SLACK
     return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H)
 
 

@@ -154,10 +154,6 @@ class GlobalSolveResult:
     apriori_m1: float
     apriori_m2: float
 
-    @property
-    def tau(self):
-        return float(self.path.times[-1])
-
 
 # -- shared pieces ---------------------------------------------------------------
 
@@ -196,15 +192,9 @@ def drift_convolve_path(P: ControlledPath, f: DriftMap):
                           P.space)
 
 
-def _check_stride(n: int, target_points: int = 128) -> int:
-    """Largest divisor of n that keeps at least ~target_points grid points."""
-    stride = 1
-    for cand in range(1, n + 1):
-        if n % cand == 0 and n // cand >= target_points:
-            stride = cand
-        if n // cand < target_points:
-            break
-    return stride
+def _check_stride(n: int) -> int:
+    """Largest divisor of n that keeps at least 128 grid intervals (1 if none)."""
+    return max((d for d in range(1, n // 128 + 1) if n % d == 0), default=1)
 
 
 def _picard_map(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0,
@@ -381,13 +371,11 @@ def _rough_path(spec: ProblemSpec, times, rows) -> ControlledPath:
                           spec.solution_alpha, scale.gamma, scale)
 
 
-def solve_local(spec: ProblemSpec, driver: RoughDriver | None = None,
-                y0=None) -> LocalSolveResult:
+def solve_local(spec: ProblemSpec) -> LocalSolveResult:
     """Fixed point of Phi on [0, tau], tau found by halving from the horizon."""
-    D = spec.driver if driver is None else driver
-    y0 = np.asarray(spec.y0 if y0 is None else y0, dtype=float)
-    end = D.index_of(spec.horizon) if driver is None else D.n
-    u, window, steps, q = _halve(spec, D, end, y0, _rough_window)
+    D = spec.driver
+    u, window, steps, q = _halve(spec, D, D.index_of(spec.horizon),
+                                 np.asarray(spec.y0, dtype=float), _rough_window)
     return LocalSolveResult(_rough_path(spec, window.times, u.y),
                             float(window.times[-1]), steps, q)
 

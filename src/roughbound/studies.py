@@ -24,6 +24,14 @@ from .solver import ProblemSpec, additive_direct, cocycle_defect, solve_global
 from .spectral_scale import Scale, generator_coefficients
 
 
+def _anchor_path(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> ControlledPath:
+    """The anchor-type controlled path (y0 + G(y0) X_t, G(y0)) at index -eta."""
+    g0 = diffusion_rows(F, scale, np.asarray(y0, float)[None, :])[0]
+    rows = np.asarray(y0, float)[None, :] + np.outer(D.X, g0)
+    primes = np.tile(g0, (D.n + 1, 1))
+    return ControlledPath(D.times, rows, primes, scale.eps - 1.0, D.gamma, scale)
+
+
 def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> ControlledPath:
     """The anchor-type controlled path (y0 + G(y0) X_t, G(y0)), lifted through F.
 
@@ -31,11 +39,7 @@ def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> Contr
     nonvanishing second-order remainder, which is what the sewing and
     remainder studies must exercise.
     """
-    g0 = diffusion_rows(F, scale, np.asarray(y0, float)[None, :])[0]
-    rows = np.asarray(y0, float)[None, :] + np.outer(D.X, g0)
-    primes = np.tile(g0, (D.n + 1, 1))
-    u = ControlledPath(D.times, rows, primes, scale.eps - 1.0, D.gamma, scale)
-    return lift_extrapolate(F, u, scale)
+    return lift_extrapolate(F, _anchor_path(scale, F, y0, D), scale)
 
 
 def _geometric_mean(values):
@@ -59,24 +63,23 @@ class SewingStudy:
 
 
 def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
-                 gamma: float, seeds, levels, beta: float = 0.0,
-                 young: bool = False) -> SewingStudy:
+                 gamma: float, seeds, levels, beta: float = 0.0) -> SewingStudy:
     """Dyadic defect decay of the compensated sums, pooled over seeds.
 
     The fitted slope of the seed-averaged log2 defects is compared against
     the conservative target (3 gamma - 1 - 0.1, or 2 gamma - 1 - 0.1 in the
-    Young case).
+    Young case, gamma > 1/2).
     """
     levels = np.asarray(sorted(levels), dtype=int)
 
     def one(seed):
         D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
         P = canonical_integrand(scale, F, y0, D)
-        return sewing_convergence(P, D, T, levels, beta=beta, young=young).defects
+        return sewing_convergence(P, D, T, levels, beta=beta).defects
 
     all_defects = np.array([one(s) for s in seeds])
     mean = _geometric_mean(all_defects)
-    k = 2.0 if young else 3.0
+    k = 2.0 if gamma > 0.5 else 3.0
     target = k * gamma - 1.0 - 0.1
     return SewingStudy(levels, mean, -log2_slope(levels, mean), beta, target)
 
@@ -96,16 +99,19 @@ class RemainderStudy:
 
 
 def remainder_refinement_study(scale: Scale, F: SmoothMap, y0, *, H: float,
-                               n: int, T: float, gamma: float, seed: int,
-                               pair_points: int = 32) -> RemainderStudy:
-    """Normalized integral-remainder sups at n and 2n over a common pair grid."""
+                               n: int, T: float, gamma: float,
+                               seed: int) -> RemainderStudy:
+    """Normalized integral-remainder sups at n and 2n over a common pair grid.
+
+    The pair grid takes every (n // 32)-th coarse point (every point if n < 32).
+    """
     D_fine = sample_fbm(H, 2 * n, T, seed=seed, gamma=gamma)
     D_coarse = D_fine.restricted(2)
     reports = []
     for D, stride_base in ((D_coarse, n), (D_fine, 2 * n)):
         P = canonical_integrand(scale, F, y0, D)
         Z = rough_convolve(P, D)
-        stride = max(1, stride_base // pair_points)
+        stride = max(1, stride_base // 32)
         reports.append(remainder_certificate(P, D, Z, stride=stride))
     coarse, fine = reports
     ratios = tuple(c / f if f > 0 else 1.0
@@ -121,10 +127,7 @@ def interchange_error(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> float:
     The two sides follow independent code routes: composition + lift +
     convolution + generator versus the fused lift-extrapolated convolution.
     """
-    g0 = diffusion_rows(F, scale, np.asarray(y0, float)[None, :])[0]
-    rows = np.asarray(y0, float)[None, :] + np.outer(D.X, g0)
-    u = ControlledPath(D.times, rows, np.tile(g0, (D.n + 1, 1)),
-                       scale.eps - 1.0, D.gamma, scale)
+    u = _anchor_path(scale, F, y0, D)
     lifted = lift_controlled(compose_smooth(F, u), scale)
     lhs = generator_coefficients(scale, rough_convolve(lifted, D).y)
     rhs = rough_convolve(lift_extrapolate(F, u, scale), D).y
@@ -209,6 +212,7 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     Returns (driver_study, initial_study); each records the fitted slope of
     response against predictor and the worst relative deviation from the fit.
     """
+    # imported at call time: perfbench's tracer wraps solver.stability_distance
     from .solver import stability_distance
 
     D = sample_fbm(H, n, T, seed=seed, gamma=gamma)

@@ -164,12 +164,13 @@ def dense_level_sum(P, X, XX, t_idx, level, s_idx=0):
     return total
 
 
-def dense_remainder_sups(P, Z, X, XX, betas):
-    """Unnormalised rough remainder sups over all grid pairs, read off XX (test oracle)."""
+def dense_remainder_sups(P, Z, X, XX, betas, stride=1):
+    """Unnormalised rough remainder sups over the pairs of every stride-th grid
+    point, read off XX (test oracle)."""
     sc, g = P.space, P.gamma
     sups = np.zeros(len(betas))
-    for i in range(P.n + 1):
-        for j in range(i + 1, P.n + 1):
+    for i in range(0, P.n + 1, stride):
+        for j in range(i + stride, P.n + 1, stride):
             dt = P.times[j] - P.times[i]
             r = Z.y[j] - np.exp(-sc.mu * dt) * (
                 Z.y[i] + P.y[i] * (X[j] - X[i]) + P.y_prime[i] * XX[i, j])

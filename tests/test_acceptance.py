@@ -165,8 +165,7 @@ def test_criterion_10_young_dirichlet():
     _report(10, "young_solve_completes", done, res.path.times[-1], 1.0)
 
     st = studies.sewing_study(sc, F, y0, H=0.8, n=2048, T=1.0, gamma=0.77,
-                              seeds=range(10), levels=range(4, 10), beta=0.0,
-                              young=True)
+                              seeds=range(10), levels=range(4, 10), beta=0.0)
     _report(10, "young_sewing_rate", st.slope >= st.target, st.slope, st.target)
 
     # H = 0.6 rejected: gamma = 0.55 is below the Dirichlet/Young floor 3/4

@@ -171,3 +171,18 @@ def test_stability_and_cocycle_smoke(tmp_path):
     rows = (out / "cocycle.csv").read_text().splitlines()
     assert rows[0] == "resolution,defect" and len(rows) == 3
     assert rc in (0, 1)  # tiny smoke study; the calibrated run is acceptance #11
+
+
+def test_parse_config_fills_gamma_from_h(tmp_path):
+    cfg = parse_config(_write(tmp_path, "a.cfg", "H = 0.6\ngamma_slack = 0.1\n"))
+    assert cfg["gamma"] == 0.6 - 0.1
+    cfg = parse_config(_write(tmp_path, "b.cfg", "H = 0.6\ngamma = 0.55\n"))
+    assert cfg["gamma"] == 0.55
+
+
+def test_cocycle_runs_on_its_defaults(tmp_path):
+    # n = 1024, T = 1 and t = tau = 0.25: every resolution must divide 256
+    cfg = _write(tmp_path, "coc.cfg", "study = cocycle\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["cocycle", "--config", cfg, "--out", str(out)]) == 0

@@ -90,20 +90,29 @@ def test_rough_convolve_matches_the_dense_recurrence(lifted, integrand):
     assert np.max(np.abs(z.y - geometric.y)) > 1e-3   # the bracket term counts
 
 
-@pytest.mark.parametrize("t_idx, level, s_idx", [(64, 3, 0), (60, 2, 20),
-                                                 (64, 6, 0)])
+@pytest.mark.parametrize("t_idx, level, s_idx, gamma", [
+    pytest.param(64, 3, 0, 0.40, id="64-3-0"),
+    pytest.param(60, 2, 20, 0.40, id="60-2-20"),
+    pytest.param(64, 6, 0, 0.40, id="64-6-0"),
+    pytest.param(60, 2, 20, 0.77, id="60-2-20-young")])
 def test_level_sum_matches_the_dense_partition(lifted, integrand, t_idx,
-                                               level, s_idx):
+                                               level, s_idx, gamma):
+    # above gamma = 1/2 the Young germ drops y' XX: the oracle reads XX = 0
     D, XX = lifted
-    got = level_sum(integrand, D, t_idx, level, s_idx=s_idx)
-    oracle = dense_level_sum(integrand, D.X, XX, t_idx, level, s_idx)
+    P = ControlledPath(integrand.times, integrand.y, integrand.y_prime,
+                       integrand.alpha, gamma, integrand.space)
+    got = level_sum(P, D, t_idx, level, s_idx=s_idx)
+    oracle = dense_level_sum(P, D.X, XX if gamma <= 0.5 else 0 * XX, t_idx,
+                             level, s_idx)
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-14)
 
 
-def test_remainder_certificate_matches_the_dense_pairs(lifted, integrand):
+@pytest.mark.parametrize("stride", [1, 5])
+def test_remainder_certificate_matches_the_dense_pairs(lifted, integrand,
+                                                       stride):
     D, XX = lifted
     Z = rough_convolve(integrand, D)
-    rep = remainder_certificate(integrand, D, Z)
+    rep = remainder_certificate(integrand, D, Z, stride=stride)
     s, t = np.triu_indices(N + 1, 1)
     dt = D.times[t] - D.times[s]
     g = D.gamma
@@ -111,7 +120,7 @@ def test_remainder_certificate_matches_the_dense_pairs(lifted, integrand):
                  + np.max(np.abs(XX[s, t]) / dt ** (2 * g)))
     assert rep.rho_gamma == pytest.approx(rho_dense, rel=1e-12)
     assert rho(D) == rep.rho_gamma
-    oracle = dense_remainder_sups(integrand, Z, D.X, XX, rep.betas)
+    oracle = dense_remainder_sups(integrand, Z, D.X, XX, rep.betas, stride)
     np.testing.assert_allclose(
         np.array(rep.sup_ratios) * rep.rho_gamma * rep.input_norm, oracle,
         rtol=1e-9)

@@ -288,7 +288,7 @@ def test_young_sewing_rate(dirichlet_scale):
     y0 = np.zeros(16)
     y0[:4] = (0.4, -0.2, 0.1, 0.05)
     st = sewing_study(dirichlet_scale, F, y0, H=0.8, n=2048, T=1.0, gamma=0.77,
-                      seeds=range(5), levels=range(4, 10), beta=0.0, young=True)
+                      seeds=range(5), levels=range(4, 10), beta=0.0)
     assert st.slope >= st.target
 
 
