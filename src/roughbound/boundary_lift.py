@@ -1,10 +1,9 @@
 """Neumann and Dirichlet lifting: solution operators of a u'' + b u = 0.
 
 The boundary of (0,1) is two points, so every boundary Besov norm collapses
-to the Euclidean norm on R^2; boundary vectors carry a formal index beta as
-bookkeeping only.  Both solution operators are known in closed form via
-cosh/sinh with kappa = sqrt(-b/a), and their eigenbasis coefficients follow
-from Green's identity applied to the truncated basis:
+to the Euclidean norm on R^2.  Both solution operators are known in closed
+form via cosh/sinh with kappa = sqrt(-b/a), and their eigenbasis coefficients
+follow from Green's identity applied to the truncated basis:
 
     Neumann (conormal data -a u'(0) = g0, a u'(1) = g1):
         c_k = (g0 e_k(0) + g1 e_k(1)) / mu_k
@@ -29,11 +28,10 @@ _SINGULAR_TOL = 1e-300
 
 @dataclass(frozen=True)
 class BoundaryVector:
-    """Boundary data g = (g0, g1) with a formal boundary-scale index."""
+    """Boundary data g = (g0, g1)."""
 
     g0: float
     g1: float
-    beta: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.g0) and np.isfinite(self.g1)):

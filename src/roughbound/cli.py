@@ -17,10 +17,9 @@ import sys
 import numpy as np
 
 from . import studies
-from .config import (build_diffusion_from, build_drift_from, build_driver_from,
-                     build_problem, build_scale_from, build_y0_from,
-                     parse_config, parse_float_list, parse_int_list,
-                     parse_levels)
+from .config import (build_drift_from, build_driver_from, build_problem,
+                     build_scale_from, parse_config, parse_float_list,
+                     parse_int_list, parse_levels, scale_map_y0)
 from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      ContractionFailure, CovarianceNotPD,
                      DirichletRegularityError, GridMismatch, IoError,
@@ -81,12 +80,6 @@ def _fmt(v) -> str:
 # -- subcommand bodies ------------------------------------------------------------
 
 
-def _scale_map_y0(cfg: dict):
-    """The (scale, diffusion map, y0) triple every study starts from."""
-    scale = build_scale_from(cfg)
-    return scale, build_diffusion_from(cfg, scale), build_y0_from(cfg, scale)
-
-
 def cmd_sample(cfg: dict, out: str) -> list:
     D = build_driver_from(cfg)
     save_csv(D, _out_path(out, "driver.csv"))
@@ -130,7 +123,7 @@ def cmd_solve(cfg: dict, out: str) -> list:
 
 
 def cmd_convergence(cfg: dict, out: str) -> list:
-    scale, F, y0 = _scale_map_y0(cfg)
+    scale, F, y0 = scale_map_y0(cfg)
     study = studies.sewing_study(
         scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
@@ -142,7 +135,7 @@ def cmd_convergence(cfg: dict, out: str) -> list:
 
 
 def cmd_cocycle(cfg: dict, out: str) -> list:
-    scale, F, y0 = _scale_map_y0(cfg)
+    scale, F, y0 = scale_map_y0(cfg)
     study = studies.cocycle_study(
         scale, F, y0, H=cfg["H"], master_n=cfg["n"], T=cfg["T"],
         gamma=cfg["gamma"], seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
@@ -155,7 +148,7 @@ def cmd_cocycle(cfg: dict, out: str) -> list:
 
 
 def cmd_stability(cfg: dict, out: str) -> list:
-    scale, F, y0 = _scale_map_y0(cfg)
+    scale, F, y0 = scale_map_y0(cfg)
     driver_study, initial_study = studies.stability_study(
         scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seed=cfg["seed"], gamma_prime=cfg["gamma_prime"],

@@ -174,10 +174,14 @@ def build_y0_from(cfg: dict, scale: Scale) -> np.ndarray:
     raise ConfigError(f"unknown y0 selector {kind!r}")
 
 
-def build_problem(cfg: dict) -> ProblemSpec:
+def scale_map_y0(cfg: dict):
+    """The (scale, diffusion map, y0) triple every study starts from."""
     scale = build_scale_from(cfg)
-    driver = build_driver_from(cfg)
+    return scale, build_diffusion_from(cfg, scale), build_y0_from(cfg, scale)
+
+
+def build_problem(cfg: dict) -> ProblemSpec:
+    scale, F, y0 = scale_map_y0(cfg)
     picard = PicardParams(cfg["tol"], cfg["max_iter"], cfg["max_halvings"])
-    return ProblemSpec(scale, driver, build_diffusion_from(cfg, scale),
-                       build_y0_from(cfg, scale), build_drift_from(cfg, scale),
-                       None, picard)
+    return ProblemSpec(scale, build_driver_from(cfg), F, y0,
+                       build_drift_from(cfg, scale), picard)

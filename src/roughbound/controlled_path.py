@@ -159,12 +159,10 @@ def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
     Over one driver the remainder is linear in (y, y'), so the difference of
     two controlled paths is itself controlled and the norm applies directly.
     A stride > 1 evaluates the norm on every stride-th grid point (used by
-    the Picard loop to bound per-iteration cost); D may then be the driver
-    on the full grid or, built once for many distances, D.restricted(stride).
+    the Picard loop to bound per-iteration cost); D is then the strided
+    driver D.restricted(stride), built once for many distances.
     """
     check_grid(P1, P2)
-    if D.n != P1.n // stride:
-        D = D.restricted(stride)
     sel = slice(None, None, stride)
     diff = ControlledPath(P1.times[sel], P1.y[sel] - P2.y[sel],
                           P1.y_prime[sel] - P2.y_prime[sel], P1.alpha,

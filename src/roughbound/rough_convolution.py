@@ -58,9 +58,10 @@ def mode_filter(damp, gain, xi):
     doubling scan (log2 of the block count steps, factor a^B per block), and
     the carry c into a block enters its first step as a c, so that step i
     adds a^{i+1} c.  One lower-triangular matmul per block does the cumsum,
-    written in place in the output when B divides n.  B is _BLOCK, halved
-    only until a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that
-    underflows to zero runs with B = 1, which forms no negative power.
+    written in place in an output of nb B + 1 rows whose first n + 1 are
+    returned.  B is _BLOCK, halved only until a^{-(B-1)} stays below
+    e^{_MAX_EXPONENT}; a damp that underflows to zero runs with B = 1, which
+    forms no negative power.
     """
     n, k = xi.shape
     B = _BLOCK
@@ -78,50 +79,46 @@ def mode_filter(damp, gain, xi):
         ends[span:] += factor * ends[:-span]
         factor, span = factor * factor, 2 * span
     steps[1:, 0] += damp * ends[:-1]
-    z = np.empty((n + 1, k))
+    z = np.empty((nb * B + 1, k))
     z[0] = 0.0
-    in_place = nb * B == n
-    blocks = z[1:].reshape(nb, B, k) if in_place else np.empty((nb, B, k))
+    blocks = z[1:].reshape(nb, B, k)
     np.matmul(np.tri(B), steps, out=blocks)
     blocks *= up
-    if not in_place:
-        z[1:] = blocks.reshape(nb * B, k)[:n]
-    return z
+    return z[:n + 1]
 
 
-def _germ(P: ControlledPath, D: RoughDriver, u, v, second_order: bool):
-    """y_u X_{v,u} (+ y'_u XX_{v,u} when second_order) for grid indices u < v."""
+def _germ_order(gamma: float) -> int:
+    """k of the sewing germ: 2 (rough, gamma <= 1/2) or 1 (Young, gamma > 1/2)."""
+    return 2 if gamma <= 0.5 else 1
+
+
+def _germ(P: ControlledPath, D: RoughDriver, u, v, k: int):
+    """y_u X_{v,u} (+ y'_u XX_{v,u} when k = 2) for grid indices u < v."""
     xi = P.y[u] * (D.X[v] - D.X[u])[:, None]
-    if second_order:
+    if k == 2:
         xi = xi + P.y_prime[u] * D.xx_entry(u, v)[:, None]
     return xi
 
 
-def _convolve(P: ControlledPath, D: RoughDriver, theta: float, gamma: float,
-              second_order: bool):
-    """The compensated sum z on the fine grid; theta must lie in [0, gamma)."""
+def _convolve(P: ControlledPath, D: RoughDriver, k: int):
+    """The compensated sum z on the fine grid with the order-k germ."""
     scale = _require_interior(P)
     check_grid(P, D)
-    if not 0.0 <= theta < gamma:
-        raise ConfigError(f"index gain theta must lie in [0, gamma), got {theta}")
-    xi = _germ(P, D, slice(0, -1), slice(1, None), second_order)
+    xi = _germ(P, D, slice(0, -1), slice(1, None), k)
     damp = np.exp(-scale.mu * D.step)
     return mode_filter(damp, damp, xi)
 
 
-def rough_convolve(P: ControlledPath, D: RoughDriver,
-                   theta: float = 0.0) -> ControlledPath:
+def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
     """Compensated rough convolution of (y, y'); Gubinelli derivative z' = y.
 
-    The output index is P.alpha + theta for any requested theta in [0, gamma);
-    the sum runs on the fine grid.
+    The output keeps the index P.alpha; the sum runs on the fine grid.
     """
-    z = _convolve(P, D, theta, P.gamma, True)
-    return ControlledPath(P.times, z, P.y.copy(), P.alpha + theta, P.gamma, P.space)
+    z = _convolve(P, D, 2)
+    return ControlledPath(P.times, z, P.y.copy(), P.alpha, P.gamma, P.space)
 
 
-def young_convolve(P: ControlledPath, D: RoughDriver,
-                   theta: float = 0.0) -> ControlledPath:
+def young_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
     """First-order compensated sum, valid for driver exponent above 1/2.
 
     The result is returned with a zero Gubinelli derivative (none is needed in
@@ -130,8 +127,8 @@ def young_convolve(P: ControlledPath, D: RoughDriver,
     if D.gamma <= 0.5:
         raise RegularityError(
             f"Young convolution needs gamma > 1/2, got {D.gamma}")
-    z = _convolve(P, D, theta, D.gamma, False)
-    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha + theta, P.gamma, P.space)
+    z = _convolve(P, D, 1)
+    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha, P.gamma, P.space)
 
 
 # -- dyadic sewing defects -----------------------------------------------------
@@ -151,7 +148,7 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
             f"level {level} partition does not fit the grid span {span}")
     stride = span // pieces
     u = np.arange(s_idx, t_idx, stride)
-    xi = _germ(P, D, u, u + stride, P.gamma <= 0.5)
+    xi = _germ(P, D, u, u + stride, _germ_order(P.gamma))
     t_time = P.times[t_idx]
     weights = np.exp(-np.outer(t_time - P.times[u], scale.mu))
     return np.sum(weights * xi, axis=0)
@@ -185,7 +182,7 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     check_grid(P, D)
     t_idx = D.index_of(t)
     lv = np.asarray(sorted(levels), dtype=int)
-    idx = P.alpha - (1 if P.gamma > 0.5 else 2) * P.gamma + beta
+    idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta
     sums = {int(l): level_sum(P, D, t_idx, int(l))
             for l in np.append(lv, lv[-1] + 1)}
     defects = np.array([scale.norm(sums[int(l)] - sums[int(l) + 1], idx)
@@ -216,15 +213,14 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     check_grid(P, D)
     check_grid(Z, D)
     g = P.gamma
-    rough = g <= 0.5
-    k = 2 if rough else 1
+    k = _germ_order(g)
     betas = (0.0, g, 2 * g)
     sel = np.arange(0, P.n + 1, stride)
     times, z = P.times[sel], Z.y[sel]
 
     def increments(lag):
         damp = np.exp(-scale.mu * (times[lag] - times[0]))
-        germ = _germ(P, D, sel[:-lag], sel[lag:], rough)
+        germ = _germ(P, D, sel[:-lag], sel[lag:], k)
         return z[lag:] - damp * (z[:-lag] + germ)
 
     W = np.array([scale.sq_weights(P.alpha - k * g + b) for b in betas])

@@ -249,10 +249,11 @@ def _key(H: float, n: int, T: float) -> tuple:
 def _increment_cholesky(H: float, n: int, T: float) -> np.ndarray:
     """Upper factor U of the fGn increment covariance, kept as the one cached factor."""
     key = _key(H, n, T)
-    if key not in _factor:
+    U = _factor.get(key)
+    if U is None:
         _factor.clear()
-        _factor[key] = _toeplitz_cholesky(_fgn_autocovariance(H, n, T))
-    return _factor[key]
+        U = _factor[key] = _toeplitz_cholesky(_fgn_autocovariance(H, n, T))
+    return U
 
 
 def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:

@@ -47,10 +47,9 @@ _NONFINITE = "the Picard distance was non-finite in every window tried"
 # -- drift selectors -----------------------------------------------------------
 
 class DriftMap:
-    """Lipschitz drift with analytically known constant and declared index gap."""
+    """Lipschitz drift with a declared index gap."""
 
     delta1: float
-    lipschitz: float
 
     def value(self, y_rows):
         raise NotImplementedError
@@ -62,7 +61,6 @@ class LinearDrift(DriftMap):
     def __init__(self, c: float, delta1: float):
         self.c = float(c)
         self.delta1 = float(delta1)
-        self.lipschitz = abs(self.c)
 
     def value(self, y_rows):
         return self.c * np.asarray(y_rows, dtype=float)
@@ -76,7 +74,6 @@ class SmoothBoundedDrift(DriftMap):
             raise ConfigError(f"drift amplitude must be positive, got {amp}")
         self.amp = float(amp)
         self.delta1 = float(delta1)
-        self.lipschitz = 1.0
 
     def value(self, y_rows):
         return self.amp * np.tanh(np.asarray(y_rows, dtype=float) / self.amp)
@@ -93,20 +90,24 @@ class PicardParams:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Operator scale, driver, coefficients and solver knobs for one problem."""
+    """Operator scale, driver, coefficients and solver knobs for one problem.
+
+    The horizon is the driver's; restrict the driver for a shorter one.
+    """
 
     scale: Scale
     driver: RoughDriver
     diffusion: SmoothMap
     y0: np.ndarray
     drift: DriftMap | None = None
-    T: float | None = None
     picard: PicardParams = field(default_factory=PicardParams)
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=float)
         if y0.shape != (self.scale.K,) or not np.all(np.isfinite(y0)):
             raise ConfigError("y0 must be a finite coefficient vector of length K")
+        if not isinstance(self.picard, PicardParams):
+            raise ConfigError("picard must be a PicardParams")
         for name, f in (("diffusion", self.diffusion), ("drift", self.drift)):
             if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
                 raise ConfigError(f"the {name} map is non-finite at y0")
@@ -135,13 +136,12 @@ class ProblemSpec:
 
     @property
     def horizon(self):
-        return self.driver.T if self.T is None else float(self.T)
+        return self.driver.T
 
 
 @dataclass(frozen=True)
 class LocalSolveResult:
     path: ControlledPath
-    tau: float
     iterations: int
     contraction: float  # last observed ratio of successive Picard increments
 
@@ -197,14 +197,12 @@ def _check_stride(n: int) -> int:
     return max((d for d in range(1, n // 128 + 1) if n % d == 0), default=1)
 
 
-def _picard_map(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0,
-                u: ControlledPath, base=None):
+def _picard_map(spec: ProblemSpec, D: RoughDriver, u: ControlledPath, base):
     """One application of Phi; the derivative component is G(u).
 
-    base is S_t y0 on the grid of D, computed here when not given.
+    base is S_t y0 on the grid of D.
     """
-    if base is None:
-        base = semigroup_rows(scale, D.times, y0)
+    scale = spec.scale
     lifted = lift_extrapolate(spec.diffusion, u, scale)
     rows = base + rough_convolve(lifted, D).y
     if spec.drift is not None:
@@ -213,8 +211,9 @@ def _picard_map(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0,
                           scale.gamma, scale)
 
 
-def _anchor(spec: ProblemSpec, scale: Scale, D: RoughDriver, y0):
+def _anchor(spec: ProblemSpec, D: RoughDriver, y0):
     """Paper anchor: (S y0 + int S G(y0) dX, G(y0))."""
+    scale = spec.scale
     g0 = diffusion_rows(spec.diffusion, scale, y0[None, :])[0]
     const = constant_path(D.times, g0, np.zeros_like(g0), spec.solution_alpha,
                           scale.gamma, scale)
@@ -232,9 +231,9 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     stride = _check_stride(D.n)
     coarse = D.restricted(stride)
     base = semigroup_rows(scale, D.times, y0)
-    return (lambda u: _picard_map(spec, scale, D, y0, u, base),
+    return (lambda u: _picard_map(spec, D, u, base),
             lambda a, b: crp_distance(a, b, coarse, stride),
-            _anchor(spec, scale, D, y0))
+            _anchor(spec, D, y0))
 
 
 def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
@@ -376,8 +375,7 @@ def solve_local(spec: ProblemSpec) -> LocalSolveResult:
     D = spec.driver
     u, window, steps, q = _halve(spec, D, D.index_of(spec.horizon),
                                  np.asarray(spec.y0, dtype=float), _rough_window)
-    return LocalSolveResult(_rough_path(spec, window.times, u.y),
-                            float(window.times[-1]), steps, q)
+    return LocalSolveResult(_rough_path(spec, window.times, u.y), steps, q)
 
 
 def solve_global(spec: ProblemSpec, window_cap: float | None = None) -> GlobalSolveResult:
@@ -438,7 +436,7 @@ def _solve_at_resolution(spec: ProblemSpec, D: RoughDriver, stop_time: float,
             f"resolution {resolution} does not divide the window of {stop_idx} steps")
     window = D.restricted(stop_idx // resolution, stop=stop_idx)
     sub = ProblemSpec(spec.scale, window, spec.diffusion, np.asarray(y0, float),
-                      spec.drift, None, spec.picard)
+                      spec.drift, spec.picard)
     return solve_global(sub).path.y[-1]
 
 
@@ -471,15 +469,12 @@ def additive_direct(spec: ProblemSpec) -> ControlledPath:
     Uses plain per-time compensated sums (independent of the recurrence in
     rough_convolve), so it double-checks the Picard route.
     """
-    scale = spec.scale
-    D = spec.driver
-    end = D.index_of(spec.horizon)
-    window = D.restricted(1, stop=end) if end != D.n else D
+    scale, D = spec.scale, spec.driver
     g0 = diffusion_rows(spec.diffusion, scale,
                         np.asarray(spec.y0, float)[None, :])[0]
-    times = window.times
+    times = D.times
     rows = semigroup_rows(scale, times, np.asarray(spec.y0, float))
-    dx = np.diff(window.X)
+    dx = np.diff(D.X)
     for i in range(1, times.size):
         weights = np.exp(-np.outer(times[i] - times[:i], scale.mu))
         rows[i] += g0 * np.sum(weights * dx[:i, None], axis=0)

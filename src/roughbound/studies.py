@@ -15,8 +15,8 @@ import numpy as np
 from .boundary_lift import BoundaryVector, lift_controlled, neumann_map
 from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
                               diffusion_rows, lift_extrapolate)
-from .rough_convolution import (log2_slope, remainder_certificate, rough_convolve,
-                               sewing_convergence)
+from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
+                                rough_convolve, sewing_convergence)
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
@@ -79,8 +79,7 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
 
     all_defects = np.array([one(s) for s in seeds])
     mean = _geometric_mean(all_defects)
-    k = 2.0 if gamma > 0.5 else 3.0
-    target = k * gamma - 1.0 - 0.1
+    target = (_germ_order(gamma) + 1) * gamma - 1.0 - 0.1
     return SewingStudy(levels, mean, -log2_slope(levels, mean), beta, target)
 
 

@@ -80,6 +80,10 @@ def test_crp_norm_grid_mismatch(neumann_scale, driver_small):
                       neumann_scale)
     with pytest.raises(GridMismatch):
         crp_norm(p, driver_small)
+    # a strided distance takes the strided driver, not the full-grid one
+    with pytest.raises(GridMismatch):
+        crp_distance(p, p.scaled(2.0), other, stride=2)
+    assert crp_distance(p, p.scaled(2.0), other.restricted(2), stride=2) > 0
 
 
 def test_remainder_reconstruction(neumann_scale, driver_small):

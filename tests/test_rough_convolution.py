@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roughbound import (BoundaryVector, ConfigError, ConstantBoundary,
+from roughbound import (BoundaryVector, ConstantBoundary,
                         ControlledPath, RegularityError, SquashedTrace,
                         compose_smooth, constant_path, default_trace_weights,
                         lift_controlled, lift_geometric, neumann_map,
@@ -34,15 +34,6 @@ def test_gubinelli_derivative_is_integrand(neumann_scale, driver_small):
     z = rough_convolve(p, driver_small)
     assert np.array_equal(z.y_prime, p.y)
     assert z.alpha == p.alpha
-
-
-def test_theta_index_gain_bookkeeping(neumann_scale, driver_small):
-    p = constant_path(driver_small.times, np.ones(16), np.zeros(16), -0.3,
-                      0.40, neumann_scale)
-    z = rough_convolve(p, driver_small, theta=0.3)
-    assert z.alpha == pytest.approx(0.0)
-    with pytest.raises(ConfigError):
-        rough_convolve(p, driver_small, theta=0.40)
 
 
 def test_constant_path_smooth_driver_mode_integral(neumann_scale):

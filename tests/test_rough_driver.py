@@ -117,6 +117,21 @@ def test_sampler_caches_one_factor(cold_sampler):
     assert list(rough_driver._factor) == [(0.45, 128, 1.0)]
 
 
+class _ClearedAfterStore(dict):
+    """A cache that a concurrent draw at another key clears after each store."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.clear()
+
+
+def test_caching_draw_survives_a_concurrent_clear(cold_sampler, monkeypatch):
+    monkeypatch.setattr(rough_driver, "_factor", _ClearedAfterStore())
+    streamed = sample_fbm(0.45, 128, 1.0, seed=1).X
+    caching = sample_fbm(0.45, 128, 1.0, seed=1).X   # builds and stores U
+    assert np.array_equal(streamed, caching)
+
+
 @pytest.mark.parametrize("H", [0.35, 0.45, 0.8])
 def test_fgn_autocovariance_matches_high_precision(H):
     mpmath = pytest.importorskip("mpmath")

@@ -80,6 +80,8 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
                     F, lifted_y0)
     with pytest.raises(ConfigError):   # wrong y0 length
         ProblemSpec(neumann_scale, driver_small, F, np.zeros(5))
+    with pytest.raises(ConfigError):   # a horizon where the Picard knobs go
+        ProblemSpec(neumann_scale, driver_small, F, lifted_y0, None, 0.5)
 
 
 # -- local/global solves ----------------------------------------------------------
@@ -122,8 +124,9 @@ def test_gubinelli_identity_and_fixed_point_residual(neumann_scale, lifted_y0):
     # y' = G(y) pointwise, definitional after the final re-anchor
     assert np.array_equal(u.y_prime,
                           diffusion_rows(spec.diffusion, neumann_scale, u.y))
-    phi = _picard_map(spec, neumann_scale, D, lifted_y0, u)
-    assert crp_distance(phi, u, D, stride=8) <= 10 * spec.picard.tol
+    base = semigroup_rows(neumann_scale, D.times, lifted_y0)
+    phi = _picard_map(spec, D, u, base)
+    assert crp_distance(phi, u, D.restricted(8), stride=8) <= 10 * spec.picard.tol
 
 
 def test_restart_and_horizon_consistency(neumann_scale, lifted_y0):
@@ -135,8 +138,8 @@ def test_restart_and_horizon_consistency(neumann_scale, lifted_y0):
     gap = np.max(neumann_scale.norm(one.path.y - two.path.y, -neumann_scale.eta))
     assert gap <= 10 * spec.picard.tol
 
-    half = solve_global(ProblemSpec(neumann_scale, D, _squashed(neumann_scale),
-                                    lifted_y0, T=0.5))
+    half = solve_global(ProblemSpec(neumann_scale, D.restricted(1, stop=512),
+                                    _squashed(neumann_scale), lifted_y0))
     gap2 = np.max(neumann_scale.norm(half.path.y - one.path.y[:513],
                                      -neumann_scale.eta))
     assert gap2 <= 10 * spec.picard.tol
@@ -157,10 +160,11 @@ def test_contraction_factor_versus_window(neumann_scale, lifted_y0):
         qs = {}
         for stop in (2048, 512):
             win = D.restricted(1, stop=stop)
-            u = _anchor(spec, neumann_scale, win, lifted_y0)
+            u = _anchor(spec, win, lifted_y0)
+            base = semigroup_rows(neumann_scale, win.times, lifted_y0)
             dists = []
             for _ in range(9):
-                nxt = _picard_map(spec, neumann_scale, win, lifted_y0, u)
+                nxt = _picard_map(spec, win, u, base)
                 dists.append(np.max(neumann_scale.norm(nxt.y - u.y,
                                                        -neumann_scale.eta)))
                 u = nxt
