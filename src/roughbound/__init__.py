@@ -6,13 +6,13 @@ verification harnesses (stability, cocycle, rates) behind the CLI.
 """
 
 from .boundary_lift import (BOUNDARY, BoundarySpace, BoundaryVector,
-                            dirichlet_map, dirichlet_profile, lift_controlled,
+                            dirichlet_map, dirichlet_profile,
                             lift_operator_norm, neumann_map, neumann_profile)
 from .controlled_path import (ControlledPath, ConstantBoundary, LinearTrace,
                               SmoothMap, SquashedTrace, compose_smooth,
                               constant_path, crp_distance, crp_norm,
                               default_trace_weights, diffusion_rows,
-                              lift_extrapolate)
+                              lift_controlled, lift_extrapolate)
 from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      ContractionFailure, CovarianceNotPD,
                      DirichletRegularityError, GridMismatch, IoError,

@@ -129,23 +129,3 @@ def lift_operator_norm(scale: Scale, alpha: float) -> float:
     m = lift_matrix(scale) * scale.mu[:, None] ** float(alpha)
     return float(np.linalg.norm(m, 2))
 
-
-def lift_controlled(path, scale: Scale):
-    """Lift a boundary-valued controlled path into the interior at index eps.
-
-    The lift is linear, so the Gubinelli derivative and the remainder map
-    through it unchanged: (Ny, Ny') with R^{Ny} = N R^y.
-    """
-    from .controlled_path import ControlledPath
-
-    if not isinstance(path.space, BoundarySpace):
-        raise ConfigError("lift_controlled expects a boundary-valued path")
-    m = lift_matrix(scale).T
-    return ControlledPath(
-        times=path.times,
-        y=path.y @ m,
-        y_prime=path.y_prime @ m,
-        alpha=scale.eps,
-        gamma=path.gamma,
-        space=scale,
-    )

@@ -99,6 +99,8 @@ def _solution_lines(times, y):
 
 
 def cmd_solve(cfg: dict, out: str) -> list:
+    if cfg["out_stride"] < 1:
+        raise ConfigError(f"out_stride must be at least 1, got {cfg['out_stride']}")
     spec = build_problem(cfg)
     if spec.scale.bc == NEUMANN:
         res = solve_global(spec)

@@ -19,10 +19,12 @@ boundary (Euclidean norm); the same machinery serves both.
 Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (three bounded
 derivatives, supplied analytically), and a constant.  ``lift_extrapolate``
-chains composition, the Neumann/Dirichlet lift and the extrapolated generator
-into the map (y, y') -> (A_{-sigma} N F(y), A_{-sigma} N (DF(y) o y')) at
-index -eta; the sigma-extrapolation and the eta-extrapolation agree on lifted
-data, so one spectral multiplier serves both components.
+is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F,
+computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows``; the
+sigma-extrapolation and the eta-extrapolation agree on lifted data, so one
+spectral multiplier serves both components.  ``compose_smooth`` and
+``lift_controlled`` take the same map one controlled path at a time, an
+independent route for cross-checks.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_lift import BOUNDARY, lift_controlled, lift_matrix
-from .errors import ConfigError, GridMismatch, ScaleIndexError
-from .rough_driver import RoughDriver, check_grid, lag_sups
+from .boundary_lift import BOUNDARY, BoundarySpace, lift_matrix
+from .errors import ConfigError, ScaleIndexError
+from .rough_driver import RoughDriver, check_grid, lag_sups, restriction_indices
 from .spectral_scale import Scale, generator_coefficients
 
 _INDEX_TOL = 1e-9
@@ -51,12 +53,13 @@ class ControlledPath:
     space: object = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if self.y.shape != self.y_prime.shape or self.y.shape[0] != t.size:
+        t, y, yp = (np.asarray(a, dtype=float)
+                    for a in (self.times, self.y, self.y_prime))
+        if y.ndim != 2 or y.shape != yp.shape or y.shape[0] != t.size:
             raise ConfigError("controlled path arrays must share shape (n+1, dim)")
-        t.setflags(write=False)
-        self.y.setflags(write=False)
-        self.y_prime.setflags(write=False)
+        for name, a in (("times", t), ("y", y), ("y_prime", yp)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self):
@@ -67,10 +70,7 @@ class ControlledPath:
         return self.y[j] - self.y[i] - self.y_prime[i] * (D.X[j] - D.X[i])
 
     def restricted(self, stride: int, stop: int | None = None) -> "ControlledPath":
-        stop_idx = self.n if stop is None else stop
-        if stride < 1 or stop_idx % stride != 0:
-            raise GridMismatch(f"stride {stride} does not divide the grid")
-        sel = np.arange(0, stop_idx + 1, stride)
+        sel = restriction_indices(self.n, stride, stop)
         return ControlledPath(self.times[sel].copy(), self.y[sel].copy(),
                               self.y_prime[sel].copy(), self.alpha, self.gamma,
                               self.space)
@@ -284,6 +284,12 @@ def default_trace_weights(scale: Scale, gain: float = 1.0):
     return gain * w[:, 0], gain * w[:, 1]
 
 
+def _check_domain(F: SmoothMap, P: ControlledPath):
+    if abs(F.domain_alpha - P.alpha) > _INDEX_TOL:
+        raise ScaleIndexError(
+            f"map declared for index {F.domain_alpha}, path is at {P.alpha}")
+
+
 def compose_smooth(F: SmoothMap, P: ControlledPath) -> ControlledPath:
     """(F(y), DF(y) o y') as a boundary-valued controlled path.
 
@@ -291,11 +297,22 @@ def compose_smooth(F: SmoothMap, P: ControlledPath) -> ControlledPath:
     picks up the second-order Taylor defect of F, which stays 2 gamma-Hoelder
     because D^2 F is bounded.
     """
-    if abs(F.domain_alpha - P.alpha) > _INDEX_TOL:
-        raise ScaleIndexError(
-            f"map declared for index {F.domain_alpha}, path is at {P.alpha}")
+    _check_domain(F, P)
     return ControlledPath(P.times, F.value(P.y), F.dvalue(P.y, P.y_prime),
                           P.alpha + F.delta2, P.gamma, BOUNDARY)
+
+
+def lift_controlled(path: ControlledPath, scale: Scale) -> ControlledPath:
+    """Lift a boundary-valued controlled path into the interior at index eps.
+
+    The lift is linear, so the Gubinelli derivative and the remainder map
+    through it unchanged: (Ny, Ny') with R^{Ny} = N R^y.
+    """
+    if not isinstance(path.space, BoundarySpace):
+        raise ConfigError("lift_controlled expects a boundary-valued path")
+    m = lift_matrix(scale).T
+    return ControlledPath(path.times, path.y @ m, path.y_prime @ m, scale.eps,
+                          path.gamma, scale)
 
 
 def lift_extrapolate(F: SmoothMap, P: ControlledPath, scale: Scale) -> ControlledPath:
@@ -305,10 +322,9 @@ def lift_extrapolate(F: SmoothMap, P: ControlledPath, scale: Scale) -> Controlle
     the lift lands at eps = 1 - eta, and the extrapolated generator drops by
     one; on lifted data A_{-eta} and A_{-sigma} share the spectral multiplier.
     """
-    lifted = lift_controlled(compose_smooth(F, P), scale)
-    return ControlledPath(lifted.times,
-                          generator_coefficients(scale, lifted.y),
-                          generator_coefficients(scale, lifted.y_prime),
+    _check_domain(F, P)
+    return ControlledPath(P.times, diffusion_rows(F, scale, P.y),
+                          diffusion_derivative_rows(F, scale, P.y, P.y_prime),
                           scale.eps - 1.0, P.gamma, scale)
 
 

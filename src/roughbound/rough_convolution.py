@@ -115,7 +115,7 @@ def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
     The output keeps the index P.alpha; the sum runs on the fine grid.
     """
     z = _convolve(P, D, 2)
-    return ControlledPath(P.times, z, P.y.copy(), P.alpha, P.gamma, P.space)
+    return ControlledPath(P.times, z, P.y, P.alpha, P.gamma, P.space)
 
 
 def young_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
@@ -141,6 +141,9 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
     by 2^level.  The germ is the Young one when P.gamma > 1/2.
     """
     scale = _require_interior(P)
+    check_grid(P, D)
+    if level < 0:
+        raise ConfigError(f"dyadic level must be non-negative, got {level}")
     span = t_idx - s_idx
     pieces = 2 ** level
     if span <= 0 or span % pieces != 0:
@@ -179,7 +182,6 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     the norm index is alpha - gamma + beta.
     """
     scale = _require_interior(P)
-    check_grid(P, D)
     t_idx = D.index_of(t)
     lv = np.asarray(sorted(levels), dtype=int)
     idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta

@@ -66,10 +66,9 @@ class RoughDriver:
         g = np.zeros(t.size) if self.g is None else np.asarray(self.g, dtype=float)
         if g.shape != t.shape or not np.all(np.isfinite(g)) or g[0] != 0.0:
             raise ConfigError("bracket path g needs n+1 finite points with g_0 = 0")
-        object.__setattr__(self, "g", g)
-        t.setflags(write=False)
-        x.setflags(write=False)
-        g.setflags(write=False)
+        for name, a in (("times", t), ("X", x), ("g", g)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     # -- grid helpers ------------------------------------------------------
 
@@ -113,23 +112,30 @@ class RoughDriver:
 
     def restricted(self, stride: int, stop: int | None = None) -> "RoughDriver":
         """Subsample every stride-th grid point (an exact restriction of the path)."""
-        if stride < 1 or (self.n % stride != 0 and stop is None):
-            raise GridMismatch(f"stride {stride} does not divide the grid")
-        stop_idx = self.n if stop is None else stop
-        if stop_idx % stride != 0:
-            raise GridMismatch("restriction endpoint must be a stride multiple")
-        sel = np.arange(0, stop_idx + 1, stride)
+        sel = restriction_indices(self.n, stride, stop)
         return RoughDriver(self.times[sel].copy(), self.X[sel].copy(), self.gamma,
                            self.H, self.g[sel])
 
 
-def lift_geometric(times, X, gamma: float, H: float | None = None) -> RoughDriver:
+def restriction_indices(n: int, stride: int, stop: int | None = None):
+    """Grid indices 0, stride, ..., stop (default n) of a grid of n steps.
+
+    GridMismatch unless stride >= 1 divides stop and 0 < stop <= n.
+    """
+    stop_idx = n if stop is None else stop
+    if stride < 1 or not 0 < stop_idx <= n or stop_idx % stride != 0:
+        raise GridMismatch(f"stride {stride} does not divide the grid up to "
+                           f"index {stop_idx} of {n}")
+    return np.arange(0, stop_idx + 1, stride)
+
+
+def lift_geometric(times, X, gamma: float) -> RoughDriver:
     """Canonical d=1 lift XX_{t,s} = X_{t,s}^2/2, evaluated on demand."""
     return RoughDriver(np.asarray(times, dtype=float).copy(),
-                       np.asarray(X, dtype=float).copy(), gamma, H)
+                       np.asarray(X, dtype=float).copy(), gamma)
 
 
-def lift_explicit(times, X, XX, gamma: float, H: float | None = None) -> RoughDriver:
+def lift_explicit(times, X, XX, gamma: float) -> RoughDriver:
     """Driver with g_t = XX_{t,0} - X_{t,0}^2/2 read off XX[s, t] = XX_{t,s}.
 
     The Chen defect of s <= u <= t is r_{t,s} - r_{u,s} - r_{t,u} for the pair
@@ -148,7 +154,8 @@ def lift_explicit(times, X, XX, gamma: float, H: float | None = None) -> RoughDr
     defect = float(np.max(np.abs(resid)))
     if defect > CHEN_TOL / 3:
         raise ChenViolation(f"Chen pair residual {defect:.3e} exceeds {CHEN_TOL}/3")
-    return RoughDriver(np.asarray(times, dtype=float).copy(), x, gamma, H, g - g[0])
+    return RoughDriver(np.asarray(times, dtype=float).copy(), x, gamma,
+                       g=g - g[0])
 
 
 def chen_defect_max(X, XX, chunk: int = 64) -> float:
@@ -336,20 +343,18 @@ def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:
                           np.ones((1, 1)), (g,))[0])
 
 
-def rough_metric(D1: RoughDriver, D2: RoughDriver, gamma: float | None = None) -> float:
-    """Inhomogeneous rough path distance over the common grid."""
+def rough_metric(D1: RoughDriver, D2: RoughDriver) -> float:
+    """Inhomogeneous rough path distance over the common grid at D1's exponent."""
     check_grid(D1, D2)
-    g = D1.gamma if gamma is None else gamma
-    X1, X2 = D1.X, D2.X
+    g, X1, X2 = D1.gamma, D1.X, D2.X
     return float(np.sum(lag_sups(D1.times, lambda lag: np.stack(
         ((X1[lag:] - X1[:-lag]) - (X2[lag:] - X2[:-lag]),
          D1.xx_lag(lag) - D2.xx_lag(lag)), axis=1), np.eye(2), (g, 2 * g))))
 
 
-def rho(D: RoughDriver, gamma: float | None = None) -> float:
+def rho(D: RoughDriver) -> float:
     """rho_gamma(X) = distance of the lifted path to the zero rough path."""
-    g = D.gamma if gamma is None else gamma
-    X = D.X
+    g, X = D.gamma, D.X
     return float(np.sum(lag_sups(D.times, lambda lag: np.stack(
         (X[lag:] - X[:-lag], D.xx_lag(lag)), axis=1), np.eye(2), (g, 2 * g))))
 

@@ -87,6 +87,13 @@ class PicardParams:
     max_iter: int = 80
     max_halvings: int = 10
 
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(
+                f"Picard tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 0 or self.max_halvings < 0:
+            raise ConfigError("max_iter and max_halvings must be non-negative")
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -197,43 +204,29 @@ def _check_stride(n: int) -> int:
     return max((d for d in range(1, n // 128 + 1) if n % d == 0), default=1)
 
 
-def _picard_map(spec: ProblemSpec, D: RoughDriver, u: ControlledPath, base):
-    """One application of Phi; the derivative component is G(u).
-
-    base is S_t y0 on the grid of D.
-    """
-    scale = spec.scale
-    lifted = lift_extrapolate(spec.diffusion, u, scale)
-    rows = base + rough_convolve(lifted, D).y
-    if spec.drift is not None:
-        rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
-    return ControlledPath(D.times, rows, lifted.y.copy(), spec.solution_alpha,
-                          scale.gamma, scale)
-
-
-def _anchor(spec: ProblemSpec, D: RoughDriver, y0):
-    """Paper anchor: (S y0 + int S G(y0) dX, G(y0))."""
-    scale = spec.scale
-    g0 = diffusion_rows(spec.diffusion, scale, y0[None, :])[0]
-    const = constant_path(D.times, g0, np.zeros_like(g0), spec.solution_alpha,
-                          scale.gamma, scale)
-    rows = semigroup_rows(scale, D.times, y0) + rough_convolve(const, D).y
-    return ControlledPath(D.times, rows, const.y.copy(), spec.solution_alpha,
-                          scale.gamma, scale)
-
-
 def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     """Rough regime on one window: (step, distance, start) of the Picard loop."""
-    scale = spec.scale
+    scale, alpha, g = spec.scale, spec.solution_alpha, spec.scale.gamma
     if scale.bc != NEUMANN:
         raise ConfigError("the rough solver runs on the Neumann scale; "
                           "use solve_young_dirichlet for Dirichlet noise")
     stride = _check_stride(D.n)
     coarse = D.restricted(stride)
     base = semigroup_rows(scale, D.times, y0)
-    return (lambda u: _picard_map(spec, D, u, base),
-            lambda a, b: crp_distance(a, b, coarse, stride),
-            _anchor(spec, D, y0))
+
+    def step(u):  # one application of Phi; the derivative component is G(u)
+        lifted = lift_extrapolate(spec.diffusion, u, scale)
+        rows = base + rough_convolve(lifted, D).y
+        if spec.drift is not None:
+            rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
+        return ControlledPath(D.times, rows, lifted.y, alpha, g, scale)
+
+    # the paper's anchor (S y0 + int S G(y0) dX, G(y0))
+    g0 = diffusion_rows(spec.diffusion, scale, y0[None, :])[0]
+    const = constant_path(D.times, g0, np.zeros_like(g0), alpha, g, scale)
+    anchor = ControlledPath(D.times, base + rough_convolve(const, D).y, const.y,
+                            alpha, g, scale)
+    return step, lambda a, b: crp_distance(a, b, coarse, stride), anchor
 
 
 def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
@@ -311,15 +304,15 @@ def _halve(spec: ProblemSpec, D: RoughDriver, end: int, y0, regime):
                 f"no contraction after {halvings - 1} halvings ({cause})")
 
 
-def _concatenate(spec: ProblemSpec, regime, alpha: float, cap_idx: int | None = None):
+def _concatenate(spec: ProblemSpec, regime):
     """Local solutions, window after window, up to the horizon.
 
-    Each window restarts from the last state on the shifted driver and spans
-    at most cap_idx steps; the running sup at index alpha feeds the no-blow-up
-    monitor and the growth fit.  Returns the grid, the solution rows and the
-    remaining fields of a GlobalSolveResult.
+    Each window restarts from the last state on the shifted driver; the
+    running sup at the solution index feeds the no-blow-up monitor and the
+    growth fit.  Returns the grid, the solution rows and the remaining fields
+    of a GlobalSolveResult.
     """
-    scale, D = spec.scale, spec.driver
+    scale, D, alpha = spec.scale, spec.driver, spec.solution_alpha
     end_idx = D.index_of(spec.horizon)
     t_idx = iterations = 0
     y_cur = np.asarray(spec.y0, dtype=float)
@@ -329,9 +322,8 @@ def _concatenate(spec: ProblemSpec, regime, alpha: float, cap_idx: int | None = 
     running_sup = [(0.0, float(scale.norm(y_cur, alpha)))]
 
     while t_idx < end_idx:
-        stop = min(end_idx - t_idx, end_idx if cap_idx is None else cap_idx)
-        u, window, steps, _ = _halve(spec, shift(D, D.times[t_idx]), stop, y_cur,
-                                     regime)
+        u, window, steps, _ = _halve(spec, shift(D, D.times[t_idx]),
+                                     end_idx - t_idx, y_cur, regime)
         iterations += steps
         rows.append(u.y[1:])
         y_cur = u.y[-1]
@@ -378,11 +370,9 @@ def solve_local(spec: ProblemSpec) -> LocalSolveResult:
     return LocalSolveResult(_rough_path(spec, window.times, u.y), steps, q)
 
 
-def solve_global(spec: ProblemSpec, window_cap: float | None = None) -> GlobalSolveResult:
+def solve_global(spec: ProblemSpec) -> GlobalSolveResult:
     """Concatenate local solutions up to the horizon; monitor the growth bound."""
-    cap_idx = None if window_cap is None else max(1, spec.driver.index_of(window_cap))
-    times, rows, *rest = _concatenate(spec, _rough_window, spec.solution_alpha,
-                                      cap_idx)
+    times, rows, *rest = _concatenate(spec, _rough_window)
     return GlobalSolveResult(_rough_path(spec, times, rows), *rest)
 
 
@@ -402,7 +392,7 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
         raise DirichletRegularityError(
             f"Dirichlet noise needs driver exponent > {young_floor}, "
             f"got {spec.driver.gamma}")
-    times, rows, *rest = _concatenate(spec, _young_window, -scale.eta)
+    times, rows, *rest = _concatenate(spec, _young_window)
     path = ControlledPath(times, rows, np.zeros_like(rows), -scale.eta,
                           spec.driver.gamma, scale)
     return GlobalSolveResult(path, *rest)
@@ -420,6 +410,8 @@ def stability_distance(sol1: ControlledPath, sol2: ControlledPath,
     the gamma'/2 gamma'-seminorms of the remainder difference.
     """
     check_grid(sol1, sol2)
+    check_grid(sol1, D1)
+    check_grid(sol2, D2)
     if not (1.0 / 3.0 < gamma_prime < sol1.gamma):
         raise ConfigError(f"gamma_prime must lie in (1/3, gamma), got {gamma_prime}")
     return crp_difference_norm(sol1, D1, gamma_prime, sol2, D2)
@@ -449,6 +441,8 @@ def cocycle_defect(spec: ProblemSpec, t: float, tau: float,
     the defect is attributable only to discretization; the rough-path shift
     makes the driver side of the identity exact.
     """
+    if resolution < 1:
+        raise ConfigError(f"resolution must be at least 1, got {resolution}")
     scale = spec.scale
     D = spec.driver
     if tau == 0.0:

@@ -151,18 +151,9 @@ class SpectralVector:
     def norm(self, alpha=None):
         return self.scale.norm(self.coeffs, self.alpha if alpha is None else alpha)
 
-    def __add__(self, other):
-        _check_same_scale(self, other)
-        return SpectralVector(self.coeffs + other.coeffs, self.alpha, self.scale)
-
     def __sub__(self, other):
         _check_same_scale(self, other)
         return SpectralVector(self.coeffs - other.coeffs, self.alpha, self.scale)
-
-    def __mul__(self, c):
-        return SpectralVector(self.coeffs * float(c), self.alpha, self.scale)
-
-    __rmul__ = __mul__
 
     def evaluate(self, x):
         """Reconstruct the function at points x from the truncated expansion."""

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_lift import BoundaryVector, lift_controlled, neumann_map
+from .boundary_lift import BoundaryVector, neumann_map
 from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
-                              diffusion_rows, lift_extrapolate)
+                              diffusion_rows, lift_controlled, lift_extrapolate)
+from .errors import ConfigError
 from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
                                 rough_convolve, sewing_convergence)
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
@@ -40,6 +41,14 @@ def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> Contr
     remainder studies must exercise.
     """
     return lift_extrapolate(F, _anchor_path(scale, F, y0, D), scale)
+
+
+def _some_seeds(seeds) -> tuple:
+    """The seeds as a tuple; ConfigError if there are none."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("a multi-seed study needs at least one seed")
+    return seeds
 
 
 def _geometric_mean(values):
@@ -71,6 +80,7 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
     Young case, gamma > 1/2).
     """
     levels = np.asarray(sorted(levels), dtype=int)
+    seeds = _some_seeds(seeds)
 
     def one(seed):
         D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
@@ -167,7 +177,9 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
                   T: float, gamma: float, seeds, resolutions,
                   t: float, tau: float, drift=None) -> CocycleStudy:
     """Cocycle defect versus per-call resolution, geometric mean over seeds."""
-    resolutions = tuple(resolutions)
+    seeds, resolutions = _some_seeds(seeds), tuple(resolutions)
+    if len(resolutions) < 2:
+        raise ConfigError("the cocycle study needs at least two resolutions")
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)
@@ -214,6 +226,8 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     # imported at call time: perfbench's tracer wraps solver.stability_distance
     from .solver import stability_distance
 
+    if not (len(lambdas) and len(eps0)):
+        raise ConfigError("the stability study needs lambdas and eps0")
     D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
     y0 = np.asarray(y0, float)
     base = solve_global(ProblemSpec(scale, D, F, y0, drift)).path
@@ -222,7 +236,7 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     for lam in lambdas:
         Dl = RoughDriver(D.times.copy(), (lam * D.X).copy(), gamma, D.H)
         sol = solve_global(ProblemSpec(scale, Dl, F, y0, drift)).path
-        preds.append(rough_metric(D, Dl, gamma))
+        preds.append(rough_metric(D, Dl))
         resps.append(stability_distance(sol, base, Dl, D, gamma_prime))
     slope, dev = _fit_through_origin(preds, resps)
     driver_study = StabilityStudy("driver", tuple(preds), tuple(resps), slope, dev)

@@ -77,6 +77,26 @@ def test_exit_codes(tmp_path):
     assert run(["solve", "--config", dirichlet_rough, "--out", str(out)]) == 9
 
 
+@pytest.mark.parametrize("study, line", [
+    ("cocycle", "resolutions = 0,64"),
+    ("cocycle", "resolutions = 64"),
+    ("cocycle", "seeds = 0"),
+    ("convergence", "seeds = 0"),
+    ("convergence", "levels = -2..3"),
+    ("stability", "lambdas ="),
+    ("stability", "eps0 ="),
+    ("solve", "tol = nan"),
+    ("solve", "tol = -1"),
+    ("solve", "out_stride = 0"),
+    ("solve", "out_stride = -2"),
+])
+def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
+    cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([study, "--config", cfg, "--out", str(out)]) == 2
+
+
 def test_solve_writes_solution_csv(tmp_path, capsys):
     cfg = _write(tmp_path, "solve.cfg",
                  "study = solve\nH = 0.45\nn = 256\nK = 8\nseed = 3\n"

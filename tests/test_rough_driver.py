@@ -5,10 +5,10 @@ import pytest
 from scipy import stats
 
 from roughbound import (ChenViolation, ConfigError, ControlledPath,
-                        CovarianceNotPD, GridMismatch, crp_norm,
-                        holder_seminorm, lift_explicit, lift_geometric, rho,
-                        rough_convolve, rough_metric, sample_fbm, shift,
-                        stability_distance, young_convolve)
+                        CovarianceNotPD, GridMismatch, RoughDriver, crp_norm,
+                        holder_seminorm, level_sum, lift_explicit,
+                        lift_geometric, rho, rough_convolve, rough_metric,
+                        sample_fbm, shift, stability_distance, young_convolve)
 from roughbound import rough_driver
 from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
                                      _increment_cholesky, _toeplitz_cholesky,
@@ -316,6 +316,9 @@ GRID_ENTRIES = {
     "path subtraction": lambda P, Q, D, E: P - Q,
     "rough_metric": lambda P, Q, D, E: rough_metric(D, E),
     "stability_distance": lambda P, Q, D, E: stability_distance(P, Q, D, E, 0.35),
+    "stability_distance driver": lambda P, Q, D, E: stability_distance(
+        P, P, D, E, 0.35),
+    "level_sum": lambda P, Q, D, E: level_sum(P, E, 32, 2),
 }
 
 
@@ -383,6 +386,29 @@ def test_restriction_requires_divisor():
     D = sample_fbm(0.45, 64, 1.0, seed=4)
     with pytest.raises(GridMismatch):
         D.restricted(3)
+
+
+def test_restriction_past_the_grid_end_is_a_grid_mismatch(neumann_scale):
+    D = sample_fbm(0.45, 64, 1.0, seed=4)
+    P = ControlledPath(D.times, np.zeros((65, 16)), np.zeros((65, 16)), -0.3,
+                       0.40, neumann_scale)
+    for grid in (D, P):
+        assert grid.restricted(1, stop=32).n == 32
+        with pytest.raises(GridMismatch):
+            grid.restricted(1, stop=100)
+
+
+def test_constructors_store_the_float_arrays_they_freeze(neumann_scale):
+    t = np.linspace(0.0, 1.0, 5)
+    D = RoughDriver(t, np.array([0, 1, 2, 1, 0]), 0.4)
+    assert D.X.dtype == float and not D.X.flags.writeable
+    listed = RoughDriver(t.tolist(), [0.0, 1.0, 2.0, 1.0, 0.0], 0.4)
+    assert listed.n == 4 and not listed.times.flags.writeable
+    P = ControlledPath(np.arange(5), np.zeros((5, 16)), np.zeros((5, 16)),
+                       -0.3, 0.40, neumann_scale)
+    assert P.times.dtype == float and not P.times.flags.writeable
+    with pytest.raises(ConfigError):   # one row per time, one column per mode
+        ControlledPath(t, np.zeros(5), np.zeros(5), -0.3, 0.40, neumann_scale)
 
 
 def test_csv_export_roundtrip(tmp_path):

@@ -4,11 +4,12 @@ from scipy import stats
 
 from roughbound import (AprioriBoundViolation, BoundaryVector, ConfigError,
                         ConstantBoundary, ContractionFailure, ControlledPath,
-                        DirichletRegularityError, LinearDrift, LinearTrace,
+                        DirichletRegularityError, GridMismatch, LinearDrift,
+                        LinearTrace,
                         PicardParams, ProblemSpec, SmoothBoundedDrift,
                         SquashedTrace, additive_direct, cocycle_defect,
                         crp_norm, default_trace_weights, dirichlet_map,
-                        lift_geometric, sample_fbm, solve_global,
+                        lift_geometric, sample_fbm, shift, solve_global,
                         solve_local, solve_young_dirichlet,
                         stability_distance, young_convolve)
 from roughbound.controlled_path import (constant_path, crp_distance,
@@ -16,7 +17,7 @@ from roughbound.controlled_path import (constant_path, crp_distance,
                                         diffusion_rows, lift_extrapolate)
 from roughbound.rough_convolution import rough_convolve
 from roughbound import solver
-from roughbound.solver import (_anchor, _picard_map, drift_convolve,
+from roughbound.solver import (_rough_window, drift_convolve,
                                drift_convolve_path, semigroup_rows)
 
 from conftest import brute_force_stability_distance
@@ -34,6 +35,17 @@ def _zero_diffusion(scale, delta2=2.0):
 def _zero_driver(n, T, gamma=0.40):
     t = np.linspace(0.0, T, n + 1)
     return lift_geometric(t, np.zeros(n + 1), gamma)
+
+
+@pytest.mark.parametrize("kw", [dict(tol=float("nan")), dict(tol=-1.0),
+                                dict(tol=0.0), dict(tol=float("inf")),
+                                dict(max_iter=-1), dict(max_halvings=-1)],
+                         ids=["nan", "negative", "zero", "inf", "max_iter",
+                              "max_halvings"])
+def test_picard_params_reject_unusable_settings(kw):
+    with pytest.raises(ConfigError):
+        PicardParams(**kw)
+    assert PicardParams(max_iter=0, max_halvings=0).max_iter == 0
 
 
 # -- drift convolution ---------------------------------------------------------
@@ -124,8 +136,8 @@ def test_gubinelli_identity_and_fixed_point_residual(neumann_scale, lifted_y0):
     # y' = G(y) pointwise, definitional after the final re-anchor
     assert np.array_equal(u.y_prime,
                           diffusion_rows(spec.diffusion, neumann_scale, u.y))
-    base = semigroup_rows(neumann_scale, D.times, lifted_y0)
-    phi = _picard_map(spec, D, u, base)
+    step, _, _ = _rough_window(spec, D, lifted_y0)
+    phi = step(u)
     assert crp_distance(phi, u, D.restricted(8), stride=8) <= 10 * spec.picard.tol
 
 
@@ -133,13 +145,15 @@ def test_restart_and_horizon_consistency(neumann_scale, lifted_y0):
     D = sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
     spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
     one = solve_global(spec)
-    two = solve_global(spec, window_cap=0.5)
-    assert len(two.window_ends) == 2
-    gap = np.max(neumann_scale.norm(one.path.y - two.path.y, -neumann_scale.eta))
-    assert gap <= 10 * spec.picard.tol
-
+    # restart by hand: solve to t = 0.5, then from that state on the shifted driver
     half = solve_global(ProblemSpec(neumann_scale, D.restricted(1, stop=512),
                                     _squashed(neumann_scale), lifted_y0))
+    rest = solve_global(ProblemSpec(neumann_scale, shift(D, 0.5),
+                                    _squashed(neumann_scale), half.path.y[-1]))
+    two = np.vstack((half.path.y, rest.path.y[1:]))
+    gap = np.max(neumann_scale.norm(one.path.y - two, -neumann_scale.eta))
+    assert gap <= 10 * spec.picard.tol
+
     gap2 = np.max(neumann_scale.norm(half.path.y - one.path.y[:513],
                                      -neumann_scale.eta))
     assert gap2 <= 10 * spec.picard.tol
@@ -160,11 +174,10 @@ def test_contraction_factor_versus_window(neumann_scale, lifted_y0):
         qs = {}
         for stop in (2048, 512):
             win = D.restricted(1, stop=stop)
-            u = _anchor(spec, win, lifted_y0)
-            base = semigroup_rows(neumann_scale, win.times, lifted_y0)
+            step, _, u = _rough_window(spec, win, lifted_y0)
             dists = []
             for _ in range(9):
-                nxt = _picard_map(spec, win, u, base)
+                nxt = step(u)
                 dists.append(np.max(neumann_scale.norm(nxt.y - u.y,
                                                        -neumann_scale.eta)))
                 u = nxt
@@ -458,7 +471,6 @@ def test_young_regularity_guards(dirichlet_scale):
     object.__setattr__(bad, "diffusion", _zero_diffusion(dirichlet_scale, 2.5))
     object.__setattr__(bad, "y0", y0)
     object.__setattr__(bad, "drift", None)
-    object.__setattr__(bad, "T", None)
     object.__setattr__(bad, "picard", PicardParams())
     with pytest.raises(DirichletRegularityError):
         solve_young_dirichlet(bad)
@@ -488,6 +500,19 @@ def test_stability_distance_gamma_prime_range(neumann_scale, lifted_y0):
                                    lifted_y0))
     with pytest.raises(ConfigError):
         stability_distance(res.path, res.path, D, D, 0.45)
+
+
+def test_stability_distance_checks_each_path_against_its_driver(neumann_scale,
+                                                                lifted_y0):
+    D = sample_fbm(0.45, 256, 1.0, seed=3, gamma=0.40)
+    sol = solve_global(ProblemSpec(neumann_scale, D, _squashed(neumann_scale),
+                                   lifted_y0)).path
+    for other in (sample_fbm(0.45, 64, 1.0, seed=3, gamma=0.40),
+                  sample_fbm(0.45, 256, 2.0, seed=3, gamma=0.40)):
+        with pytest.raises(GridMismatch):
+            stability_distance(sol, sol, other, D, 0.35)
+        with pytest.raises(GridMismatch):
+            stability_distance(sol, sol, D, other, 0.35)
 
 
 def test_stability_distance_matches_brute_force(neumann_scale):

@@ -150,7 +150,7 @@ def test_vector_algebra_guard(neumann_scale):
     v = neumann_scale.vector(np.ones(16), 0.0)
     w = other.vector(np.ones(16), 0.0)
     with pytest.raises(ConfigError):
-        _ = v + w
+        _ = v - w
 
 
 def test_vector_evaluate_matches_basis(neumann_scale):
