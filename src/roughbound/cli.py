@@ -25,7 +25,7 @@ from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      DirichletRegularityError, GridMismatch, IoError,
                      RegularityError, RoughboundError, ScaleIndexError,
                      ScaleUnderflow, SingularLift)
-from .rough_driver import save_csv
+from .rough_driver import restriction_indices, save_csv
 from .solver import solve_global, solve_young_dirichlet
 from .spectral_scale import NEUMANN
 
@@ -102,6 +102,7 @@ def cmd_solve(cfg: dict, out: str) -> list:
     if cfg["out_stride"] < 1:
         raise ConfigError(f"out_stride must be at least 1, got {cfg['out_stride']}")
     spec = build_problem(cfg)
+    restriction_indices(spec.driver.n, cfg["out_stride"])  # before the solve
     if spec.scale.bc == NEUMANN:
         res = solve_global(spec)
     else:

@@ -11,10 +11,13 @@ with the norm
              + [y']_{gamma,alpha-2gamma}
              + [R^y]_{gamma,alpha-gamma} + [R^y]_{2gamma,alpha-2gamma},
 
-all seminorms taken over grid pairs in one fused pass over the lags
-(``rough_driver.lag_sups``) that forms y' and R once per lag.  Values may
-live on the interior scale (spectral coefficients) or on the two-point
-boundary (Euclidean norm); the same machinery serves both.
+all seminorms taken over grid pairs.  Their increments have the form
+v_t - v_s + p_s X_{t,s}, so they come from the screened Gram kernel
+``rough_driver.increment_sups`` (also behind ``path_seminorm``); the driver
+seminorms and the integral-remainder certificate, whose increments are
+scalar or damped per lag, stay on the lag loop ``rough_driver.lag_sups``.
+Values may live on the interior scale (spectral coefficients) or on the
+two-point boundary (Euclidean norm); the same machinery serves both.
 
 Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (three bounded
@@ -35,7 +38,7 @@ import numpy as np
 
 from .boundary_lift import BOUNDARY, BoundarySpace, lift_matrix
 from .errors import ConfigError, ScaleIndexError
-from .rough_driver import RoughDriver, check_grid, lag_sups, restriction_indices
+from .rough_driver import RoughDriver, check_grid, increment_sups, restriction_indices
 from .spectral_scale import Scale, generator_coefficients
 
 _INDEX_TOL = 1e-9
@@ -103,17 +106,8 @@ def sup_norm(space, values, alpha) -> float:
 
 def path_seminorm(space, times, values, alpha, exponent) -> float:
     """[h]_exponent at the given index: sup over grid pairs."""
-    return float(lag_sups(times, lambda lag: values[lag:] - values[:-lag],
-                          space.sq_weights(alpha)[None, :], (exponent,))[0])
-
-
-def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:
-    """[R^y]_exponent at the given index over all grid pairs."""
-    def increments(lag):
-        return y[lag:] - y[:-lag] - y_prime[:-lag] * (X[lag:] - X[:-lag])[:, None]
-
-    return float(lag_sups(times, increments, space.sq_weights(alpha)[None, :],
-                          (exponent,))[0])
+    return float(increment_sups(times, values, (), space.sq_weights(alpha)[None, :],
+                                (exponent,))[0])
 
 
 def crp_norm(P: ControlledPath, D: RoughDriver) -> float:
@@ -129,26 +123,18 @@ def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
 
     P runs over D and Q over E; Q = None gives the norm of P.  The seminorms
     take the given Hoelder exponent (twice it for the second remainder term)
-    and all three come from one lag pass.
+    and come from the Gram kernel, the derivative's without legs and both
+    remainder terms' in one call with them.
     """
-    g, a, k = P.gamma, P.alpha, P.y.shape[1]
+    g, a, sp = P.gamma, P.alpha, P.space
     y, yp = (P.y, P.y_prime) if Q is None else (P.y - Q.y, P.y_prime - Q.y_prime)
-    stacked = np.hstack((yp, y))
     # R = y_{t,s} - y'_s X_{t,s}: -y' over D for P, +y' over E for Q
     legs = [(-P.y_prime, D.X)] + ([] if Q is None else [(Q.y_prime, E.X)])
-
-    def increments(lag):
-        d = stacked[lag:] - stacked[:-lag]
-        for p, X in legs:
-            d[:, k:] += p[:-lag] * (X[lag:] - X[:-lag])[:, None]
-        return d
-
-    W = np.zeros((3, 2 * k))
-    W[0, :k] = W[2, k:] = P.space.sq_weights(a - 2 * g)
-    W[1, k:] = P.space.sq_weights(a - g)
-    sem_prime, sem_r1, sem_r2 = lag_sups(P.times, increments, W,
-                                         (exponent, exponent, 2 * exponent))
-    return float(sup_norm(P.space, y, a) + sup_norm(P.space, yp, a - g)
+    sem_prime = path_seminorm(sp, P.times, yp, a - 2 * g, exponent)
+    sem_r1, sem_r2 = increment_sups(
+        P.times, y, legs, np.stack((sp.sq_weights(a - g), sp.sq_weights(a - 2 * g))),
+        (exponent, 2 * exponent))
+    return float(sup_norm(sp, y, a) + sup_norm(sp, yp, a - g)
                  + sem_prime + sem_r1 + sem_r2)
 
 

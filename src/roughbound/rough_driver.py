@@ -310,6 +310,8 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
 
 def check_grid(a, b):
     """GridMismatch unless paths or drivers a, b share a grid to 1e-12 max(1, |T|)."""
+    if a.times is b.times:
+        return
     if a.times.shape != b.times.shape or not np.allclose(
             a.times, b.times, rtol=0, atol=1e-12 * max(1.0, abs(a.times[-1]))):
         raise GridMismatch(f"{type(a).__name__} and {type(b).__name__} live on "
@@ -333,6 +335,114 @@ def lag_sups(times, increments, weights, exponents) -> np.ndarray:
     dt = np.arange(1, m)[:, None] * ((times[-1] - times[0]) / (m - 1))
     per_lag /= dt ** (2.0 * np.asarray(exponents, dtype=float))
     return np.sqrt(np.max(per_lag, axis=0, initial=0.0))
+
+
+# doubles in one (rows, m) block temporary of increment_sups: 128 KiB, glibc's
+# default mmap threshold (taller blocks raise the peak RSS of full-grid norms)
+_BLOCK_CELLS = 16384
+_EPS = float(np.finfo(float).eps)
+
+
+def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
+    """Per norm j, the sup over pairs s < t of |d_{st}|_j / (t-s)^exponents[j].
+
+    d_{st} = v_t - v_s + sum_l p^l_s X^l_{t,s}, where v is (m, k), each leg l
+    is a pair (p^l, X^l) of an (m, k) array and an (m,) path, and row j of
+    the (r, k) `weights` holds the squared norm weights of norm j.  The rows
+    s run in blocks of at most _BLOCK_CELLS // (m - 1), so one (rows, m)
+    temporary holds at most 128 KiB.  A block is centred at its first row,
+    u = v - v_{s0}, so that a constant offset does not cancel, and every
+    pair's squared norm is read off a few GEMMs:
+
+        |d|^2 = a_t + a_s - 2 <u_s, u_t> + sum_l X^l_{t,s} c^l_{st},
+        c^l = 2 <p^l_s, u_t - u_s> + sum_l' X^l'_{t,s} <p^l_s, p^l'_s>,
+
+    with a = |u|^2, all inner products in the weights of norm j.  The Gram
+    value alone loses half the digits where the increment is small next to
+    v (sqrt(eps) |v| on a constant path), so only pairs whose Gram value
+    plus a rounding bound reaches both the running sup and the block's best
+    lower bound are recomputed from direct differences, and the sups are
+    those direct values.
+
+    Rounding bound.  With L legs, let
+    M = (|u_s| + |u_t| + sum_l |X^l_{t,s}| |p^l_s|)^2.  Expanded, the Gram
+    form sums products whose absolute values add up to
+    sum_i w_i (|u_ti| + |u_si| + sum_l |X^l_{t,s}| |p^l_si|)^2 <= M, each
+    formed with at most k + 2L + 8 roundings (two factors, a length-k dot
+    product, the two rounded X increments and the additions that combine
+    the terms).  By the gamma_n dot-product rule the Gram value is within
+    gamma_{k+2L+8} M of the exact |u_t - u_s + ...|^2, and the centring
+    moves that by at most 2 eps M.  The direct recompute (L + 2 roundings
+    per coordinate, a length-k weighted sum) is within (k + 2L + 5) eps M
+    of it.  For the at most two legs the callers pass, c = 4 (k + 8) covers
+    the sum of the two with room for the 1/(1 - n eps) of gamma_n, the lag
+    scaling and the rounding of the bound itself, so a pair that is not
+    recomputed cannot hold the sup.  A non-finite Gram value sends its
+    block to the recompute.
+    """
+    v = np.asarray(v, dtype=float)
+    W = np.asarray(weights, dtype=float)
+    m, k = v.shape
+    sups = np.zeros(W.shape[0])
+    if m < 2:
+        return sups
+    rows = max(1, _BLOCK_CELLS // (m - 1))
+    lags = np.arange(1, m) * ((times[-1] - times[0]) / (m - 1))
+    # sqrt(c eps), folded into the norms whose sum is squared into the bound
+    root = np.sqrt(4.0 * (k + 8) * _EPS)
+    scaled = []
+    for e in exponents:
+        dt = lags ** (2.0 * float(e))
+        # a view F with F[i, c] = 1 / dt[c - i] for c >= i, else 0: the pair
+        # (s0 + i, s0 + 1 + c) of any block has lag c - i + 1
+        pad = np.concatenate((np.zeros(rows - 1), 1.0 / dt))
+        scaled.append((dt, np.ndarray((rows, m - 1), buffer=pad,
+                                      offset=(rows - 1) * pad.itemsize,
+                                      strides=(-pad.itemsize, pad.itemsize))))
+    for s0 in range(0, m - 1, rows):
+        b = min(rows, m - 1 - s0)
+        u = v[s0:] - v[s0]
+        uS, uT = u[:b], u[1:]
+        xs = [X[s0 + 1:] - X[s0:s0 + b, None] for _, X in legs]
+        ps = [p[s0:s0 + b] for p, _ in legs]
+        abs_xs = [np.abs(x) for x in xs]
+        for j, (w, (dt, F)) in enumerate(zip(W, scaled)):
+            a = (u * u) @ w
+            sq = (uS * (-2.0 * w)) @ uT.T
+            sq += a[1:]
+            sq += a[:b, None]
+            norms = root * np.sqrt(a)
+            bound = norms[1:] + norms[:b, None]
+            for p, x, ax in zip(ps, xs, abs_xs):
+                pw = p * w
+                c = (2.0 * pw) @ uT.T
+                c -= 2.0 * np.sum(pw * uS, axis=1)[:, None]
+                for p2, x2 in zip(ps, xs):
+                    c += np.sum(pw * p2, axis=1)[:, None] * x2
+                c *= x
+                sq += c
+                bound += ax * (root * np.sqrt(np.sum(pw * p, axis=1)))[:, None]
+            bound *= bound
+            Fb = F[:b, :m - 1 - s0]
+            sq *= Fb
+            bound *= Fb
+            top = np.argmax(sq)
+            floor = sq.flat[top] - bound.flat[top]
+            bound += sq                     # upper bound of each pair
+            if not np.isfinite(floor):
+                keep = Fb > 0
+            elif floor > sups[j]:
+                keep = bound >= floor
+            else:
+                keep = bound > sups[j]
+            ii, cc = np.divmod(np.flatnonzero(keep), keep.shape[1])
+            if ii.size:
+                s, t = s0 + ii, s0 + 1 + cc
+                d = v[t] - v[s]
+                for p, X in legs:
+                    d += p[s] * (X[t] - X[s])[:, None]
+                sups[j] = np.maximum(sups[j], np.max(((d * d) @ w) / dt[cc - ii]))
+    return np.sqrt(sups)
 
 
 def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:

@@ -412,9 +412,14 @@ def stability_distance(sol1: ControlledPath, sol2: ControlledPath,
     check_grid(sol1, sol2)
     check_grid(sol1, D1)
     check_grid(sol2, D2)
-    if not (1.0 / 3.0 < gamma_prime < sol1.gamma):
-        raise ConfigError(f"gamma_prime must lie in (1/3, gamma), got {gamma_prime}")
+    check_gamma_prime(gamma_prime, sol1.gamma)
     return crp_difference_norm(sol1, D1, gamma_prime, sol2, D2)
+
+
+def check_gamma_prime(gamma_prime: float, gamma: float) -> None:
+    """ConfigError unless the stability exponent lies in (1/3, gamma)."""
+    if not (1.0 / 3.0 < gamma_prime < gamma):
+        raise ConfigError(f"gamma_prime must lie in (1/3, gamma), got {gamma_prime}")
 
 
 # -- cocycle ----------------------------------------------------------------------

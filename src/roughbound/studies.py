@@ -21,7 +21,8 @@ from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
-from .solver import ProblemSpec, additive_direct, cocycle_defect, solve_global
+from .solver import (ProblemSpec, additive_direct, check_gamma_prime, cocycle_defect,
+                     solve_global)
 from .spectral_scale import Scale, generator_coefficients
 
 
@@ -228,6 +229,7 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
 
     if not (len(lambdas) and len(eps0)):
         raise ConfigError("the stability study needs lambdas and eps0")
+    check_gamma_prime(gamma_prime, scale.gamma)
     D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
     y0 = np.asarray(y0, float)
     base = solve_global(ProblemSpec(scale, D, F, y0, drift)).path

@@ -3,6 +3,7 @@ import pytest
 
 from roughbound import (BoundaryVector, ScaleConfig, build_scale, neumann_map,
                         sample_fbm)
+from roughbound.rough_driver import lag_sups
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,31 @@ def brute_force_remainder(times, y, y_prime, X, norms_fn, exponent):
         for j in range(i + 1, m):
             r = y[j] - y[i] - y_prime[i] * (X[j] - X[i])
             worst = max(worst, norms_fn(r) / (times[j] - times[i]) ** exponent)
+    return worst
+
+
+def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:
+    """[R^y]_exponent at the given index over all grid pairs."""
+    def increments(lag):
+        return y[lag:] - y[:-lag] - y_prime[:-lag] * (X[lag:] - X[:-lag])[:, None]
+
+    return float(lag_sups(times, increments, space.sq_weights(alpha)[None, :],
+                          (exponent,))[0])
+
+
+def brute_force_increment_sup(times, v, legs, norm_fn, exponent):
+    """sup over pairs s < t of norm_fn(v_t - v_s + sum_legs p_s X_{t,s})
+    / (t-s)^exponent, one row s at a time against every later t, with
+    t - s = lag x the uniform grid step (test oracle)."""
+    m = len(times)
+    h = (times[-1] - times[0]) / (m - 1)
+    worst = 0.0
+    for i in range(m - 1):
+        d = v[i + 1:] - v[i]
+        for p, X in legs:
+            d = d + p[i] * (X[i + 1:] - X[i])[:, None]
+        worst = max(worst, float(np.max(norm_fn(d)
+                                        / (np.arange(1, m - i) * h) ** exponent)))
     return worst
 
 

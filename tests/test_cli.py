@@ -97,6 +97,25 @@ def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
     assert run([study, "--config", cfg, "--out", str(out)]) == 2
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the setting should be rejected before any solve")
+
+
+@pytest.mark.parametrize("module, study, line, code", [
+    ("roughbound.cli", "solve", "out_stride = 3", 3),
+    ("roughbound.cli", "solve", "out_stride = 512", 3),
+    ("roughbound.studies", "stability", "gamma_prime = 0.40", 2),
+    ("roughbound.studies", "stability", "gamma_prime = 0.30", 2),
+])
+def test_unusable_settings_are_rejected_before_solving(tmp_path, monkeypatch,
+                                                       module, study, line, code):
+    monkeypatch.setattr(f"{module}.solve_global", _no_solve)
+    cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([study, "--config", cfg, "--out", str(out)]) == code
+
+
 def test_solve_writes_solution_csv(tmp_path, capsys):
     cfg = _write(tmp_path, "solve.cfg",
                  "study = solve\nH = 0.45\nn = 256\nK = 8\nseed = 3\n"

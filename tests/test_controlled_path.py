@@ -7,10 +7,10 @@ from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPa
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
 from roughbound.boundary_lift import lift_matrix
-from roughbound.controlled_path import (crp_distance, path_seminorm,
-                                        remainder_seminorm)
+from roughbound.controlled_path import crp_distance, path_seminorm
 
-from conftest import brute_force_crp_norm, brute_force_holder, brute_force_remainder
+from conftest import (brute_force_crp_norm, brute_force_holder,
+                      brute_force_remainder, remainder_seminorm)
 
 
 def _squashed(scale, gain=0.8, amp=1.0, bias=(0.3, -0.2), delta2=2.0):
@@ -100,7 +100,7 @@ def test_remainder_reconstruction(neumann_scale, driver_small):
 def test_holder_consistency_bound(neumann_scale):
     # [y]_{gamma, alpha-theta} <= ||y'||_{inf, alpha-theta} [X]_gamma
     #                            + [R]_{gamma, alpha-theta},  theta in {g, 2g}
-    from roughbound.controlled_path import path_seminorm, remainder_seminorm, sup_norm
+    from roughbound.controlled_path import sup_norm
     from roughbound import holder_seminorm
     D = sample_fbm(0.45, 64, 1.0, seed=21, gamma=0.40)
     F = _squashed(neumann_scale)

@@ -223,7 +223,7 @@ def test_domain_membership_proxy(neumann_scale):
 def test_gubinelli_contract_seminorm_stable(neumann_scale):
     # the pair (z, y) keeps a finite 2 gamma remainder seminorm whose
     # rho-normalized value is stable under grid refinement
-    from roughbound.controlled_path import remainder_seminorm
+    from conftest import remainder_seminorm
     from roughbound import rho
     F = _squashed(neumann_scale)
     y0 = neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs

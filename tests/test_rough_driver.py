@@ -15,8 +15,8 @@ from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
                                      chen_defect_max, geometric_chen_defect_max,
                                      save_csv)
 
-from conftest import (brute_force_holder, brute_force_rough_metric,
-                      dense_increment_cholesky)
+from conftest import (brute_force_holder, brute_force_increment_sup,
+                      brute_force_rough_metric, dense_increment_cholesky)
 
 
 def test_brownian_increments_iid():
@@ -421,3 +421,69 @@ def test_csv_export_roundtrip(tmp_path):
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.array_equal(back[:, 0], D.times)
     assert np.array_equal(back[:, 1], D.X)
+
+
+def _increment_case(case, m, n_legs):
+    """(v, legs) on m grid points: generic, offset by 1e8, constant, exactly
+    controlled (y = c + sum_l v_l X^l, p_l = -v_l), zero, or identical legs."""
+    rng = np.random.default_rng(m + 10 * n_legs)
+    X = [np.concatenate(([0.0], np.cumsum(rng.standard_normal(m - 1)))) / np.sqrt(m)
+         for _ in range(n_legs)]
+    walk = np.cumsum(rng.standard_normal((m, 16)), axis=0) / np.sqrt(m)
+    ps = [rng.standard_normal((m, 16)) for _ in range(n_legs)]
+    c = rng.standard_normal(16)
+    if case == "generic":
+        return walk, list(zip(ps, X))
+    if case == "offset":
+        return 1e8 + walk, list(zip(ps, X))
+    if case == "constant":
+        return np.tile(c, (m, 1)), [(np.zeros((m, 16)), x) for x in X]
+    if case == "controlled":
+        vecs = rng.standard_normal((n_legs, 16))
+        y = c + sum(np.outer(x, vec) for x, vec in zip(X, vecs))
+        return y, [(np.tile(-vec, (m, 1)), x) for x, vec in zip(X, vecs)]
+    if case == "zero":
+        return np.zeros((m, 16)), [(np.zeros((m, 16)), x) for x in X]
+    # identical: the remainder difference of one path over one driver
+    return np.zeros((m, 16)), [(-ps[0], X[0]), (ps[0], X[0])]
+
+
+@pytest.mark.parametrize("m", [2, 3, 65, 130, 257])
+@pytest.mark.parametrize("case, n_legs", [
+    ("generic", 1), ("generic", 2), ("offset", 1), ("offset", 2),
+    ("constant", 2), ("controlled", 1), ("controlled", 2), ("zero", 1),
+    ("identical", 2)])
+def test_increment_sups_match_the_pairwise_oracle(neumann_scale, m, case, n_legs):
+    # m = 130 and 257 run over several row blocks, m - 1 = 129 is no power of 2
+    v, legs = _increment_case(case, m, n_legs)
+    times = np.linspace(0.0, 1.0, m)
+    alphas, exponents = (-0.7, -1.1), (0.4, 0.8)
+    W = np.stack([neumann_scale.sq_weights(a) for a in alphas])
+    sups = rough_driver.increment_sups(times, v, legs, W, exponents)
+    for sup, a, e in zip(sups, alphas, exponents):
+        expected = brute_force_increment_sup(
+            times, v, legs, lambda d, a=a: neumann_scale.norm(d, a), e)
+        assert sup == pytest.approx(expected, rel=1e-14, abs=0.0)
+        if case in ("constant", "zero", "identical"):
+            assert sup == 0.0
+    no_legs = rough_driver.increment_sups(times, v, (), W[:1], exponents[:1])[0]
+    assert no_legs == pytest.approx(brute_force_increment_sup(
+        times, v, (), lambda d: neumann_scale.norm(d, alphas[0]), exponents[0]),
+        rel=1e-14, abs=0.0)
+
+
+def test_increment_sups_recompute_only_the_screened_pairs(neumann_scale):
+    # each block is centred at its first row, so the 1e8 offset leaves the
+    # rounding bound tight and few pairs reach the direct recompute; the
+    # traced peak stays near a few (rows, m) temporaries of 128 KiB, where
+    # recomputing every pair of the 64-row blocks holds about 6.5 MiB
+    v, legs = _increment_case("offset", 257, 2)
+    W = np.stack([neumann_scale.sq_weights(a) for a in (-0.7, -1.1)])
+    tracemalloc.start()
+    try:
+        rough_driver.increment_sups(np.linspace(0.0, 1.0, 257), v, legs, W,
+                                    (0.4, 0.8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
