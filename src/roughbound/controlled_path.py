@@ -13,7 +13,10 @@ with the norm
 
 all seminorms taken over grid pairs.  Their increments have the form
 v_t - v_s + p_s X_{t,s}, so they come from the screened Gram kernel
-``rough_driver.increment_sups`` (also behind ``path_seminorm``); the driver
+``rough_driver.increment_sups`` (also behind ``path_seminorm``): each row
+block's squared norms are one low-rank GEMM plus one GEMM of inner dimension
+k per vector term, screened by one compare against a per-row rounding bound
+before the few surviving pairs are recomputed directly.  The driver
 seminorms and the integral-remainder certificate, whose increments are
 scalar or damped per lag, stay on the lag loop ``rough_driver.lag_sups``.
 Values may live on the interior scale (spectral coefficients) or on the
@@ -68,10 +71,6 @@ class ControlledPath:
     def n(self):
         return self.times.size - 1
 
-    def remainder(self, i: int, j: int, D: RoughDriver):
-        """R^y_{t_j, t_i} for grid indices i <= j."""
-        return self.y[j] - self.y[i] - self.y_prime[i] * (D.X[j] - D.X[i])
-
     def restricted(self, stride: int, stop: int | None = None) -> "ControlledPath":
         sel = restriction_indices(self.n, stride, stop)
         return ControlledPath(self.times[sel].copy(), self.y[sel].copy(),
@@ -83,10 +82,6 @@ class ControlledPath:
         return ControlledPath(self.times, self.y - other.y,
                               self.y_prime - other.y_prime, self.alpha,
                               self.gamma, self.space)
-
-    def scaled(self, c: float) -> "ControlledPath":
-        return ControlledPath(self.times, self.y * c, self.y_prime * c,
-                              self.alpha, self.gamma, self.space)
 
 
 def constant_path(times, value, zero_prime, alpha, gamma, space) -> ControlledPath:
@@ -234,11 +229,6 @@ class SquashedTrace(SmoothMap):
         phi2 = (-2.0 / self.amp) * t * (1.0 - t * t)
         return (phi2 * (np.asarray(h_rows, dtype=float) @ self.w)
                 * (np.asarray(g_rows, dtype=float) @ self.w))
-
-    @property
-    def phi_second_bound(self):
-        """sup |phi''| for phi(u) = amp tanh(u/amp): 4 / (3 sqrt(3) amp)."""
-        return 4.0 / (3.0 * np.sqrt(3.0) * self.amp)
 
 
 class ConstantBoundary(SmoothMap):

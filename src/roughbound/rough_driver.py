@@ -310,7 +310,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
 
 def check_grid(a, b):
     """GridMismatch unless paths or drivers a, b share a grid to 1e-12 max(1, |T|)."""
-    if a.times is b.times:
+    if a.times is b.times or np.array_equal(a.times, b.times):
         return
     if a.times.shape != b.times.shape or not np.allclose(
             a.times, b.times, rtol=0, atol=1e-12 * max(1.0, abs(a.times[-1]))):
@@ -346,39 +346,45 @@ _EPS = float(np.finfo(float).eps)
 def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     """Per norm j, the sup over pairs s < t of |d_{st}|_j / (t-s)^exponents[j].
 
-    d_{st} = v_t - v_s + sum_l p^l_s X^l_{t,s}, where v is (m, k), each leg l
-    is a pair (p^l, X^l) of an (m, k) array and an (m,) path, and row j of
-    the (r, k) `weights` holds the squared norm weights of norm j.  The rows
-    s run in blocks of at most _BLOCK_CELLS // (m - 1), so one (rows, m)
-    temporary holds at most 128 KiB.  A block is centred at its first row,
-    u = v - v_{s0}, so that a constant offset does not cancel, and every
-    pair's squared norm is read off a few GEMMs:
+    d_{st} = v_t - v_s + sum_l p^l_s X^l_{t,s}, where v is (m, k), each of the
+    L legs is a pair (p^l, X^l) of an (m, k) array and an (m,) path, and row
+    j of the (r, k) `weights` holds the squared norm weights of norm j.
+    Centred at row 0, u = v - v_0 and x^l = X^l - X^l_0, the increment is
+    d_{st} = u_t + B_s + sum_l x^l_t p^l_s with B_s = -u_s - sum_l x^l_s p^l_s,
+    so in the weights of norm j, with a = |u|^2,
 
-        |d|^2 = a_t + a_s - 2 <u_s, u_t> + sum_l X^l_{t,s} c^l_{st},
-        c^l = 2 <p^l_s, u_t - u_s> + sum_l' X^l'_{t,s} <p^l_s, p^l'_s>,
+        |d_{st}|^2 = a_t + |B_s|^2 + sum_l 2 x^l_t <B_s, p^l_s>
+                     + sum_{l,l'} x^l_t x^l'_t <p^l_s, p^l'_s>
+                     + 2 <B_s, u_t> + sum_l 2 <p^l_s, x^l_t u_t>.
 
-    with a = |u|^2, all inner products in the weights of norm j.  The Gram
-    value alone loses half the digits where the increment is small next to
-    v (sqrt(eps) |v| on a constant path), so only pairs whose Gram value
-    plus a rounding bound reaches both the running sup and the block's best
-    lower bound are recomputed from direct differences, and the sups are
-    those direct values.
+    The t-side factors u, x^l u, 1, x^l, x^l x^l' carry no weights and are
+    built once per call, the s-side ones once per norm.  Rows s run in blocks
+    of at most _BLOCK_CELLS // (m - 1), and a block's squared norms are one
+    GEMM of inner dimension K = 2 + L + L(L+1)/2 for the first two lines plus
+    one of inner dimension k per inner product of the last.  (One fused GEMM
+    of inner dimension K + (L+1)k crosses OpenBLAS's single-thread size
+    m n k = 2^18 at m = 129 and needs larger per-norm factors; it was no
+    faster end to end.)  The Gram value loses half the digits where the
+    increment is small next to u, so only pairs whose Gram value comes within
+    a rounding bound beta_s of the sup are recomputed from direct
+    differences, and the sups are those direct values.
 
-    Rounding bound.  With L legs, let
-    M = (|u_s| + |u_t| + sum_l |X^l_{t,s}| |p^l_s|)^2.  Expanded, the Gram
-    form sums products whose absolute values add up to
-    sum_i w_i (|u_ti| + |u_si| + sum_l |X^l_{t,s}| |p^l_si|)^2 <= M, each
-    formed with at most k + 2L + 8 roundings (two factors, a length-k dot
-    product, the two rounded X increments and the additions that combine
-    the terms).  By the gamma_n dot-product rule the Gram value is within
-    gamma_{k+2L+8} M of the exact |u_t - u_s + ...|^2, and the centring
-    moves that by at most 2 eps M.  The direct recompute (L + 2 roundings
-    per coordinate, a length-k weighted sum) is within (k + 2L + 5) eps M
-    of it.  For the at most two legs the callers pass, c = 4 (k + 8) covers
-    the sum of the two with room for the 1/(1 - n eps) of gamma_n, the lag
-    scaling and the rounding of the bound itself, so a pair that is not
-    recomputed cannot hold the sup.  A non-finite Gram value sends its
-    block to the recompute.
+    Rounding bound.  Both values sum products of two of the atoms u_t, -u_s,
+    -x^l_s p^l_s and x^l_t p^l_s, whose absolute values add up to at most
+    M_s = (max_{t>s} |u_t| + |u_s| + sum_l |p^l_s| (max_{t>s} |x^l_t| + |x^l_s|))^2.
+    Along any product the Gram value rounds at most N_G = k + K + 3L + 8
+    times (the most in |B_s|^2: L + 2 in each atom of B, a product, the
+    weight, k - 1 sums, the factor 1, K - 1 sums, L + 1 additions of the
+    other GEMMs, and the lag scaling F = 1 / (t-s)^{2e} with its own
+    rounding), the direct value at most N_D = k + 2L + 6 times.  By the
+    gamma_n rule each is within (N + 1) eps M_s max F of the exact value,
+    and forming a row's threshold rounds by at most eps times the block's
+    largest Gram value, itself at most M max F of its row.  So
+    beta_s = c eps M_s max F with c = N_G + N_D + 4 = 2k + K + 5L + 18 exceeds
+    every gap between Gram and direct value in row s, and a pair whose Gram
+    value is below the block's best lower bound, or the running sup, less
+    beta_s cannot hold the sup.  A non-finite Gram value sends its block to
+    the recompute.
     """
     v = np.asarray(v, dtype=float)
     W = np.asarray(weights, dtype=float)
@@ -388,54 +394,60 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
         return sups
     rows = max(1, _BLOCK_CELLS // (m - 1))
     lags = np.arange(1, m) * ((times[-1] - times[0]) / (m - 1))
-    # sqrt(c eps), folded into the norms whose sum is squared into the bound
-    root = np.sqrt(4.0 * (k + 8) * _EPS)
-    scaled = []
-    for e in exponents:
+    ps = [p for p, _ in legs]
+    xs = [X - X[0] for _, X in legs]
+    L = len(legs)
+    # scalar t-side factors a (row 0, set per norm), 1, x^l, x^l x^l' (squares first)
+    quad = [(l, l) for l in range(L)] + [(l, l2) for l in range(L)
+                                         for l2 in range(l + 1, L)]
+    T = np.array([np.zeros(m), np.ones(m)] + xs + [xs[l] * xs[l2] for l, l2 in quad])
+    u = v - v[0]
+    ut = u.T.copy()     # GEMMs read (k, m) column blocks faster than (m, k) rows
+    xus = [x * ut for x in xs]
+    B = -u
+    for p, x in zip(ps, xs):
+        B -= x[:, None] * p
+    # max over t > s of |x^l_t|, for s = 0 .. m - 2
+    ahead = [np.maximum.accumulate(np.abs(x[:0:-1]))[::-1] for x in xs]
+    c_eps = (2 * k + T.shape[0] + 5 * L + 18) * _EPS     # K = T.shape[0]
+    for j, (w, e) in enumerate(zip(W, exponents)):
         dt = lags ** (2.0 * float(e))
-        # a view F with F[i, c] = 1 / dt[c - i] for c >= i, else 0: the pair
+        inv = 1.0 / dt
+        # a view F with F[i, c] = inv[c - i] for c >= i, else 0: the pair
         # (s0 + i, s0 + 1 + c) of any block has lag c - i + 1
-        pad = np.concatenate((np.zeros(rows - 1), 1.0 / dt))
-        scaled.append((dt, np.ndarray((rows, m - 1), buffer=pad,
-                                      offset=(rows - 1) * pad.itemsize,
-                                      strides=(-pad.itemsize, pad.itemsize))))
-    for s0 in range(0, m - 1, rows):
-        b = min(rows, m - 1 - s0)
-        u = v[s0:] - v[s0]
-        uS, uT = u[:b], u[1:]
-        xs = [X[s0 + 1:] - X[s0:s0 + b, None] for _, X in legs]
-        ps = [p[s0:s0 + b] for p, _ in legs]
-        abs_xs = [np.abs(x) for x in xs]
-        for j, (w, (dt, F)) in enumerate(zip(W, scaled)):
-            a = (u * u) @ w
-            sq = (uS * (-2.0 * w)) @ uT.T
-            sq += a[1:]
-            sq += a[:b, None]
-            norms = root * np.sqrt(a)
-            bound = norms[1:] + norms[:b, None]
-            for p, x, ax in zip(ps, xs, abs_xs):
-                pw = p * w
-                c = (2.0 * pw) @ uT.T
-                c -= 2.0 * np.sum(pw * uS, axis=1)[:, None]
-                for p2, x2 in zip(ps, xs):
-                    c += np.sum(pw * p2, axis=1)[:, None] * x2
-                c *= x
-                sq += c
-                bound += ax * (root * np.sqrt(np.sum(pw * p, axis=1)))[:, None]
-            bound *= bound
+        pad = np.concatenate((np.zeros(rows - 1), inv))
+        F = np.ndarray((rows, m - 1), buffer=pad, offset=(rows - 1) * pad.itemsize,
+                       strides=(-pad.itemsize, pad.itemsize))
+        w2 = 2.0 * w
+        T[0] = (u * u) @ w
+        S = np.array([np.ones(m), (B * B) @ w] + [(B * p) @ w2 for p in ps]
+                     + [(ps[l] * ps[l2]) @ (w if l == l2 else w2) for l, l2 in quad])
+        bw = B * w2
+        pws = [p * w2 for p in ps]
+        # beta_s of every row s = 0 .. m - 2
+        norm_u = np.sqrt(T[0])
+        lead = np.maximum.accumulate(norm_u[:0:-1])[::-1] + norm_u[:-1]
+        for l, (x, xa) in enumerate(zip(xs, ahead)):
+            lead += np.sqrt(S[2 + L + l, :-1]) * (xa + np.abs(x[:-1]))
+        beta = (c_eps * np.max(inv)) * lead * lead
+        for s0 in range(0, m - 1, rows):
+            b = min(rows, m - 1 - s0)
+            sq = S[:, s0:s0 + b].T @ T[:, s0 + 1:]
+            sq += bw[s0:s0 + b] @ ut[:, s0 + 1:]
+            for pw, xu in zip(pws, xus):
+                sq += pw[s0:s0 + b] @ xu[:, s0 + 1:]
             Fb = F[:b, :m - 1 - s0]
             sq *= Fb
-            bound *= Fb
             top = np.argmax(sq)
-            floor = sq.flat[top] - bound.flat[top]
-            bound += sq                     # upper bound of each pair
+            floor = sq.flat[top] - beta[s0 + top // sq.shape[1]]
             if not np.isfinite(floor):
                 keep = Fb > 0
             elif floor > sups[j]:
-                keep = bound >= floor
+                keep = sq >= (floor - beta[s0:s0 + b])[:, None]
             else:
-                keep = bound > sups[j]
-            ii, cc = np.divmod(np.flatnonzero(keep), keep.shape[1])
+                keep = sq > (sups[j] - beta[s0:s0 + b])[:, None]
+            ii, cc = np.divmod(np.flatnonzero(keep), sq.shape[1])
+            ii, cc = ii[cc >= ii], cc[cc >= ii]     # the block's pairs t <= s
             if ii.size:
                 s, t = s0 + ii, s0 + 1 + cc
                 d = v[t] - v[s]

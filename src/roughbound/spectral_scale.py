@@ -155,10 +155,6 @@ class SpectralVector:
         _check_same_scale(self, other)
         return SpectralVector(self.coeffs - other.coeffs, self.alpha, self.scale)
 
-    def evaluate(self, x):
-        """Reconstruct the function at points x from the truncated expansion."""
-        return self.scale.basis(x) @ self.coeffs
-
 
 def _check_same_scale(u, v):
     if u.scale is not v.scale or u.alpha != v.alpha:

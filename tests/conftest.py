@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from roughbound import (BoundaryVector, ScaleConfig, build_scale, neumann_map,
-                        sample_fbm)
+from roughbound import (BoundaryVector, ControlledPath, ScaleConfig, build_scale,
+                        neumann_map, sample_fbm)
 from roughbound.rough_driver import lag_sups
 
 
@@ -47,6 +47,26 @@ def brute_force_remainder(times, y, y_prime, X, norms_fn, exponent):
             r = y[j] - y[i] - y_prime[i] * (X[j] - X[i])
             worst = max(worst, norms_fn(r) / (times[j] - times[i]) ** exponent)
     return worst
+
+
+def remainder(path, i, j, D):
+    """R^y_{t_j, t_i} for grid indices i <= j."""
+    return path.y[j] - path.y[i] - path.y_prime[i] * (D.X[j] - D.X[i])
+
+
+def scaled(path, c):
+    return ControlledPath(path.times, path.y * c, path.y_prime * c,
+                          path.alpha, path.gamma, path.space)
+
+
+def phi_second_bound(F):
+    """sup |phi''| for phi(u) = amp tanh(u/amp): 4 / (3 sqrt(3) amp)."""
+    return 4.0 / (3.0 * np.sqrt(3.0) * F.amp)
+
+
+def evaluate(v, x):
+    """Reconstruct the function at points x from the truncated expansion."""
+    return v.scale.basis(x) @ v.coeffs
 
 
 def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:

@@ -13,6 +13,8 @@ from roughbound import studies
 from roughbound.rough_convolution import log2_slope, mode_filter
 from roughbound.studies import canonical_integrand, interchange_error
 
+from conftest import scaled
+
 
 def _squashed(scale, gain=0.8, delta2=2.0):
     w0, w1 = default_trace_weights(scale, gain)
@@ -137,7 +139,7 @@ def test_sewing_defect_homogeneity(neumann_scale, driver_small):
     y0 = neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs
     p = canonical_integrand(neumann_scale, F, y0, driver_small)
     r1 = sewing_convergence(p, driver_small, 1.0, range(3, 7))
-    r2 = sewing_convergence(p.scaled(2.0), driver_small, 1.0, range(3, 7))
+    r2 = sewing_convergence(scaled(p, 2.0), driver_small, 1.0, range(3, 7))
     assert np.allclose(r2.defects, 2.0 * r1.defects, rtol=1e-12)
 
 

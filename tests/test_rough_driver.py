@@ -424,8 +424,9 @@ def test_csv_export_roundtrip(tmp_path):
 
 
 def _increment_case(case, m, n_legs):
-    """(v, legs) on m grid points: generic, offset by 1e8, constant, exactly
-    controlled (y = c + sum_l v_l X^l, p_l = -v_l), zero, or identical legs."""
+    """(v, legs) on m grid points: generic, offset by 1e8, drifting by 1e3 t,
+    constant, exactly controlled (y = c + sum_l v_l X^l, p_l = -v_l), zero,
+    or identical legs."""
     rng = np.random.default_rng(m + 10 * n_legs)
     X = [np.concatenate(([0.0], np.cumsum(rng.standard_normal(m - 1)))) / np.sqrt(m)
          for _ in range(n_legs)]
@@ -436,6 +437,8 @@ def _increment_case(case, m, n_legs):
         return walk, list(zip(ps, X))
     if case == "offset":
         return 1e8 + walk, list(zip(ps, X))
+    if case == "drift":
+        return walk + 1e3 * np.linspace(0.0, 1.0, m)[:, None], list(zip(ps, X))
     if case == "constant":
         return np.tile(c, (m, 1)), [(np.zeros((m, 16)), x) for x in X]
     if case == "controlled":
@@ -448,13 +451,17 @@ def _increment_case(case, m, n_legs):
     return np.zeros((m, 16)), [(-ps[0], X[0]), (ps[0], X[0])]
 
 
-@pytest.mark.parametrize("m", [2, 3, 65, 130, 257])
-@pytest.mark.parametrize("case, n_legs", [
-    ("generic", 1), ("generic", 2), ("offset", 1), ("offset", 2),
-    ("constant", 2), ("controlled", 1), ("controlled", 2), ("zero", 1),
-    ("identical", 2)])
+@pytest.mark.parametrize("case, n_legs, m", [
+    (case, n_legs, m) for case, n_legs in (
+        ("generic", 1), ("generic", 2), ("offset", 1), ("offset", 2),
+        ("drift", 1), ("drift", 2), ("constant", 2), ("controlled", 1),
+        ("controlled", 2), ("zero", 1), ("identical", 2))
+    for m in (2, 3, 65, 130, 257)] + [("generic", 2, 1025), ("drift", 2, 1025)])
 def test_increment_sups_match_the_pairwise_oracle(neumann_scale, m, case, n_legs):
-    # m = 130 and 257 run over several row blocks, m - 1 = 129 is no power of 2
+    # m = 130 and 257 run over several row blocks, m - 1 = 129 is no power of
+    # 2, and m = 1025 is the stability size (64 blocks of 16 rows).  Centred
+    # once at row 0, the drift leaves |u| far above the short-lag increments,
+    # which the per-row rounding bound must still cover.
     v, legs = _increment_case(case, m, n_legs)
     times = np.linspace(0.0, 1.0, m)
     alphas, exponents = (-0.7, -1.1), (0.4, 0.8)
