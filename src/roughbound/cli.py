@@ -25,7 +25,7 @@ from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      DirichletRegularityError, GridMismatch, IoError,
                      RegularityError, RoughboundError, ScaleIndexError,
                      ScaleUnderflow, SingularLift)
-from .rough_driver import restriction_indices, save_csv
+from .rough_driver import restriction_indices
 from .solver import solve_global, solve_young_dirichlet
 from .spectral_scale import NEUMANN
 
@@ -82,7 +82,8 @@ def _fmt(v) -> str:
 
 def cmd_sample(cfg: dict, out: str) -> list:
     D = build_driver_from(cfg)
-    save_csv(D, _out_path(out, "driver.csv"))
+    _write_lines(_out_path(out, "driver.csv"), "time,X",
+                 (f"{t:.17g},{x:.17g}" for t, x in zip(D.times, D.X)))
     meta = [("H", D.H), ("n", D.n), ("T", D.T), ("gamma", D.gamma),
             ("seed", cfg["seed"]), ("lift", D.lift)]
     _write_rows(_out_path(out, "driver.meta"), "key,value", meta)

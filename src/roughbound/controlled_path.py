@@ -16,9 +16,9 @@ v_t - v_s + p_s X_{t,s}, so they come from the screened Gram kernel
 ``rough_driver.increment_sups`` (also behind ``path_seminorm``): each row
 block's squared norms are one low-rank GEMM plus one GEMM of inner dimension
 k per vector term, screened by one compare against a per-row rounding bound
-before the few surviving pairs are recomputed directly.  The driver
-seminorms and the integral-remainder certificate, whose increments are
-scalar or damped per lag, stay on the lag loop ``rough_driver.lag_sups``.
+before the few surviving pairs are recomputed directly.  The same kernel
+serves the driver seminorms; only the integral-remainder certificate, whose
+increments are damped per lag, runs its own loop over lags.
 Values may live on the interior scale (spectral coefficients) or on the
 two-point boundary (Euclidean norm); the same machinery serves both.
 

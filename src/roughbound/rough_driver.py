@@ -10,6 +10,17 @@ half the bracket [X]; Friz & Hairer, ch. 5), so every lift is stored as g:
 and g = 0 is the canonical geometric lift.  Explicit lifts are kept only for
 adversarial tests; `lift_explicit` validates a supplied XX matrix in O(n^2).
 
+The sups over grid pairs come from one kernel, `increment_sups`, for
+increments v_t - v_s + sum_l p^l_s X^l_{t,s} (only the integral-remainder
+certificate, damped per lag, keeps its own loop).  The driver seminorms
+have that form too: by Chen's relation
+
+    XX_{t,s} = (X_t^2/2 + g_t) - (X_s^2/2 + g_s) - X_s X_{t,s},
+
+so (X_{t,s}, XX_{t,s}) is the increment of v = (X, X^2/2 + g) with the leg
+p = (0, -X) over X, and `rough_metric` passes the difference of two such
+pairs in one call; `rho` is the distance to the zero path.
+
 Fractional Brownian paths are drawn exactly in law from the Cholesky factor
 of the increment covariance, the Toeplitz matrix of the fGn autocovariance
 
@@ -31,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChenViolation, ConfigError, CovarianceNotPD, GridMismatch, IoError
+from .errors import ChenViolation, ConfigError, CovarianceNotPD, GridMismatch
 
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
@@ -102,11 +113,6 @@ class RoughDriver:
     def xx_entry(self, i, j):
         """XX_{t_j, t_i} for grid indices i <= j (integers or index arrays)."""
         return 0.5 * (self.X[j] - self.X[i]) ** 2 + (self.g[j] - self.g[i])
-
-    def xx_lag(self, lag: int):
-        """XX_{t_{i+lag}, t_i} for all i, shape (n+1-lag,)."""
-        return (0.5 * (self.X[lag:] - self.X[:-lag]) ** 2
-                + (self.g[lag:] - self.g[:-lag]))
 
     # -- derived drivers -----------------------------------------------------
 
@@ -318,25 +324,6 @@ def check_grid(a, b):
                            "different grids")
 
 
-def lag_sups(times, increments, weights, exponents) -> np.ndarray:
-    """sup over grid pairs of |d|_j / (t-s)^exponents[j] for r norms, one lag pass.
-
-    increments(lag) returns the (m - lag, k) increments of the points lag
-    apart and row j of the (r, k) `weights` holds the squared norm weights of
-    norm j.  Reducing W (d d)^T along its rows is several times faster in
-    numpy than reducing (d d) W^T along its columns.
-    """
-    m = times.size
-    W = np.asarray(weights, dtype=float)
-    per_lag = np.zeros((m - 1, W.shape[0]))
-    for lag in range(1, m):
-        d = increments(lag)
-        per_lag[lag - 1] = (W @ (d * d).T).max(axis=1)
-    dt = np.arange(1, m)[:, None] * ((times[-1] - times[0]) / (m - 1))
-    per_lag /= dt ** (2.0 * np.asarray(exponents, dtype=float))
-    return np.sqrt(np.max(per_lag, axis=0, initial=0.0))
-
-
 # doubles in one (rows, m) block temporary of increment_sups: 128 KiB, glibc's
 # default mmap threshold (taller blocks raise the peak RSS of full-grid norms)
 _BLOCK_CELLS = 16384
@@ -460,25 +447,33 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
 def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:
     """[X]_gamma = sup over grid pairs of |X_{t,s}| / (t-s)^gamma."""
     g = D.gamma if gamma is None else gamma
-    X = D.X
-    return float(lag_sups(D.times, lambda lag: (X[lag:] - X[:-lag])[:, None],
-                          np.ones((1, 1)), (g,))[0])
+    return float(increment_sups(D.times, D.X[:, None], (), np.ones((1, 1)), (g,))[0])
+
+
+def _lifted_pair(D: RoughDriver):
+    """v = (X, X^2/2 + g) and the leg p = (0, -X) over X.
+
+    By Chen's relation v_t - v_s + p_s X_{t,s} = (X_{t,s}, XX_{t,s}).
+    """
+    v = np.stack((D.X, 0.5 * D.X ** 2 + D.g), axis=1)
+    p = np.zeros_like(v)
+    p[:, 1] = -D.X
+    return v, p
 
 
 def rough_metric(D1: RoughDriver, D2: RoughDriver) -> float:
     """Inhomogeneous rough path distance over the common grid at D1's exponent."""
     check_grid(D1, D2)
-    g, X1, X2 = D1.gamma, D1.X, D2.X
-    return float(np.sum(lag_sups(D1.times, lambda lag: np.stack(
-        ((X1[lag:] - X1[:-lag]) - (X2[lag:] - X2[:-lag]),
-         D1.xx_lag(lag) - D2.xx_lag(lag)), axis=1), np.eye(2), (g, 2 * g))))
+    v1, p1 = _lifted_pair(D1)
+    v2, p2 = _lifted_pair(D2)
+    g = D1.gamma
+    return float(np.sum(increment_sups(D1.times, v1 - v2, ((p1, D1.X), (-p2, D2.X)),
+                                       np.eye(2), (g, 2 * g))))
 
 
 def rho(D: RoughDriver) -> float:
     """rho_gamma(X) = distance of the lifted path to the zero rough path."""
-    g, X = D.gamma, D.X
-    return float(np.sum(lag_sups(D.times, lambda lag: np.stack(
-        (X[lag:] - X[:-lag], D.xx_lag(lag)), axis=1), np.eye(2), (g, 2 * g))))
+    return rough_metric(D, RoughDriver(D.times, np.zeros(D.n + 1), D.gamma))
 
 
 def shift(D: RoughDriver, tau: float) -> RoughDriver:
@@ -493,14 +488,3 @@ def shift(D: RoughDriver, tau: float) -> RoughDriver:
     if x.size < 2:
         raise GridMismatch("shift leaves fewer than two grid points")
     return RoughDriver(t.copy(), x.copy(), D.gamma, D.H, D.g[i:] - D.g[i])
-
-
-def save_csv(D: RoughDriver, path) -> None:
-    """Write the driver as `time,X` rows at 17 significant digits."""
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("time,X\n")
-            for t, x in zip(D.times, D.X):
-                fh.write(f"{t:.17g},{x:.17g}\n")
-    except OSError as exc:
-        raise IoError(str(path)) from exc

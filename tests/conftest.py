@@ -3,7 +3,6 @@ import pytest
 
 from roughbound import (BoundaryVector, ControlledPath, ScaleConfig, build_scale,
                         neumann_map, sample_fbm)
-from roughbound.rough_driver import lag_sups
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +53,12 @@ def remainder(path, i, j, D):
     return path.y[j] - path.y[i] - path.y_prime[i] * (D.X[j] - D.X[i])
 
 
+def xx_lag(D, lag):
+    """XX_{t_{i+lag}, t_i} for all i, shape (n+1-lag,)."""
+    return (0.5 * (D.X[lag:] - D.X[:-lag]) ** 2
+            + (D.g[lag:] - D.g[:-lag]))
+
+
 def scaled(path, c):
     return ControlledPath(path.times, path.y * c, path.y_prime * c,
                           path.alpha, path.gamma, path.space)
@@ -71,11 +76,8 @@ def evaluate(v, x):
 
 def remainder_seminorm(space, times, y, y_prime, X, alpha, exponent) -> float:
     """[R^y]_exponent at the given index over all grid pairs."""
-    def increments(lag):
-        return y[lag:] - y[:-lag] - y_prime[:-lag] * (X[lag:] - X[:-lag])[:, None]
-
-    return float(lag_sups(times, increments, space.sq_weights(alpha)[None, :],
-                          (exponent,))[0])
+    return brute_force_increment_sup(times, y, [(-y_prime, X)],
+                                     lambda d: space.norm(d, alpha), exponent)
 
 
 def brute_force_increment_sup(times, v, legs, norm_fn, exponent):
@@ -92,6 +94,27 @@ def brute_force_increment_sup(times, v, legs, norm_fn, exponent):
         worst = max(worst, float(np.max(norm_fn(d)
                                         / (np.arange(1, m - i) * h) ** exponent)))
     return worst
+
+
+def recompute_increment_sups(times, v, legs, weights, exponents):
+    """increment_sups by the kernel's own direct recompute over every pair
+    (test oracle): d = v_t - v_s, then d += p^l_s (X^l_t - X^l_s) leg by leg,
+    and (d d) w_j / lag^{2 e_j} on the same array of lags.  With one-hot rows
+    w_j the weighted sum has one nonzero term, so the result is bitwise the
+    kernel's whenever its screen keeps the pair that holds the sup."""
+    m = len(times)
+    W = np.asarray(weights, dtype=float)
+    lags = np.arange(1, m) * ((times[-1] - times[0]) / (m - 1))
+    sups = np.zeros(W.shape[0])
+    for j, (w, e) in enumerate(zip(W, exponents)):
+        dt = lags ** (2.0 * float(e))
+        for s in range(m - 1):
+            t = np.arange(s + 1, m)
+            d = v[t] - v[s]
+            for p, X in legs:
+                d += p[s] * (X[t] - X[s])[:, None]
+            sups[j] = max(sups[j], np.max(((d * d) @ w) / dt[t - s - 1]))
+    return np.sqrt(sups)
 
 
 def brute_force_crp_norm(path, driver):

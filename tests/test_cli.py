@@ -71,6 +71,9 @@ def test_exit_codes(tmp_path):
     assert run(["sample", "--config", bad_h, "--out", str(out)]) == 2
     ok = _write(tmp_path, "ok.cfg", "study = sample\nn = 64\n")
     assert run(["sample", "--config", ok, "--out", str(tmp_path / "missing")]) == 11
+    blocked = tmp_path / "blocked"
+    (blocked / "driver.csv").mkdir(parents=True)   # cannot be opened for writing
+    assert run(["sample", "--config", ok, "--out", str(blocked)]) == 11
     dirichlet_rough = _write(tmp_path, "d.cfg",
                              "study = solve\nbc = dirichlet\nH = 0.6\nn = 128\n"
                              "diffusion_delta2 = 2.5\ndelta = 0.005\n")

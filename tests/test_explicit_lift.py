@@ -12,7 +12,7 @@ from roughbound import (ControlledPath, level_sum, lift_explicit,
                         shift)
 
 from conftest import (dense_level_sum, dense_lift, dense_remainder_sups,
-                      dense_rough_convolve)
+                      dense_rough_convolve, xx_lag)
 
 N = 64
 
@@ -54,7 +54,7 @@ def test_lift_reads_the_bracket_path(lifted):
     assert sample_fbm(0.45, N, 1.0, seed=3).lift == "geometric"
     np.testing.assert_allclose(*_upper(D, XX), rtol=0, atol=1e-14)
     for lag in (1, 7, N):
-        np.testing.assert_allclose(D.xx_lag(lag), np.diagonal(XX, lag),
+        np.testing.assert_allclose(xx_lag(D, lag), np.diagonal(XX, lag),
                                    rtol=0, atol=1e-14)
 
 

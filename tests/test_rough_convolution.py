@@ -13,7 +13,7 @@ from roughbound import studies
 from roughbound.rough_convolution import log2_slope, mode_filter
 from roughbound.studies import canonical_integrand, interchange_error
 
-from conftest import scaled
+from conftest import scaled, xx_lag
 
 
 def _squashed(scale, gain=0.8, delta2=2.0):
@@ -85,7 +85,7 @@ def test_chasles_with_semigroup_compensation(neumann_scale, driver_small):
     s, t = 100, 230
     damp = np.exp(-neumann_scale.mu * (driver_small.times[t] - driver_small.times[s]))
     dx = np.diff(driver_small.X)
-    xx = driver_small.xx_lag(1)
+    xx = xx_lag(driver_small, 1)
     acc = np.zeros(16)
     for u in range(s, t):
         w = np.exp(-neumann_scale.mu * (driver_small.times[t] - driver_small.times[u]))

@@ -10,13 +10,15 @@ from roughbound import (ChenViolation, ConfigError, ControlledPath,
                         lift_geometric, rho, rough_convolve, rough_metric,
                         sample_fbm, shift, stability_distance, young_convolve)
 from roughbound import rough_driver
+from roughbound.cli import cmd_sample
+from roughbound.config import parse_config
 from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
                                      _increment_cholesky, _toeplitz_cholesky,
-                                     chen_defect_max, geometric_chen_defect_max,
-                                     save_csv)
+                                     chen_defect_max, geometric_chen_defect_max)
 
 from conftest import (brute_force_holder, brute_force_increment_sup,
-                      brute_force_rough_metric, dense_increment_cholesky)
+                      brute_force_rough_metric, dense_increment_cholesky,
+                      recompute_increment_sups)
 
 
 def test_brownian_increments_iid():
@@ -288,10 +290,13 @@ def _ito_lift(D):
     return lift_explicit(D.times, D.X, xx, D.gamma)
 
 
-@pytest.mark.parametrize("explicit", [False, True])
-def test_driver_seminorms_match_brute_force(explicit):
-    a = sample_fbm(0.45, 24, 1.0, seed=1)
-    b = sample_fbm(0.45, 24, 1.0, seed=2)
+@pytest.mark.parametrize("explicit, n", [
+    (False, 24), (True, 24), (False, 300), (True, 300)],
+    ids=["False", "True", "False-300", "True-300"])
+def test_driver_seminorms_match_brute_force(explicit, n):
+    # n = 300 spans several row blocks of increment_sups (54 rows each)
+    a = sample_fbm(0.45, n, 1.0, seed=1)
+    b = sample_fbm(0.45, n, 1.0, seed=2)
     if explicit:
         a, b = _ito_lift(a), _ito_lift(b)
     assert holder_seminorm(a, 0.35) == pytest.approx(
@@ -412,10 +417,11 @@ def test_constructors_store_the_float_arrays_they_freeze(neumann_scale):
 
 
 def test_csv_export_roundtrip(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("study = sample\nH = 0.45\nn = 16\nseed = 11\n")
+    cmd_sample(parse_config(str(cfg)), str(tmp_path))
     D = sample_fbm(0.45, 16, 1.0, seed=11)
-    p = tmp_path / "d.csv"
-    save_csv(D, p)
-    lines = p.read_text().splitlines()
+    lines = (tmp_path / "driver.csv").read_text().splitlines()
     assert lines[0] == "time,X"
     assert len(lines) == 18
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
@@ -477,6 +483,35 @@ def test_increment_sups_match_the_pairwise_oracle(neumann_scale, m, case, n_legs
     assert no_legs == pytest.approx(brute_force_increment_sup(
         times, v, (), lambda d: neumann_scale.norm(d, alphas[0]), exponents[0]),
         rel=1e-14, abs=0.0)
+
+
+def _recompute_case(case):
+    """(times, v, legs, one-hot weights, exponents): drift plus zigzag with no
+    legs at m = 257, or an fBm driver's lift v = (X, X^2/2 + g) with the leg
+    (0, -X) over X at n = 1024, the call behind rho."""
+    if case == "zigzag":
+        t = np.linspace(0.0, 1.0, 257)
+        c = np.random.default_rng(0).standard_normal(16)
+        v = 50.0 * t[:, None] * c + (-1.0) ** np.arange(257)[:, None] * c
+        return t, v, (), np.eye(16), np.tile((0.4, 0.8), 8)
+    D = sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
+    v = np.stack((D.X, 0.5 * D.X ** 2 + D.g), axis=1)
+    p = np.zeros_like(v)
+    p[:, 1] = -D.X
+    return D.times, v, ((p, D.X),), np.eye(2), (D.gamma, 2 * D.gamma)
+
+
+@pytest.mark.parametrize("case", ["zigzag", "fbm lift"])
+def test_increment_sups_equal_the_recompute_oracle(case):
+    # the sups are direct recomputes, so they equal the oracle's bitwise iff
+    # the screen keeps each norm's best pair.  Centred at row 0, the drift
+    # leaves |u| far above the zigzag's increments with no leg to absorb the
+    # Gram error, so the |u| terms of the per-row bound beta_s decide; the
+    # driver lift puts large X^2/2 next to small XX_{t,s}.
+    times, v, legs, W, exponents = _recompute_case(case)
+    sups = rough_driver.increment_sups(times, v, legs, W, exponents)
+    assert np.array_equal(sups, recompute_increment_sups(times, v, legs, W,
+                                                         exponents))
 
 
 def test_increment_sups_recompute_only_the_screened_pairs(neumann_scale):
