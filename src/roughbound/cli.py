@@ -2,10 +2,10 @@
 
 Subcommands: sample, solve, convergence, cocycle, stability, invariants.
 Every run is reproducible from (config, seed) alone; floats are written at 17
-significant digits so reruns are byte-identical.  Each domain error maps to a
-distinct nonzero exit code, and the process exits 0 iff all requested checks
-pass; one machine-parseable `CHECK name PASS|FAIL value=... threshold=...`
-line is printed per check.
+significant digits so reruns are byte-identical.  Each domain error exits
+with the distinct nonzero code its class carries (`exit_code`), and the
+process exits 0 iff all requested checks pass; one machine-parseable
+`CHECK name PASS|FAIL value=... threshold=...` line is printed per check.
 """
 
 from __future__ import annotations
@@ -17,40 +17,13 @@ import sys
 import numpy as np
 
 from . import studies
-from .config import (build_drift_from, build_driver_from, build_problem,
-                     build_scale_from, parse_config, parse_float_list,
-                     parse_int_list, parse_levels, scale_map_y0)
-from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
-                     ContractionFailure, CovarianceNotPD,
-                     DirichletRegularityError, GridMismatch, IoError,
-                     RegularityError, RoughboundError, ScaleIndexError,
-                     ScaleUnderflow, SingularLift)
+from .config import (build_drift_from, build_driver_from, build_picard_from,
+                     build_problem, build_scale_from, parse_config,
+                     parse_levels, scale_map_y0)
+from .errors import ConfigError, IoError, RoughboundError
 from .rough_driver import restriction_indices
 from .solver import solve_global, solve_young_dirichlet
 from .spectral_scale import NEUMANN
-
-EXIT_CODES = (
-    (DirichletRegularityError, 9),
-    (RegularityError, 10),
-    (ConfigError, 2),
-    (GridMismatch, 3),
-    (ChenViolation, 4),
-    (CovarianceNotPD, 5),
-    (ScaleUnderflow, 6),
-    (SingularLift, 7),
-    (ContractionFailure, 8),
-    (IoError, 11),
-    (AprioriBoundViolation, 12),
-    (ScaleIndexError, 13),
-)
-
-
-def _exit_code(exc: RoughboundError) -> int:
-    for cls, code in EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return 1
-
 
 def _out_path(out_dir: str, name: str) -> str:
     if not os.path.isdir(out_dir):
@@ -131,7 +104,7 @@ def cmd_convergence(cfg: dict, out: str) -> list:
     study = studies.sewing_study(
         scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
-        levels=parse_levels(cfg["levels"]), beta=cfg["beta"])
+        levels=cfg["levels"], beta=cfg["beta"])
     _write_rows(_out_path(out, "convergence.csv"), "level,defect,beta",
                 [(int(l), float(d), study.beta)
                  for l, d in zip(study.levels, study.mean_defects)])
@@ -143,8 +116,8 @@ def cmd_cocycle(cfg: dict, out: str) -> list:
     study = studies.cocycle_study(
         scale, F, y0, H=cfg["H"], master_n=cfg["n"], T=cfg["T"],
         gamma=cfg["gamma"], seeds=range(cfg["seed"], cfg["seed"] + cfg["seeds"]),
-        resolutions=parse_int_list(cfg["resolutions"]),
-        t=cfg["t"], tau=cfg["tau"], drift=build_drift_from(cfg, scale))
+        resolutions=cfg["resolutions"], t=cfg["t"], tau=cfg["tau"],
+        drift=build_drift_from(cfg, scale), picard=build_picard_from(cfg))
     _write_rows(_out_path(out, "cocycle.csv"), "resolution,defect",
                 list(zip(study.resolutions, study.mean_defects)))
     return [studies.Check("cocycle_refinement_ratio", study.final_ratio, 1.5,
@@ -156,9 +129,8 @@ def cmd_stability(cfg: dict, out: str) -> list:
     driver_study, initial_study = studies.stability_study(
         scale, F, y0, H=cfg["H"], n=cfg["n"], T=cfg["T"], gamma=cfg["gamma"],
         seed=cfg["seed"], gamma_prime=cfg["gamma_prime"],
-        lambdas=parse_float_list(cfg["lambdas"]),
-        eps0=parse_float_list(cfg["eps0"]),
-        drift=build_drift_from(cfg, scale))
+        lambdas=cfg["lambdas"], eps0=cfg["eps0"],
+        drift=build_drift_from(cfg, scale), picard=build_picard_from(cfg))
     rows = []
     for st in (driver_study, initial_study):
         rows.extend((st.kind, p, r) for p, r in zip(st.predictors, st.responses))
@@ -205,8 +177,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--out", default=None,
                        help="existing output directory for CSV artifacts")
-        p.add_argument("--levels", default=None,
-                       help="override dyadic levels, e.g. 4..10")
+        if name == "convergence":
+            p.add_argument("--levels", default=None,
+                           help="override dyadic levels, e.g. 4..10")
     return parser
 
 
@@ -216,16 +189,15 @@ def run(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.levels is not None:
-            parse_levels(args.levels)
-            cfg["levels"] = args.levels
+        if getattr(args, "levels", None) is not None:
+            cfg["levels"] = parse_levels(args.levels)
         needs_out = args.command != "invariants"
         if needs_out and args.out is None:
             raise ConfigError(f"--out is required for `{args.command}`")
         checks = _COMMANDS[args.command](cfg, args.out)
     except RoughboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     all_ok = True
     for check in checks:
         print(check.line())

@@ -2,9 +2,12 @@
 
 The format is one `key = value` pair per line, `#` comments, no nesting and
 no includes, so a run is fully determined by the config file plus the seed.
-Unknown or duplicate keys are rejected.  The full schema is documented in the
-README; every study key has a default, so minimal configs stay diff-able, and
-an absent `gamma` is filled in as H - gamma_slack.
+`_KEYS` gives each key its parser and default once, and `parse_config`
+returns typed values (finite floats; tuples, or a range for `levels`, for
+the lists) or a ConfigError that names the file and line of an unknown,
+duplicate or malformed entry.  The full schema is documented in the README;
+every study key has a default, so minimal configs stay diff-able, and an
+absent `gamma` is filled in as H - gamma_slack.
 """
 
 from __future__ import annotations
@@ -15,81 +18,32 @@ from .boundary_lift import lift_matrix
 from .controlled_path import (ConstantBoundary, LinearTrace, SquashedTrace,
                               default_trace_weights)
 from .errors import ConfigError, IoError
-from .rough_driver import sample_fbm
+from .rough_driver import DEFAULT_GAMMA_SLACK, sample_fbm
 from .solver import LinearDrift, PicardParams, ProblemSpec, SmoothBoundedDrift
 from .spectral_scale import Scale, ScaleConfig, build_scale
-
-_SCHEMA = {
-    # study selector
-    "study": str,
-    # scale
-    "a": float, "b": float, "K": int, "bc": str, "p": int, "delta": float,
-    "gamma": float,
-    # driver
-    "H": float, "n": int, "T": float, "seed": int, "gamma_slack": float,
-    # coefficients
-    "drift": str, "drift_c": float, "drift_amp": float, "drift_delta1": float,
-    "diffusion": str, "diffusion_gain": float, "diffusion_amp": float,
-    "diffusion_delta2": float, "diffusion_bias0": float,
-    "diffusion_bias1": float, "g0": float, "g1": float,
-    # initial data
-    "y0": str, "y0_g0": float, "y0_g1": float, "y0_coeffs": str,
-    # solver knobs
-    "tol": float, "max_iter": int, "max_halvings": int, "out_stride": int,
-    # study knobs
-    "levels": str, "beta": float, "seeds": int, "t": float, "tau": float,
-    "resolutions": str, "gamma_prime": float, "lambdas": str, "eps0": str,
-}
-
-_DEFAULTS = {
-    "study": "invariants",
-    "a": 1.0, "b": -1.0, "K": 16, "bc": "neumann", "p": 2, "delta": 0.05,
-    "H": 0.45, "n": 1024, "T": 1.0, "seed": 0, "gamma_slack": 0.05,
-    "drift": "none", "drift_c": -1.0, "drift_amp": 1.0,
-    "diffusion": "squashed_trace", "diffusion_gain": 0.8,
-    "diffusion_amp": 1.0, "diffusion_delta2": 2.0,
-    "diffusion_bias0": 0.3, "diffusion_bias1": -0.2, "g0": 1.0, "g1": 0.0,
-    "y0": "lift", "y0_g0": 1.0, "y0_g1": 0.5, "y0_coeffs": "1.0",
-    "tol": 1e-9, "max_iter": 80, "max_halvings": 10, "out_stride": 1,
-    "levels": "4..9", "beta": 0.0, "seeds": 10, "t": 0.25, "tau": 0.25,
-    "resolutions": "64,128,256", "gamma_prime": 0.35,
-    "lambdas": "0.95,0.99,1.01,1.05", "eps0": "-0.05,-0.01,0.01,0.05",
-}
 
 STUDIES = ("sample", "solve", "convergence", "cocycle", "stability", "invariants")
 
 
-def parse_config(path) -> dict:
-    """Read a flat key-value file into a typed dict with defaults applied."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(str(path)) from exc
-    cfg = dict(_DEFAULTS)
-    seen = set()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        try:
-            cfg[key] = _SCHEMA[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    if cfg["study"] not in STUDIES:
-        raise ConfigError(f"unknown study {cfg['study']!r}; pick one of {STUDIES}")
-    cfg.setdefault("gamma", cfg["H"] - cfg["gamma_slack"])
-    return cfg
+def _study(text: str) -> str:
+    if text not in STUDIES:
+        raise ValueError(f"pick one of {STUDIES}")
+    return text
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
+def _floats(text: str) -> tuple:
+    return tuple(_finite(v) for v in text.split(",") if v.strip())
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def parse_levels(text: str) -> range:
@@ -104,18 +58,70 @@ def parse_levels(text: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
+# key -> (parser of its text, default); a None default is derived or optional
+_KEYS = {
+    # study selector
+    "study": (_study, "invariants"),
+    # scale
+    "a": (_finite, 1.0), "b": (_finite, -1.0), "K": (int, 16),
+    "bc": (str, "neumann"), "p": (int, 2), "delta": (_finite, 0.05),
+    "gamma": (_finite, None),
+    # driver
+    "H": (_finite, 0.45), "n": (int, 1024), "T": (_finite, 1.0),
+    "seed": (int, 0), "gamma_slack": (_finite, DEFAULT_GAMMA_SLACK),
+    # coefficients
+    "drift": (str, "none"), "drift_c": (_finite, -1.0),
+    "drift_amp": (_finite, 1.0), "drift_delta1": (_finite, None),
+    "diffusion": (str, "squashed_trace"), "diffusion_gain": (_finite, 0.8),
+    "diffusion_amp": (_finite, 1.0), "diffusion_delta2": (_finite, 2.0),
+    "diffusion_bias0": (_finite, 0.3), "diffusion_bias1": (_finite, -0.2),
+    "g0": (_finite, 1.0), "g1": (_finite, 0.0),
+    # initial data
+    "y0": (str, "lift"), "y0_g0": (_finite, 1.0), "y0_g1": (_finite, 0.5),
+    "y0_coeffs": (_floats, (1.0,)),
+    # solver knobs
+    "tol": (_finite, 1e-9), "max_iter": (int, 80), "max_halvings": (int, 10),
+    "out_stride": (int, 1),
+    # study knobs
+    "levels": (parse_levels, range(4, 10)), "beta": (_finite, 0.0),
+    "seeds": (int, 10), "t": (_finite, 0.25), "tau": (_finite, 0.25),
+    "resolutions": (_ints, (64, 128, 256)), "gamma_prime": (_finite, 0.35),
+    "lambdas": (_floats, (0.95, 0.99, 1.01, 1.05)),
+    "eps0": (_floats, (-0.05, -0.01, 0.01, 0.05)),
+}
 
 
-def parse_int_list(text: str) -> tuple:
+def parse_config(path) -> dict:
+    """Read a flat key-value file into a dict of typed values, defaults applied."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise IoError(str(path)) from exc
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
+    seen = set()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        try:
+            cfg[key] = _KEYS[key][0](value)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} "
+                              f"({exc})") from exc
+    if cfg["gamma"] is None:
+        cfg["gamma"] = cfg["H"] - cfg["gamma_slack"]
+    return cfg
 
 
 def build_scale_from(cfg: dict) -> Scale:
@@ -150,7 +156,7 @@ def build_drift_from(cfg: dict, scale: Scale):
     kind = cfg["drift"]
     if kind == "none":
         return None
-    delta1 = cfg.get("drift_delta1")
+    delta1 = cfg["drift_delta1"]
     if delta1 is None:
         delta1 = max(2 * scale.gamma, 0.8)
     if kind == "linear":
@@ -167,7 +173,7 @@ def build_y0_from(cfg: dict, scale: Scale) -> np.ndarray:
     if kind == "lift":
         return lift_matrix(scale) @ np.array([cfg["y0_g0"], cfg["y0_g1"]])
     if kind == "coeffs":
-        vals = parse_float_list(cfg["y0_coeffs"])
+        vals = cfg["y0_coeffs"]
         out = np.zeros(scale.K)
         out[:min(len(vals), scale.K)] = vals[:scale.K]
         return out
@@ -180,8 +186,11 @@ def scale_map_y0(cfg: dict):
     return scale, build_diffusion_from(cfg, scale), build_y0_from(cfg, scale)
 
 
+def build_picard_from(cfg: dict) -> PicardParams:
+    return PicardParams(cfg["tol"], cfg["max_iter"], cfg["max_halvings"])
+
+
 def build_problem(cfg: dict) -> ProblemSpec:
     scale, F, y0 = scale_map_y0(cfg)
-    picard = PicardParams(cfg["tol"], cfg["max_iter"], cfg["max_halvings"])
     return ProblemSpec(scale, build_driver_from(cfg), F, y0,
-                       build_drift_from(cfg, scale), picard)
+                       build_drift_from(cfg, scale), build_picard_from(cfg))

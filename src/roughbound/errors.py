@@ -1,61 +1,75 @@
 """Domain-specific exceptions, one per failure mode the library can report.
 
-Each maps to a distinct nonzero CLI exit code (see cli.EXIT_CODES).
+Each class carries the distinct nonzero CLI exit code of its failure mode as
+`exit_code`; a subclass's own code overrides its parents'.
 """
 
 
 class RoughboundError(Exception):
     """Base class for all library errors."""
+    exit_code = 1
 
 
 class ConfigError(RoughboundError):
     """Invalid configuration: coefficient signs, exponent ranges, unknown keys."""
+    exit_code = 2
 
 
 class ScaleUnderflow(RoughboundError):
     """A scale index dropped below the extrapolation floor -2."""
+    exit_code = 6
 
 
 class ScaleIndexError(RoughboundError, IndexError):
     """A smooth map was applied to a controlled path at the wrong scale index."""
+    exit_code = 13
 
 
 class SingularLift(RoughboundError):
     """The cosh/sinh boundary system is numerically singular (defensive)."""
+    exit_code = 7
 
 
 class CovarianceNotPD(RoughboundError):
     """The Toeplitz increment covariance is not positive definite (a Schur rotation failed)."""
+    exit_code = 5
 
 
 class GridMismatch(RoughboundError):
     """Two objects were combined over incompatible time grids."""
+    exit_code = 3
 
 
 class ChenViolation(RoughboundError):
     """An explicit second-order process violates Chen's relation."""
+    exit_code = 4
 
 
 class ContractionFailure(RoughboundError):
     """Picard iteration failed to contract within the allowed halvings."""
+    exit_code = 8
 
 
 class RegularityError(RoughboundError):
     """Young integration was requested for a driver with exponent <= 1/2."""
+    exit_code = 10
 
 
 class DirichletRegularityError(ConfigError, RegularityError):
     """Dirichlet boundary noise requires Young regularity above 1 - 1/(2p).
 
     Both a configuration defect (the scale cannot be built) and a regularity
-    defect (the Young integral is not defined), hence the double parentage;
-    the CLI maps it to its own exit code.
+    defect (the Young integral is not defined), hence the double parentage
+    and an exit code of its own.
     """
+    exit_code = 9
 
 
 class AprioriBoundViolation(RoughboundError):
     """The no-blow-up monitor tripped during global concatenation."""
+    exit_code = 12
 
 
 class IoError(RoughboundError):
     """A file operation failed; carries the offending path in args."""
+    exit_code = 11

@@ -186,6 +186,8 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     scale = _require_interior(P)
     t_idx = D.index_of(t)
     lv = np.asarray(sorted(levels), dtype=int)
+    if lv.size < 2:
+        raise ConfigError(f"a sewing slope needs at least two levels, got {lv.size}")
     idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta
     sums = {int(l): level_sum(P, D, t_idx, int(l))
             for l in np.append(lv, lv[-1] + 1)}

@@ -1,9 +1,10 @@
 """Sampling, lifting, validating and shifting Hoelder rough paths on a grid.
 
-A driver is a scalar path X on a uniform grid with X_0 = 0, together with a
-second-order process XX.  For d = 1, XX satisfies Chen's relation exactly
-when XX_{t,s} - X_{t,s}^2 / 2 = g_t - g_s for a path g with g_0 = 0 (minus
-half the bracket [X]; Friz & Hairer, ch. 5), so every lift is stored as g:
+A driver is a scalar path X with X_0 = 0 on a uniform grid that starts at
+t = 0 (so its horizon T is the last grid time), together with a second-order
+process XX.  For d = 1, XX satisfies Chen's relation exactly when
+XX_{t,s} - X_{t,s}^2 / 2 = g_t - g_s for a path g with g_0 = 0 (minus half
+the bracket [X]; Friz & Hairer, ch. 5), so every lift is stored as g:
 
     XX_{t,s} = (X_t - X_s)^2 / 2 + g_t - g_s,
 
@@ -19,7 +20,7 @@ have that form too: by Chen's relation
 
 so (X_{t,s}, XX_{t,s}) is the increment of v = (X, X^2/2 + g) with the leg
 p = (0, -X) over X, and `rough_metric` passes the difference of two such
-pairs in one call; `rho` is the distance to the zero path.
+pairs in one call; `rho`, the distance to the zero path, passes one pair.
 
 Fractional Brownian paths are drawn exactly in law from the Cholesky factor
 of the increment covariance, the Toeplitz matrix of the fGn autocovariance
@@ -68,6 +69,8 @@ class RoughDriver:
         h = np.diff(t)
         if np.any(h <= 0) or not np.allclose(h, h[0], rtol=_GRID_RTOL, atol=0):
             raise ConfigError("driver grid must be uniform and increasing")
+        if t[0] != 0.0:
+            raise ConfigError(f"driver grids start at t = 0, got {t[0]}")
         if not np.all(np.isfinite(x)):
             raise ConfigError("driver path X must be finite")
         if x[0] != 0.0:
@@ -89,16 +92,16 @@ class RoughDriver:
 
     @property
     def T(self):
-        return float(self.times[-1] - self.times[0])
+        return float(self.times[-1])
 
     @property
     def step(self):
-        return (self.times[-1] - self.times[0]) / self.n
+        return self.times[-1] / self.n
 
     def index_of(self, t: float) -> int:
-        """Grid index of time t; GridMismatch if t is off-grid."""
-        pos = (t - self.times[0]) / self.step
-        i = int(round(pos))
+        """Grid index of time t; GridMismatch if t is off-grid or not finite."""
+        pos = t / self.step
+        i = int(round(pos)) if np.isfinite(pos) else -1
         if i < 0 or i > self.n or abs(pos - i) > 1e-8:
             raise GridMismatch(f"time {t} is not on the driver grid")
         return i
@@ -473,7 +476,9 @@ def rough_metric(D1: RoughDriver, D2: RoughDriver) -> float:
 
 def rho(D: RoughDriver) -> float:
     """rho_gamma(X) = distance of the lifted path to the zero rough path."""
-    return rough_metric(D, RoughDriver(D.times, np.zeros(D.n + 1), D.gamma))
+    v, p = _lifted_pair(D)
+    return float(np.sum(increment_sups(D.times, v, ((p, D.X),), np.eye(2),
+                                       (D.gamma, 2 * D.gamma))))
 
 
 def shift(D: RoughDriver, tau: float) -> RoughDriver:

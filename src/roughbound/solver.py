@@ -124,10 +124,10 @@ class ProblemSpec:
                 f"drift index gap delta1={self.drift.delta1} outside [2 gamma, 1)"
                 f" = [{2 * g}, 1)")
         floor = self.scale.eta + 1.0 + 1.0 / self.scale.p
-        if self.diffusion.delta2 <= floor:
+        if not floor < self.diffusion.delta2 < np.inf:
             raise ConfigError(
-                f"diffusion index gain delta2={self.diffusion.delta2} must exceed "
-                f"eta + 1 + 1/p = {floor:.4f}")
+                f"diffusion index gain delta2={self.diffusion.delta2} must be "
+                f"finite and exceed eta + 1 + 1/p = {floor:.4f}")
         if abs(self.scale.gamma - self.driver.gamma) > 1e-9:
             raise ConfigError(
                 f"scale gamma {self.scale.gamma} and driver gamma "
@@ -242,9 +242,10 @@ def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
     scale, eta, g = spec.scale, spec.scale.eta, D.gamma
     stride = _check_stride(D.n)
     base = semigroup_rows(scale, D.times, y0)
+    zero = np.zeros_like(base)   # read-only once wrapped, so shared by every path
 
     def path(rows):  # no Gubinelli derivative in the Young regime
-        return ControlledPath(D.times, rows, np.zeros_like(rows), -eta, g, scale)
+        return ControlledPath(D.times, rows, zero, -eta, g, scale)
 
     def step(u):
         g_rows = diffusion_rows(spec.diffusion, scale, u.y)
@@ -313,7 +314,6 @@ def _concatenate(spec: ProblemSpec, regime):
     of a GlobalSolveResult.
     """
     scale, D, alpha = spec.scale, spec.driver, spec.solution_alpha
-    end_idx = D.index_of(spec.horizon)
     t_idx = iterations = 0
     y_cur = np.asarray(spec.y0, dtype=float)
     rows = [y_cur[None, :]]
@@ -321,9 +321,9 @@ def _concatenate(spec: ProblemSpec, regime):
     r = max(1.0, float(scale.norm(y_cur, alpha)))
     running_sup = [(0.0, float(scale.norm(y_cur, alpha)))]
 
-    while t_idx < end_idx:
+    while t_idx < D.n:
         u, window, steps, _ = _halve(spec, shift(D, D.times[t_idx]),
-                                     end_idx - t_idx, y_cur, regime)
+                                     D.n - t_idx, y_cur, regime)
         iterations += steps
         rows.append(u.y[1:])
         y_cur = u.y[-1]
@@ -336,7 +336,7 @@ def _concatenate(spec: ProblemSpec, regime):
                 f"sup norm {sup_now:.3e} at t={D.times[t_idx]:.4f} exceeds "
                 f"{_BLOWUP_FACTOR:.0e} x max(1, |y0|)")
 
-    return (D.times[:end_idx + 1].copy(), np.vstack(rows), tuple(window_ends),
+    return (D.times.copy(), np.vstack(rows), tuple(window_ends),
             iterations, *_fit_growth_bound(running_sup, r))
 
 
@@ -365,8 +365,8 @@ def _rough_path(spec: ProblemSpec, times, rows) -> ControlledPath:
 def solve_local(spec: ProblemSpec) -> LocalSolveResult:
     """Fixed point of Phi on [0, tau], tau found by halving from the horizon."""
     D = spec.driver
-    u, window, steps, q = _halve(spec, D, D.index_of(spec.horizon),
-                                 np.asarray(spec.y0, dtype=float), _rough_window)
+    u, window, steps, q = _halve(spec, D, D.n, np.asarray(spec.y0, dtype=float),
+                                 _rough_window)
     return LocalSolveResult(_rough_path(spec, window.times, u.y), steps, q)
 
 
@@ -448,12 +448,10 @@ def cocycle_defect(spec: ProblemSpec, t: float, tau: float,
     """
     if resolution < 1:
         raise ConfigError(f"resolution must be at least 1, got {resolution}")
+    if tau == 0.0:   # phi(0, w, .) is the identity
+        return 0.0
     scale = spec.scale
     D = spec.driver
-    if tau == 0.0:
-        ya = _solve_at_resolution(spec, D, t, resolution, spec.y0)
-        yb = _solve_at_resolution(spec, D, t, resolution, spec.y0)
-        return float(scale.norm(ya - yb, spec.solution_alpha))
     ya = _solve_at_resolution(spec, D, t + tau, resolution, spec.y0)
     y_tau = _solve_at_resolution(spec, D, tau, resolution, spec.y0)
     yb = _solve_at_resolution(spec, shift(D, tau), t, resolution, y_tau)

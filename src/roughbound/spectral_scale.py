@@ -162,16 +162,18 @@ def _check_same_scale(u, v):
 
 
 def _validate(cfg: ScaleConfig):
-    if cfg.a <= 0:
-        raise ConfigError(f"diffusion coefficient must be positive, got a={cfg.a}")
-    if cfg.b >= 0:
-        raise ConfigError(f"zeroth-order coefficient must be negative, got b={cfg.b}")
+    if not 0 < cfg.a < np.inf:
+        raise ConfigError(
+            f"diffusion coefficient must be finite and positive, got a={cfg.a}")
+    if not -np.inf < cfg.b < 0:
+        raise ConfigError(
+            f"zeroth-order coefficient must be finite and negative, got b={cfg.b}")
     if cfg.K < 1:
         raise ConfigError(f"need at least one mode, got K={cfg.K}")
     if cfg.p != 2:
         raise ConfigError("only p=2 norms are supported at desk scale")
-    if cfg.delta <= 0:
-        raise ConfigError(f"delta must be positive, got {cfg.delta}")
+    if not 0 < cfg.delta < np.inf:
+        raise ConfigError(f"delta must be finite and positive, got {cfg.delta}")
     if cfg.bc == NEUMANN:
         if not (1.0 / 3.0 < cfg.gamma <= 0.5):
             raise ConfigError(

@@ -21,8 +21,8 @@ from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .semigroup import smoothing_constants
-from .solver import (ProblemSpec, additive_direct, check_gamma_prime, cocycle_defect,
-                     solve_global)
+from .solver import (PicardParams, ProblemSpec, additive_direct,
+                     check_gamma_prime, cocycle_defect, solve_global)
 from .spectral_scale import Scale, generator_coefficients
 
 
@@ -176,7 +176,8 @@ class CocycleStudy:
 
 def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
                   T: float, gamma: float, seeds, resolutions,
-                  t: float, tau: float, drift=None) -> CocycleStudy:
+                  t: float, tau: float, drift=None,
+                  picard: PicardParams = PicardParams()) -> CocycleStudy:
     """Cocycle defect versus per-call resolution, geometric mean over seeds."""
     seeds, resolutions = _some_seeds(seeds), tuple(resolutions)
     if len(resolutions) < 2:
@@ -184,7 +185,7 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)
-        spec = ProblemSpec(scale, D, F, np.asarray(y0, float), drift)
+        spec = ProblemSpec(scale, D, F, np.asarray(y0, float), drift, picard)
         return [cocycle_defect(spec, t, tau, r) for r in resolutions]
 
     defects = np.array([one(s) for s in seeds])
@@ -218,7 +219,7 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
                     T: float, gamma: float, seed: int, gamma_prime: float,
                     lambdas=(0.95, 0.99, 1.01, 1.05),
                     eps0=(-0.05, -0.01, 0.01, 0.05),
-                    drift=None) -> tuple:
+                    drift=None, picard: PicardParams = PicardParams()) -> tuple:
     """Linear-response fits for driver scaling and initial-data perturbations.
 
     Returns (driver_study, initial_study); each records the fitted slope of
@@ -232,12 +233,12 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     check_gamma_prime(gamma_prime, scale.gamma)
     D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
     y0 = np.asarray(y0, float)
-    base = solve_global(ProblemSpec(scale, D, F, y0, drift)).path
+    base = solve_global(ProblemSpec(scale, D, F, y0, drift, picard)).path
 
     preds, resps = [], []
     for lam in lambdas:
         Dl = RoughDriver(D.times.copy(), (lam * D.X).copy(), gamma, D.H)
-        sol = solve_global(ProblemSpec(scale, Dl, F, y0, drift)).path
+        sol = solve_global(ProblemSpec(scale, Dl, F, y0, drift, picard)).path
         preds.append(rough_metric(D, Dl))
         resps.append(stability_distance(sol, base, Dl, D, gamma_prime))
     slope, dev = _fit_through_origin(preds, resps)
@@ -249,7 +250,7 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     preds, resps = [], []
     for e in eps0:
         y0p = y0 + e * direction
-        sol = solve_global(ProblemSpec(scale, D, F, y0p, drift)).path
+        sol = solve_global(ProblemSpec(scale, D, F, y0p, drift, picard)).path
         preds.append(abs(e))
         resps.append(stability_distance(sol, base, D, D, gamma_prime))
     slope, dev = _fit_through_origin(preds, resps)

@@ -92,12 +92,55 @@ def test_exit_codes(tmp_path):
     ("solve", "tol = -1"),
     ("solve", "out_stride = 0"),
     ("solve", "out_stride = -2"),
+    ("solve", "delta = nan"),
+    ("solve", "a = nan"),
+    ("solve", "b = -inf"),
+    ("solve", "diffusion_delta2 = nan"),
+    ("solve", "T = inf"),
+    ("cocycle", "t = nan"),
+    ("cocycle", "tau = nan"),
+    ("convergence", "levels = 4..4"),
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
     cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
     out = tmp_path / "out"
     out.mkdir()
     assert run([study, "--config", cfg, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "delta = nan", "T = inf", "b = -inf", "lambdas = 1,x",
+    "eps0 = 0.1,nan", "y0_coeffs = inf", "resolutions = 64,x", "levels = 9..4",
+    "study = bogus",
+])
+def test_malformed_values_are_rejected_at_load_naming_file_and_line(
+        tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", f"# any subcommand\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert str(err.value).startswith(f"{cfg}:2: bad value")
+    for study in ("sample", "invariants"):
+        assert run([study, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: bad value")
+
+
+@pytest.mark.parametrize("study", ["sample", "solve", "cocycle", "stability",
+                                   "invariants"])
+def test_levels_is_an_option_of_convergence_only(tmp_path, study):
+    cfg = _write(tmp_path, "ok.cfg", "n = 64\n")
+    with pytest.raises(SystemExit) as exit_:
+        run([study, "--config", cfg, "--out", str(tmp_path), "--levels", "4..9"])
+    assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("study, line", [
+    ("stability", ""),
+    ("cocycle", "resolutions = 32,64"),
+])
+def test_picard_settings_reach_the_studies(tmp_path, study, line):
+    # as for `solve`, max_iter = 0 leaves no window that can contract
+    cfg = _write(tmp_path, "p.cfg", f"n = 256\nK = 8\nseeds = 1\nmax_iter = 0\n{line}\n")
+    assert run([study, "--config", cfg, "--out", str(tmp_path)]) == 8
 
 
 def _no_solve(*args, **kwargs):

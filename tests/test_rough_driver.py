@@ -178,6 +178,9 @@ def test_driver_construction_guards():
         lift_geometric(t ** 2, np.zeros(9), 0.5)     # non-uniform grid
     with pytest.raises(ConfigError):
         lift_geometric(t, np.zeros(9), -0.1)
+    for t0 in (0.5, 1.0):
+        with pytest.raises(ConfigError):
+            lift_geometric(t + t0, np.zeros(9), 0.5)  # grid not anchored at 0
     x = t.copy()
     x[4] = np.nan
     with pytest.raises(ConfigError):
@@ -385,6 +388,9 @@ def test_shift_identity_flow_and_cocycle():
 
     with pytest.raises(GridMismatch):
         shift(D, 0.013)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GridMismatch):
+            D.index_of(t)
 
 
 def test_restriction_requires_divisor():

@@ -84,9 +84,10 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
     with pytest.raises(ConfigError):   # delta1 below 2 gamma
         ProblemSpec(neumann_scale, driver_small, F, lifted_y0,
                     drift=LinearDrift(-1.0, 0.5))
-    with pytest.raises(ConfigError):   # delta2 at/below eta + 1 + 1/p
-        ProblemSpec(neumann_scale, driver_small,
-                    _squashed(neumann_scale, delta2=1.5), lifted_y0)
+    for delta2 in (1.5, np.nan, np.inf):   # at/below eta + 1 + 1/p, non-finite
+        with pytest.raises(ConfigError):
+            ProblemSpec(neumann_scale, driver_small,
+                        _squashed(neumann_scale, delta2=delta2), lifted_y0)
     with pytest.raises(ConfigError):   # gamma mismatch
         ProblemSpec(neumann_scale, sample_fbm(0.5, 64, 1.0, seed=1, gamma=0.45),
                     F, lifted_y0)

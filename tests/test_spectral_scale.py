@@ -36,6 +36,8 @@ def test_derived_exponents():
     dict(gamma=0.30),          # below the rough range
     dict(gamma=0.55),          # above the rough range
     dict(gamma=0.40, delta=0.20),   # eps <= 1 - gamma
+    dict(a=float("nan")), dict(a=float("inf")), dict(b=float("nan")),
+    dict(b=-float("inf")), dict(delta=float("nan")),
 ])
 def test_config_rejection(kwargs):
     with pytest.raises(ConfigError):
