@@ -11,7 +11,10 @@ follow from Green's identity applied to the truncated basis:
         c_k = a (g0 e_k'(0) - g1 e_k'(1)) / mu_k
 
 so the Neumann tail decays like mu_k^{-1} (norms finite below index 3/4) and
-the Dirichlet tail like mu_k^{-1/2} (finite below 1/4).
+the Dirichlet tail like mu_k^{-1/2} (finite below 1/4).  The scale builds
+these coefficients once, as ``Scale.lift``, and refuses a singular cosh/sinh
+system; this module applies them to boundary data and evaluates the
+untruncated closed forms.
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularLift
+from .errors import ConfigError
 from .spectral_scale import DIRICHLET, NEUMANN, Scale, SpectralVector
-
-_SINGULAR_TOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -67,49 +68,24 @@ def _kappa(scale: Scale):
     return np.sqrt(-scale.cfg.b / scale.cfg.a)
 
 
-def neumann_matrix(scale: Scale):
-    """K x 2 matrix sending (g0, g1) to the eigenbasis coefficients of Ng."""
-    if scale.bc != NEUMANN:
-        raise ConfigError("neumann_map needs a scale built with Neumann bc")
-    _check_regular(scale)
-    return scale.boundary_values() / scale.mu[:, None]
-
-
-def dirichlet_matrix(scale: Scale):
-    """K x 2 matrix sending (g0, g1) to the eigenbasis coefficients of Dg."""
-    if scale.bc != DIRICHLET:
-        raise ConfigError("dirichlet_map needs a scale built with Dirichlet bc")
-    _check_regular(scale)
-    d = scale.boundary_derivatives()
-    m = np.empty((scale.K, 2))
-    m[:, 0] = scale.cfg.a * d[:, 0] / scale.mu
-    m[:, 1] = -scale.cfg.a * d[:, 1] / scale.mu
-    return m
-
-
-def _check_regular(scale: Scale):
-    k = _kappa(scale)
-    if not np.isfinite(k) or abs(np.sinh(k)) < _SINGULAR_TOL or k < _SINGULAR_TOL:
-        raise SingularLift(f"cosh/sinh system singular for kappa={k}")
-
-
-def lift_matrix(scale: Scale):
-    return neumann_matrix(scale) if scale.bc == NEUMANN else dirichlet_matrix(scale)
+def _lift(g: BoundaryVector, scale: Scale, bc: str, name: str) -> SpectralVector:
+    if scale.bc != bc:
+        raise ConfigError(f"{name} needs a scale built with {bc.capitalize()} bc")
+    return SpectralVector(scale.lift @ g.values, scale.eps, scale)
 
 
 def neumann_map(g: BoundaryVector, scale: Scale) -> SpectralVector:
     """Coefficients of the solution with conormal data g, at index eps."""
-    return SpectralVector(neumann_matrix(scale) @ g.values, scale.eps, scale)
+    return _lift(g, scale, NEUMANN, "neumann_map")
 
 
 def dirichlet_map(g: BoundaryVector, scale: Scale) -> SpectralVector:
     """Coefficients of the solution with trace data g, at index eps_D."""
-    return SpectralVector(dirichlet_matrix(scale) @ g.values, scale.eps, scale)
+    return _lift(g, scale, DIRICHLET, "dirichlet_map")
 
 
 def neumann_profile(g: BoundaryVector, scale: Scale, x):
     """Untruncated closed-form Neumann solution evaluated at points x."""
-    _check_regular(scale)
     k = _kappa(scale)
     x = np.asarray(x, dtype=float)
     denom = scale.cfg.a * k * np.sinh(k)
@@ -118,7 +94,6 @@ def neumann_profile(g: BoundaryVector, scale: Scale, x):
 
 def dirichlet_profile(g: BoundaryVector, scale: Scale, x):
     """Untruncated closed-form Dirichlet solution evaluated at points x."""
-    _check_regular(scale)
     k = _kappa(scale)
     x = np.asarray(x, dtype=float)
     return (g.g0 * np.sinh(k * (1.0 - x)) + g.g1 * np.sinh(k * x)) / np.sinh(k)
@@ -126,6 +101,6 @@ def dirichlet_profile(g: BoundaryVector, scale: Scale, x):
 
 def lift_operator_norm(scale: Scale, alpha: float) -> float:
     """Operator norm of the lift from (R^2, euclidean) into B_alpha."""
-    m = lift_matrix(scale) * scale.mu[:, None] ** float(alpha)
+    m = scale.lift * scale.mu[:, None] ** float(alpha)
     return float(np.linalg.norm(m, 2))
 

@@ -14,21 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary_lift import lift_matrix
 from .controlled_path import (ConstantBoundary, LinearTrace, SquashedTrace,
                               default_trace_weights)
 from .errors import ConfigError, IoError
 from .rough_driver import DEFAULT_GAMMA_SLACK, sample_fbm
 from .solver import LinearDrift, PicardParams, ProblemSpec, SmoothBoundedDrift
-from .spectral_scale import Scale, ScaleConfig, build_scale
+from .spectral_scale import DIRICHLET, NEUMANN, Scale, ScaleConfig, build_scale
 
 STUDIES = ("sample", "solve", "convergence", "cocycle", "stability", "invariants")
 
 
-def _study(text: str) -> str:
-    if text not in STUDIES:
-        raise ValueError(f"pick one of {STUDIES}")
-    return text
+def _choice(*options):
+    """Parser of a selector key: its text, which must be one of options."""
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"pick one of {options}")
+        return text
+    return parse
 
 
 def _finite(text: str) -> float:
@@ -61,23 +63,26 @@ def parse_levels(text: str) -> range:
 # key -> (parser of its text, default); a None default is derived or optional
 _KEYS = {
     # study selector
-    "study": (_study, "invariants"),
+    "study": (_choice(*STUDIES), "invariants"),
     # scale
     "a": (_finite, 1.0), "b": (_finite, -1.0), "K": (int, 16),
-    "bc": (str, "neumann"), "p": (int, 2), "delta": (_finite, 0.05),
-    "gamma": (_finite, None),
+    "bc": (_choice(NEUMANN, DIRICHLET), NEUMANN), "p": (int, 2),
+    "delta": (_finite, 0.05), "gamma": (_finite, None),
     # driver
     "H": (_finite, 0.45), "n": (int, 1024), "T": (_finite, 1.0),
     "seed": (int, 0), "gamma_slack": (_finite, DEFAULT_GAMMA_SLACK),
     # coefficients
-    "drift": (str, "none"), "drift_c": (_finite, -1.0),
-    "drift_amp": (_finite, 1.0), "drift_delta1": (_finite, None),
-    "diffusion": (str, "squashed_trace"), "diffusion_gain": (_finite, 0.8),
+    "drift": (_choice("none", "linear", "smooth_bounded"), "none"),
+    "drift_c": (_finite, -1.0), "drift_amp": (_finite, 1.0),
+    "drift_delta1": (_finite, None),
+    "diffusion": (_choice("linear_trace", "squashed_trace", "constant", "zero"),
+                  "squashed_trace"), "diffusion_gain": (_finite, 0.8),
     "diffusion_amp": (_finite, 1.0), "diffusion_delta2": (_finite, 2.0),
     "diffusion_bias0": (_finite, 0.3), "diffusion_bias1": (_finite, -0.2),
     "g0": (_finite, 1.0), "g1": (_finite, 0.0),
     # initial data
-    "y0": (str, "lift"), "y0_g0": (_finite, 1.0), "y0_g1": (_finite, 0.5),
+    "y0": (_choice("lift", "zero", "coeffs"), "lift"),
+    "y0_g0": (_finite, 1.0), "y0_g1": (_finite, 0.5),
     "y0_coeffs": (_floats, (1.0,)),
     # solver knobs
     "tol": (_finite, 1e-9), "max_iter": (int, 80), "max_halvings": (int, 10),
@@ -146,10 +151,8 @@ def build_diffusion_from(cfg: dict, scale: Scale):
     w0, w1 = default_trace_weights(scale, cfg["diffusion_gain"])
     if kind == "linear_trace":
         return LinearTrace(w0, w1, alpha, d2)
-    if kind == "squashed_trace":
-        return SquashedTrace(w0, w1, cfg["diffusion_amp"], alpha, d2,
-                             bias=(cfg["diffusion_bias0"], cfg["diffusion_bias1"]))
-    raise ConfigError(f"unknown diffusion selector {kind!r}")
+    return SquashedTrace(w0, w1, cfg["diffusion_amp"], alpha, d2,
+                         bias=(cfg["diffusion_bias0"], cfg["diffusion_bias1"]))
 
 
 def build_drift_from(cfg: dict, scale: Scale):
@@ -161,9 +164,7 @@ def build_drift_from(cfg: dict, scale: Scale):
         delta1 = max(2 * scale.gamma, 0.8)
     if kind == "linear":
         return LinearDrift(cfg["drift_c"], delta1)
-    if kind == "smooth_bounded":
-        return SmoothBoundedDrift(cfg["drift_amp"], delta1)
-    raise ConfigError(f"unknown drift selector {kind!r}")
+    return SmoothBoundedDrift(cfg["drift_amp"], delta1)
 
 
 def build_y0_from(cfg: dict, scale: Scale) -> np.ndarray:
@@ -171,13 +172,11 @@ def build_y0_from(cfg: dict, scale: Scale) -> np.ndarray:
     if kind == "zero":
         return np.zeros(scale.K)
     if kind == "lift":
-        return lift_matrix(scale) @ np.array([cfg["y0_g0"], cfg["y0_g1"]])
-    if kind == "coeffs":
-        vals = cfg["y0_coeffs"]
-        out = np.zeros(scale.K)
-        out[:min(len(vals), scale.K)] = vals[:scale.K]
-        return out
-    raise ConfigError(f"unknown y0 selector {kind!r}")
+        return scale.lift @ np.array([cfg["y0_g0"], cfg["y0_g1"]])
+    vals = cfg["y0_coeffs"]
+    out = np.zeros(scale.K)
+    out[:min(len(vals), scale.K)] = vals[:scale.K]
+    return out
 
 
 def scale_map_y0(cfg: dict):

@@ -26,9 +26,10 @@ Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (three bounded
 derivatives, supplied analytically), and a constant.  ``lift_extrapolate``
 is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F,
-computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows``; the
+computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows`` as
+one product each with the scale's (2, K) ``generator_lift``; the
 sigma-extrapolation and the eta-extrapolation agree on lifted data, so one
-spectral multiplier serves both components.  ``compose_smooth`` and
+matrix serves both components.  ``compose_smooth`` and
 ``lift_controlled`` take the same map one controlled path at a time, an
 independent route for cross-checks.
 """
@@ -39,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_lift import BOUNDARY, BoundarySpace, lift_matrix
+from .boundary_lift import BOUNDARY, BoundarySpace
 from .errors import ConfigError, ScaleIndexError
 from .rough_driver import RoughDriver, check_grid, increment_sups, restriction_indices
-from .spectral_scale import Scale, generator_coefficients
+from .spectral_scale import Scale
 
 _INDEX_TOL = 1e-9
 
@@ -255,7 +256,7 @@ def default_trace_weights(scale: Scale, gain: float = 1.0):
     These are the coefficients of the once-smoothed lift of unit data at each
     endpoint, the desk analogue of a lifting operator composed with the trace.
     """
-    cols = lift_matrix(scale) / scale.mu[:, None]
+    cols = scale.lift / scale.mu[:, None]
     w = cols / np.linalg.norm(cols, axis=0, keepdims=True)
     return gain * w[:, 0], gain * w[:, 1]
 
@@ -286,7 +287,7 @@ def lift_controlled(path: ControlledPath, scale: Scale) -> ControlledPath:
     """
     if not isinstance(path.space, BoundarySpace):
         raise ConfigError("lift_controlled expects a boundary-valued path")
-    m = lift_matrix(scale).T
+    m = scale.lift.T
     return ControlledPath(path.times, path.y @ m, path.y_prime @ m, scale.eps,
                           path.gamma, scale)
 
@@ -306,9 +307,9 @@ def lift_extrapolate(F: SmoothMap, P: ControlledPath, scale: Scale) -> Controlle
 
 def diffusion_rows(F: SmoothMap, scale: Scale, y_rows):
     """G(y) = A_{-sigma} N F(y) evaluated rowwise on raw coefficient arrays."""
-    return generator_coefficients(scale, F.value(y_rows) @ lift_matrix(scale).T)
+    return F.value(y_rows) @ scale.generator_lift
 
 
 def diffusion_derivative_rows(F: SmoothMap, scale: Scale, y_rows, h_rows):
     """DG(y)[h] = A_{-sigma} N (DF(y)[h]) rowwise."""
-    return generator_coefficients(scale, F.dvalue(y_rows, h_rows) @ lift_matrix(scale).T)
+    return F.dvalue(y_rows, h_rows) @ scale.generator_lift

@@ -19,6 +19,13 @@ mu_k^theta, i.e. it realizes (-A)^theta (positive spectrum).  The generator
 itself, including every extrapolated realization (they share the spectral
 multiplier), is ``apply_generator``, which flips the overall sign so that
 theta = 1 reproduces A with spectrum -mu_k.
+
+The scale also carries the boundary lift, built once: N, which solves
+a u'' + b u = 0 with the scale's boundary data, has the coefficients
+trace_k / mu_k (Green's identity; see ``boundary_lift``), and A_{-sigma} N,
+which multiplies them by -mu_k, is -trace_k in closed form.  A scale whose
+cosh/sinh boundary system is singular (kappa = sqrt(-b/a) below 1e-300 or
+infinite) cannot be built.
 """
 
 from __future__ import annotations
@@ -27,10 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DirichletRegularityError, ScaleUnderflow
+from .errors import ConfigError, DirichletRegularityError, ScaleUnderflow, SingularLift
 
 SCALE_FLOOR = -2.0
 _FLOOR_SLACK = 1e-12
+_SINGULAR_TOL = 1e-300
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -62,9 +70,11 @@ class ScaleConfig:
 
 
 class Scale:
-    """Eigenvalues, eigenfunction evaluators and derived exponents.
+    """Eigenvalues, eigenfunction evaluators, derived exponents and the lift.
 
-    Immutable; all operations on it are pure functions.
+    ``lift`` (K, 2) is N and ``generator_lift`` (2, K) is A_{-sigma} N, with
+    trace_k = (e_k(0), e_k(1)) for Neumann and a (e_k'(0), -e_k'(1)) for
+    Dirichlet data.  Immutable; all operations on it are pure functions.
     """
 
     def __init__(self, cfg: ScaleConfig):
@@ -76,16 +86,23 @@ class Scale:
         self.gamma = cfg.gamma
         if cfg.bc == NEUMANN:
             self.wavenumbers = np.arange(cfg.K)
-        else:
-            self.wavenumbers = np.arange(1, cfg.K + 1)
-        self.mu = -cfg.b + cfg.a * (self.wavenumbers * np.pi) ** 2
-        self.mu.setflags(write=False)
-        if cfg.bc == NEUMANN:
             self.eps = 0.5 + 0.5 / cfg.p - cfg.delta
         else:
+            self.wavenumbers = np.arange(1, cfg.K + 1)
             self.eps = 0.5 / cfg.p - cfg.delta
         self.eta = 1.0 - self.eps
         self.sigma = self.eta + cfg.gamma
+        self.mu = -cfg.b + cfg.a * (self.wavenumbers * np.pi) ** 2
+        if cfg.bc == NEUMANN:
+            trace = self.basis(np.array([0.0, 1.0])).T
+        else:
+            d0 = np.sqrt(2.0) * self.wavenumbers * np.pi
+            d1 = d0 * np.cos(self.wavenumbers * np.pi)
+            trace = cfg.a * np.stack([d0, -d1], axis=1)
+        self.lift = trace / self.mu[:, None]
+        self.generator_lift = -trace.T
+        for arr in (self.mu, self.lift, self.generator_lift):
+            arr.setflags(write=False)
 
     # -- basis -----------------------------------------------------------
 
@@ -99,19 +116,6 @@ class Scale:
         else:
             vals = np.sqrt(2.0) * np.sin(k * np.pi * x[:, None])
         return vals
-
-    def boundary_values(self):
-        """Eigenfunction values at x=0 and x=1, shape (K, 2)."""
-        return self.basis(np.array([0.0, 1.0])).T
-
-    def boundary_derivatives(self):
-        """Eigenfunction first derivatives at x=0 and x=1, shape (K, 2)."""
-        k = self.wavenumbers
-        if self.bc == NEUMANN:
-            return np.zeros((self.K, 2))
-        d0 = np.sqrt(2.0) * k * np.pi
-        d1 = d0 * np.cos(k * np.pi)
-        return np.stack([d0, d1], axis=1)
 
     # -- norms -----------------------------------------------------------
 
@@ -168,6 +172,9 @@ def _validate(cfg: ScaleConfig):
     if not -np.inf < cfg.b < 0:
         raise ConfigError(
             f"zeroth-order coefficient must be finite and negative, got b={cfg.b}")
+    kappa = np.sqrt(-cfg.b / cfg.a)   # sinh(kappa) >= kappa keeps sinh off 0 too
+    if not _SINGULAR_TOL <= kappa < np.inf:
+        raise SingularLift(f"cosh/sinh system singular for kappa={kappa}")
     if cfg.K < 1:
         raise ConfigError(f"need at least one mode, got K={cfg.K}")
     if cfg.p != 2:

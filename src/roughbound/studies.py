@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_lift import BoundaryVector, neumann_map
 from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
                               diffusion_rows, lift_controlled, lift_extrapolate)
 from .errors import ConfigError
@@ -182,6 +181,9 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
     seeds, resolutions = _some_seeds(seeds), tuple(resolutions)
     if len(resolutions) < 2:
         raise ConfigError("the cocycle study needs at least two resolutions")
+    if not (t > 0 and tau > 0):
+        raise ConfigError(f"the cocycle study needs t > 0 and tau > 0, "
+                          f"got t={t}, tau={tau}")
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)
@@ -304,13 +306,10 @@ def invariants_battery(scale: Scale, *, H: float = 0.45, n: int = 64,
     checks.append(Check("semigroup_bounds", worst_exc, 1 + 1e-12,
                         worst_exc <= 1 + 1e-12))
 
-    g = BoundaryVector(0.4, -1.3)
-    h = BoundaryVector(-0.7, 0.2)
-    both = BoundaryVector(g.g0 + h.g0, g.g1 + h.g1)
-    lin_err = float(np.max(np.abs(
-        neumann_map(both, scale).coeffs
-        - neumann_map(g, scale).coeffs - neumann_map(h, scale).coeffs)))
-    checks.append(Check("neumann_linearity", lin_err, 1e-12, lin_err <= 1e-12))
+    g, h = np.array([0.4, -1.3]), np.array([-0.7, 0.2])
+    N = scale.lift
+    lin_err = float(np.max(np.abs(N @ (g + h) - N @ g - N @ h)))
+    checks.append(Check(f"{scale.bc}_linearity", lin_err, 1e-12, lin_err <= 1e-12))
 
     D = sample_fbm(H, n, T, seed=1)
     E = sample_fbm(H, n, T, seed=2)

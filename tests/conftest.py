@@ -26,6 +26,32 @@ def lifted_y0(neumann_scale):
     return neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs
 
 
+def lift_test_scale(bc, K):
+    """A scale with a != 1, so the Dirichlet lift's factor a is exercised."""
+    if bc == "neumann":
+        return build_scale(ScaleConfig(a=0.7, b=-2.0, K=K, gamma=0.40, delta=0.05))
+    return build_scale(ScaleConfig(a=0.7, b=-2.0, K=K, bc="dirichlet",
+                                   gamma=0.77, delta=0.005))
+
+
+def lift_oracle(scale):
+    """The (K, 2) lift N by its closed-form formulas, written out per boundary
+    condition (test oracle): (e_k(0), e_k(1)) / mu_k for Neumann and
+    a (e_k'(0), -e_k'(1)) / mu_k for Dirichlet data."""
+    k = scale.wavenumbers
+    if scale.bc == "neumann":
+        x = np.array([0.0, 1.0])
+        vals = np.sqrt(2.0) * np.cos(k[None, :] * np.pi * x[:, None])
+        vals[:, k == 0] = 1.0
+        return vals.T / scale.mu[:, None]
+    d0 = np.sqrt(2.0) * k * np.pi
+    d1 = d0 * np.cos(k * np.pi)
+    m = np.empty((scale.K, 2))
+    m[:, 0] = scale.cfg.a * d0 / scale.mu
+    m[:, 1] = -scale.cfg.a * d1 / scale.mu
+    return m
+
+
 def brute_force_holder(times, values, norms_fn, exponent):
     """Independent pairwise-loop Hoelder seminorm (test oracle)."""
     worst = 0.0

@@ -99,6 +99,10 @@ def test_exit_codes(tmp_path):
     ("solve", "T = inf"),
     ("cocycle", "t = nan"),
     ("cocycle", "tau = nan"),
+    ("cocycle", "t = 0"),
+    ("cocycle", "t = -0.25"),
+    ("cocycle", "tau = 0"),
+    ("cocycle", "tau = -0.25"),
     ("convergence", "levels = 4..4"),
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
@@ -111,7 +115,8 @@ def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
 @pytest.mark.parametrize("line", [
     "delta = nan", "T = inf", "b = -inf", "lambdas = 1,x",
     "eps0 = 0.1,nan", "y0_coeffs = inf", "resolutions = 64,x", "levels = 9..4",
-    "study = bogus",
+    "study = bogus", "bc = robin", "drift = bogus", "diffusion = bogus",
+    "y0 = nope",
 ])
 def test_malformed_values_are_rejected_at_load_naming_file_and_line(
         tmp_path, capsys, line):
@@ -224,6 +229,13 @@ def test_invariants_exit_zero(tmp_path, capsys):
     out_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("CHECK")]
     assert len(out_lines) >= 5
     assert all(" PASS " in l for l in out_lines)
+
+
+def test_invariants_on_a_dirichlet_scale(tmp_path, capsys):
+    cfg = _write(tmp_path, "inv.cfg",
+                 "bc = dirichlet\nH = 0.8\ngamma = 0.77\ndelta = 0.005\n")
+    assert run(["invariants", "--config", cfg]) == 0
+    assert "CHECK dirichlet_linearity PASS" in capsys.readouterr().out
 
 
 def test_convergence_rerun_byte_identical(tmp_path):

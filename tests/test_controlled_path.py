@@ -6,12 +6,13 @@ from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPa
                         SquashedTrace, compose_smooth, constant_path,
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
-from roughbound.boundary_lift import lift_matrix
-from roughbound.controlled_path import crp_distance, path_seminorm
+from roughbound.controlled_path import (crp_distance, diffusion_derivative_rows,
+                                        path_seminorm)
+from roughbound.spectral_scale import generator_coefficients
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
-                      brute_force_remainder, phi_second_bound, remainder,
-                      remainder_seminorm, scaled)
+                      brute_force_remainder, lift_test_scale,
+                      phi_second_bound, remainder, remainder_seminorm, scaled)
 
 
 def _squashed(scale, gain=0.8, amp=1.0, bias=(0.3, -0.2), delta2=2.0):
@@ -258,13 +259,27 @@ def test_lift_extrapolate_single_mode_hand_chain(neumann_scale, driver_small):
 
     i, k = 37, 5
     boundary = np.array([y[i] @ w0, y[i] @ w1])
-    lift_row = lift_matrix(neumann_scale)[k]
+    lift_row = neumann_scale.lift[k]
     hand = -neumann_scale.mu[k] * (lift_row @ boundary)
     assert out.y[i, k] == pytest.approx(hand, rel=1e-13)
 
     # index bookkeeping: path at -eta, derivative one gamma lower, i.e. -sigma
     assert out.alpha == pytest.approx(-neumann_scale.eta)
     assert out.alpha - out.gamma == pytest.approx(-neumann_scale.sigma)
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_diffusion_rows_are_the_generator_applied_to_the_lift(bc, K):
+    # one product with generator_lift against the two-step route N, then -mu
+    sc = lift_test_scale(bc, K)
+    F = _squashed(sc)
+    rng = np.random.default_rng(K)
+    y, h = rng.standard_normal((2, 65, K))
+    for got, boundary in ((diffusion_rows(F, sc, y), F.value(y)),
+                          (diffusion_derivative_rows(F, sc, y, h), F.dvalue(y, h))):
+        ref = generator_coefficients(sc, boundary @ sc.lift.T)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_composition_stability_constant_stable_under_refinement(neumann_scale):

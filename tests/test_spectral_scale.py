@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughbound import (ConfigError, DirichletRegularityError, ScaleConfig,
-                        ScaleUnderflow, apply_generator, build_scale,
-                        fractional_power, scale_norm)
+                        ScaleUnderflow, SingularLift, apply_generator,
+                        build_scale, fractional_power, scale_norm)
+from roughbound.cli import run
 
-from conftest import evaluate
+from conftest import evaluate, lift_oracle, lift_test_scale
 
 
 def test_neumann_eigenvalues_closed_form():
@@ -42,6 +43,36 @@ def test_derived_exponents():
 def test_config_rejection(kwargs):
     with pytest.raises(ConfigError):
         build_scale(ScaleConfig(**kwargs))
+
+
+@pytest.mark.parametrize("a, b", [(1e300, -1e-300), (1e-10, -1e308)])
+def test_a_singular_lift_is_refused_when_the_scale_is_built(tmp_path, a, b):
+    # kappa = sqrt(-b/a) underflows to 0, or overflows to inf
+    with pytest.raises(SingularLift):
+        build_scale(ScaleConfig(a=a, b=b))
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(f"a = {a}\nb = {b}\nn = 64\n")
+    assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 7
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_lift_is_the_closed_form_formula_bitwise(bc, K):
+    sc = lift_test_scale(bc, K)
+    assert sc.lift.shape == (K, 2) and not sc.lift.flags.writeable
+    assert np.array_equal(sc.lift, lift_oracle(sc))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_generator_lift_is_minus_mu_times_the_lift(bc, K):
+    # A_{-sigma} N multiplies N's coefficients by -mu_k; the closed form
+    # skips the mu / mu round trip, so they agree to within 2 ulp
+    sc = lift_test_scale(bc, K)
+    assert sc.generator_lift.shape == (2, K)
+    assert not sc.generator_lift.flags.writeable
+    ref = -(sc.mu[:, None] * sc.lift).T
+    assert np.all(np.abs(sc.generator_lift - ref) <= 2 * np.spacing(np.abs(ref)))
 
 
 def test_dirichlet_young_range_rejection():
