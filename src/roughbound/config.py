@@ -66,8 +66,8 @@ _KEYS = {
     "study": (_choice(*STUDIES), "invariants"),
     # scale
     "a": (_finite, 1.0), "b": (_finite, -1.0), "K": (int, 16),
-    "bc": (_choice(NEUMANN, DIRICHLET), NEUMANN), "p": (int, 2),
-    "delta": (_finite, 0.05), "gamma": (_finite, None),
+    "bc": (_choice(NEUMANN, DIRICHLET), NEUMANN), "delta": (_finite, 0.05),
+    "gamma": (_finite, None),
     # driver
     "H": (_finite, 0.45), "n": (int, 1024), "T": (_finite, 1.0),
     "seed": (int, 0), "gamma_slack": (_finite, DEFAULT_GAMMA_SLACK),
@@ -131,7 +131,7 @@ def parse_config(path) -> dict:
 
 def build_scale_from(cfg: dict) -> Scale:
     return build_scale(ScaleConfig(a=cfg["a"], b=cfg["b"], K=cfg["K"],
-                                   bc=cfg["bc"], p=cfg["p"], delta=cfg["delta"],
+                                   bc=cfg["bc"], delta=cfg["delta"],
                                    gamma=cfg["gamma"]))
 
 

@@ -23,8 +23,8 @@ Values may live on the interior scale (spectral coefficients) or on the
 two-point boundary (Euclidean norm); the same machinery serves both.
 
 Smooth maps into the boundary come in three closed built-ins: a linear trace
-against fixed smooth weights, its tanh-squashed version (three bounded
-derivatives, supplied analytically), and a constant.  ``lift_extrapolate``
+against fixed smooth weights, its tanh-squashed version (bounded derivatives,
+the first supplied analytically), and a constant.  ``lift_extrapolate``
 is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F,
 computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows`` as
 one product each with the scale's (2, K) ``generator_lift``; the
@@ -155,11 +155,12 @@ def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
 # -- smooth maps into the boundary -------------------------------------------
 
 class SmoothMap:
-    """Interface contract: value/dvalue/d2value with analytic derivatives.
+    """Interface contract: value/dvalue, the derivative supplied analytically.
 
     domain_alpha is the scale index the map expects its argument at; delta2
-    is the declared index gain, which must exceed eta + 1 + 1/p so that the
-    lifted image lands in the strong-solution range of the boundary problem.
+    is the declared index gain, which must exceed eta + 3/2 (eta + 1 + 1/p at
+    p = 2) so that the lifted image lands in the strong-solution range of the
+    boundary problem.
     """
 
     domain_alpha: float
@@ -169,9 +170,6 @@ class SmoothMap:
         raise NotImplementedError
 
     def dvalue(self, y_rows, h_rows):
-        raise NotImplementedError
-
-    def d2value(self, y_rows, h_rows, g_rows):
         raise NotImplementedError
 
 
@@ -190,15 +188,12 @@ class LinearTrace(SmoothMap):
     def dvalue(self, y_rows, h_rows):
         return np.asarray(h_rows, dtype=float) @ self.w
 
-    def d2value(self, y_rows, h_rows, g_rows):
-        return np.zeros((np.asarray(y_rows).shape[0], 2))
-
 
 class SquashedTrace(SmoothMap):
     """Componentwise bounded squasher on top of LinearTrace.
 
     F(v)_i = amp * tanh((<v, w_i> + bias_i) / amp); all three derivatives are
-    bounded and supplied analytically (no automatic or numerical
+    bounded, and the first is supplied analytically (no automatic or numerical
     differentiation).  A nonzero bias keeps the origin from being an absorbing
     equilibrium of the multiplicative noise (tanh(0) = 0 would switch the
     boundary forcing off wherever the state crosses the kernel of the trace).
@@ -225,12 +220,6 @@ class SquashedTrace(SmoothMap):
         t = np.tanh(self._u(y_rows) / self.amp)
         return (1.0 - t * t) * (np.asarray(h_rows, dtype=float) @ self.w)
 
-    def d2value(self, y_rows, h_rows, g_rows):
-        t = np.tanh(self._u(y_rows) / self.amp)
-        phi2 = (-2.0 / self.amp) * t * (1.0 - t * t)
-        return (phi2 * (np.asarray(h_rows, dtype=float) @ self.w)
-                * (np.asarray(g_rows, dtype=float) @ self.w))
-
 
 class ConstantBoundary(SmoothMap):
     """Constant boundary datum; the additive-noise diffusion selector."""
@@ -244,9 +233,6 @@ class ConstantBoundary(SmoothMap):
         return np.tile(self.g, (np.asarray(y_rows).shape[0], 1))
 
     def dvalue(self, y_rows, h_rows):
-        return np.zeros((np.asarray(y_rows).shape[0], 2))
-
-    def d2value(self, y_rows, h_rows, g_rows):
         return np.zeros((np.asarray(y_rows).shape[0], 2))
 
 

@@ -56,7 +56,7 @@ class RegularityError(RoughboundError):
 
 
 class DirichletRegularityError(ConfigError, RegularityError):
-    """Dirichlet boundary noise requires Young regularity above 1 - 1/(2p).
+    """Dirichlet boundary noise requires Young regularity above 3/4.
 
     Both a configuration defect (the scale cannot be built) and a regularity
     defect (the Young integral is not defined), hence the double parentage

@@ -11,8 +11,9 @@ as the fixed point of
 
 iterated from the anchor (S y0 + int S G(y0) dX, G(y0)) on controlled-path
 balls.  Dirichlet boundary noise is handled in the Young regime (driver
-exponent above 1 - 1/(2p)) with the first-order convolution and a plain
-Hoelder-norm Picard iteration.
+exponent above 3/4, the value of 1 - 1/(2p) at p = 2) with the first-order
+convolution and a plain Hoelder-norm Picard iteration; a drift needs
+gamma < 1/2, so the Young regime runs without one.
 
 Both regimes run on one window engine, as the paper's global existence
 argument does: a Picard loop whose contraction factor is estimated from
@@ -38,7 +39,7 @@ from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch)
 from .rough_convolution import mode_filter, rough_convolve, young_convolve
 from .rough_driver import RoughDriver, check_grid, shift
-from .spectral_scale import DIRICHLET, NEUMANN, Scale
+from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
 _BLOWUP_FACTOR = 1e8
 _NONFINITE = "the Picard distance was non-finite in every window tried"
@@ -119,15 +120,17 @@ class ProblemSpec:
             if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
                 raise ConfigError(f"the {name} map is non-finite at y0")
         g = self.scale.gamma
+        if self.drift is not None and g >= 0.5:   # [2 gamma, 1) is empty
+            raise ConfigError(f"a drift needs gamma < 1/2, got gamma={g}")
         if self.drift is not None and not (2 * g <= self.drift.delta1 < 1.0):
             raise ConfigError(
                 f"drift index gap delta1={self.drift.delta1} outside [2 gamma, 1)"
                 f" = [{2 * g}, 1)")
-        floor = self.scale.eta + 1.0 + 1.0 / self.scale.p
+        floor = self.scale.eta + 1.5
         if not floor < self.diffusion.delta2 < np.inf:
             raise ConfigError(
                 f"diffusion index gain delta2={self.diffusion.delta2} must be "
-                f"finite and exceed eta + 1 + 1/p = {floor:.4f}")
+                f"finite and exceed eta + 3/2 = {floor:.4f}")
         if abs(self.scale.gamma - self.driver.gamma) > 1e-9:
             raise ConfigError(
                 f"scale gamma {self.scale.gamma} and driver gamma "
@@ -249,10 +252,7 @@ def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
 
     def step(u):
         g_rows = diffusion_rows(spec.diffusion, scale, u.y)
-        rows = base + young_convolve(path(g_rows), D).y
-        if spec.drift is not None:
-            rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
-        return path(rows)
+        return path(base + young_convolve(path(g_rows), D).y)
 
     return step, lambda a, b: _young_distance(a, b, eta, g, stride), path(base)
 
@@ -387,10 +387,9 @@ def solve_young_dirichlet(spec: ProblemSpec) -> GlobalSolveResult:
     scale = spec.scale
     if scale.bc != DIRICHLET:
         raise ConfigError("solve_young_dirichlet needs a Dirichlet scale")
-    young_floor = 1.0 - 0.5 / scale.p
-    if spec.driver.gamma <= young_floor:
+    if spec.driver.gamma <= YOUNG_FLOOR:
         raise DirichletRegularityError(
-            f"Dirichlet noise needs driver exponent > {young_floor}, "
+            f"Dirichlet noise needs driver exponent > {YOUNG_FLOOR}, "
             f"got {spec.driver.gamma}")
     times, rows, *rest = _concatenate(spec, _young_window)
     path = ControlledPath(times, rows, np.zeros_like(rows), -scale.eta,

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, DirichletRegularityError, ScaleUnderflow, SingularLift
 
 SCALE_FLOOR = -2.0
+YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
 _FLOOR_SLACK = 1e-12
 _SINGULAR_TOL = 1e-300
 
@@ -53,18 +54,17 @@ class ScaleConfig:
        scale norms monotone in alpha).
     K: number of retained eigenmodes.
     bc: "neumann" or "dirichlet".
-    p: integrability exponent, fixed to 2 at desk scale.
-    delta: small positive offset in eps = 1/2 + 1/(2p) - delta (Neumann) or
-       eps = 1/(2p) - delta (Dirichlet).
+    delta: small positive offset in eps = 3/4 - delta (Neumann) or
+       eps = 1/4 - delta (Dirichlet), the L^2 (p = 2) values of
+       1/2 + 1/(2p) - delta and 1/(2p) - delta.
     gamma: driver Hoelder exponent; (1/3, 1/2] for the rough Neumann case,
-       (1/2, 1) for the Young/Dirichlet case.
+       (3/4, 1) for the Young/Dirichlet case.
     """
 
     a: float = 1.0
     b: float = -1.0
     K: int = 32
     bc: str = NEUMANN
-    p: int = 2
     delta: float = 0.05
     gamma: float = 0.40
 
@@ -78,18 +78,15 @@ class Scale:
     """
 
     def __init__(self, cfg: ScaleConfig):
-        _validate(cfg)
+        self.eps = _validate(cfg)
         self.cfg = cfg
         self.bc = cfg.bc
         self.K = cfg.K
-        self.p = cfg.p
         self.gamma = cfg.gamma
         if cfg.bc == NEUMANN:
             self.wavenumbers = np.arange(cfg.K)
-            self.eps = 0.5 + 0.5 / cfg.p - cfg.delta
         else:
             self.wavenumbers = np.arange(1, cfg.K + 1)
-            self.eps = 0.5 / cfg.p - cfg.delta
         self.eta = 1.0 - self.eps
         self.sigma = self.eta + cfg.gamma
         self.mu = -cfg.b + cfg.a * (self.wavenumbers * np.pi) ** 2
@@ -165,7 +162,8 @@ def _check_same_scale(u, v):
         raise ConfigError("spectral vectors live on different scales or indices")
 
 
-def _validate(cfg: ScaleConfig):
+def _validate(cfg: ScaleConfig) -> float:
+    """Reject an unusable scale; return its eps."""
     if not 0 < cfg.a < np.inf:
         raise ConfigError(
             f"diffusion coefficient must be finite and positive, got a={cfg.a}")
@@ -177,32 +175,26 @@ def _validate(cfg: ScaleConfig):
         raise SingularLift(f"cosh/sinh system singular for kappa={kappa}")
     if cfg.K < 1:
         raise ConfigError(f"need at least one mode, got K={cfg.K}")
-    if cfg.p != 2:
-        raise ConfigError("only p=2 norms are supported at desk scale")
     if not 0 < cfg.delta < np.inf:
         raise ConfigError(f"delta must be finite and positive, got {cfg.delta}")
     if cfg.bc == NEUMANN:
         if not (1.0 / 3.0 < cfg.gamma <= 0.5):
             raise ConfigError(
                 f"rough Neumann case needs gamma in (1/3, 1/2], got {cfg.gamma}")
-        eps = 0.5 + 0.5 / cfg.p - cfg.delta
-        if eps <= 1.0 - cfg.gamma:
-            raise ConfigError(
-                f"eps={eps:.4f} must exceed 1-gamma={1 - cfg.gamma:.4f}; "
-                f"shrink delta")
+        eps, name, hint = 0.75 - cfg.delta, "eps", "shrink delta"
     elif cfg.bc == DIRICHLET:
-        young_floor = 1.0 - 0.5 / cfg.p
-        if not (young_floor < cfg.gamma < 1.0):
+        if not (YOUNG_FLOOR < cfg.gamma < 1.0):
             raise DirichletRegularityError(
-                f"Dirichlet/Young case needs gamma in ({young_floor}, 1), "
+                f"Dirichlet/Young case needs gamma in ({YOUNG_FLOOR}, 1), "
                 f"got {cfg.gamma}")
-        eps = 0.5 / cfg.p - cfg.delta
-        if eps <= 1.0 - cfg.gamma:
-            raise ConfigError(
-                f"eps_D={eps:.4f} must exceed 1-gamma={1 - cfg.gamma:.4f}; "
-                f"shrink delta below gamma-{young_floor}")
+        eps, name = 0.25 - cfg.delta, "eps_D"
+        hint = f"shrink delta below gamma-{YOUNG_FLOOR}"
     else:
         raise ConfigError(f"unknown boundary condition tag {cfg.bc!r}")
+    if eps <= 1.0 - cfg.gamma:
+        raise ConfigError(f"{name}={eps:.4f} must exceed "
+                          f"1-gamma={1 - cfg.gamma:.4f}; {hint}")
+    return eps
 
 
 def build_scale(cfg: ScaleConfig) -> Scale:

@@ -95,6 +95,14 @@ def phi_second_bound(F):
     return 4.0 / (3.0 * np.sqrt(3.0) * F.amp)
 
 
+def squashed_d2value(F, y_rows, h_rows, g_rows):
+    """D^2 F(y)[h, g] of a SquashedTrace, rowwise; phi'' = -2/amp tanh sech^2."""
+    t = np.tanh(F._u(y_rows) / F.amp)
+    phi2 = (-2.0 / F.amp) * t * (1.0 - t * t)
+    return (phi2 * (np.asarray(h_rows, dtype=float) @ F.w)
+            * (np.asarray(g_rows, dtype=float) @ F.w))
+
+
 def evaluate(v, x):
     """Reconstruct the function at points x from the truncated expansion."""
     return v.scale.basis(x) @ v.coeffs

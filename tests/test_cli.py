@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import roughbound
+from roughbound import (ConstantBoundary, LinearDrift, LinearTrace,
+                        SmoothBoundedDrift, default_trace_weights)
 from roughbound.cli import run
 from roughbound.config import build_problem, parse_config, parse_levels
 from roughbound.errors import ConfigError
@@ -129,6 +132,67 @@ def test_malformed_values_are_rejected_at_load_naming_file_and_line(
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: bad value")
 
 
+def test_the_p_key_is_unknown(tmp_path, capsys):
+    # p = 2 is the only supported exponent, so the key no longer exists
+    cfg = _write(tmp_path, "p.cfg", "study = solve\np = 2\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'p'\n"
+
+
+def test_a_dirichlet_drift_names_the_gamma_bound(tmp_path, capsys):
+    cfg = _write(tmp_path, "d.cfg",
+                 "study = solve\nbc = dirichlet\nH = 0.8\ngamma = 0.77\n"
+                 "delta = 0.005\ndiffusion_delta2 = 2.5\ndrift = linear\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "a drift needs gamma < 1/2" in capsys.readouterr().err
+
+
+def _problem(tmp_path, text):
+    return build_problem(parse_config(_write(tmp_path, "problem.cfg", f"n = 64\n{text}")))
+
+
+@pytest.mark.parametrize("text, kind, delta1, attr, value", [
+    ("drift = linear\ndrift_c = -0.5\n", LinearDrift, 0.8, "c", -0.5),
+    ("drift = linear\ngamma = 0.45\n", LinearDrift, 0.9, "c", -1.0),
+    ("drift = linear\ndrift_delta1 = 0.95\n", LinearDrift, 0.95, "c", -1.0),
+    ("drift = smooth_bounded\ndrift_amp = 2.0\n", SmoothBoundedDrift, 0.8,
+     "amp", 2.0),
+    ("drift = smooth_bounded\ndrift_delta1 = 0.85\n", SmoothBoundedDrift, 0.85,
+     "amp", 1.0),
+])
+def test_drift_selectors_build_their_maps(tmp_path, text, kind, delta1, attr,
+                                          value):
+    # delta1 defaults to max(2 gamma, 0.8)
+    drift = _problem(tmp_path, text).drift
+    assert type(drift) is kind and drift.delta1 == delta1
+    assert getattr(drift, attr) == value
+
+
+def test_diffusion_selectors_build_their_maps(tmp_path):
+    zero = _problem(tmp_path, "diffusion = zero\ndiffusion_delta2 = 2.5\n")
+    assert type(zero.diffusion) is ConstantBoundary
+    assert zero.diffusion.g.tolist() == [0.0, 0.0]
+    assert zero.diffusion.delta2 == 2.5
+    assert zero.diffusion.domain_alpha == zero.solution_alpha
+    const = _problem(tmp_path, "diffusion = constant\ng0 = 0.7\ng1 = -0.3\n")
+    assert type(const.diffusion) is ConstantBoundary
+    assert const.diffusion.g.tolist() == [0.7, -0.3]
+    lin = _problem(tmp_path, "diffusion = linear_trace\ndiffusion_gain = 0.5\n")
+    assert type(lin.diffusion) is LinearTrace
+    w0, w1 = default_trace_weights(lin.scale, 0.5)
+    assert np.array_equal(lin.diffusion.w, np.stack([w0, w1], axis=1))
+    assert lin.diffusion.domain_alpha == lin.solution_alpha
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("y0 = zero\n", [0.0] * 16),
+    ("y0 = coeffs\ny0_coeffs = 1,2,3\n", [1.0, 2.0, 3.0] + [0.0] * 13),
+    ("y0 = coeffs\nK = 4\ny0_coeffs = 1,2,3,4,5,6\n", [1.0, 2.0, 3.0, 4.0]),
+])
+def test_y0_selectors_pad_or_truncate_to_k(tmp_path, text, expected):
+    assert _problem(tmp_path, text).y0.tolist() == expected
+
+
 @pytest.mark.parametrize("study", ["sample", "solve", "cocycle", "stability",
                                    "invariants"])
 def test_levels_is_an_option_of_convergence_only(tmp_path, study):
@@ -236,6 +300,16 @@ def test_invariants_on_a_dirichlet_scale(tmp_path, capsys):
                  "bc = dirichlet\nH = 0.8\ngamma = 0.77\ndelta = 0.005\n")
     assert run(["invariants", "--config", cfg]) == 0
     assert "CHECK dirichlet_linearity PASS" in capsys.readouterr().out
+
+
+def test_invariants_out_writes_the_checks_it_prints(tmp_path, capsys):
+    cfg = _write(tmp_path, "inv.cfg", "K = 8\nn = 64\nseeds = 3\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["invariants", "--config", cfg, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(l.startswith("CHECK ") for l in printed)
+    assert (out / "invariants.txt").read_text().splitlines() == ["line", *printed]
 
 
 def test_convergence_rerun_byte_identical(tmp_path):

@@ -84,7 +84,7 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
     with pytest.raises(ConfigError):   # delta1 below 2 gamma
         ProblemSpec(neumann_scale, driver_small, F, lifted_y0,
                     drift=LinearDrift(-1.0, 0.5))
-    for delta2 in (1.5, np.nan, np.inf):   # at/below eta + 1 + 1/p, non-finite
+    for delta2 in (1.5, np.nan, np.inf):   # at/below eta + 3/2, non-finite
         with pytest.raises(ConfigError):
             ProblemSpec(neumann_scale, driver_small,
                         _squashed(neumann_scale, delta2=delta2), lifted_y0)
@@ -95,6 +95,16 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
         ProblemSpec(neumann_scale, driver_small, F, np.zeros(5))
     with pytest.raises(ConfigError):   # a horizon where the Picard knobs go
         ProblemSpec(neumann_scale, driver_small, F, lifted_y0, None, 0.5)
+
+
+def test_a_drift_at_gamma_one_half_names_the_gamma_bound():
+    # [2 gamma, 1) is empty at gamma = 1/2, the top of the rough range
+    import roughbound as rb
+    scale = rb.build_scale(rb.ScaleConfig(K=16, gamma=0.5))
+    with pytest.raises(ConfigError, match="a drift needs gamma < 1/2"):
+        ProblemSpec(scale, _zero_driver(64, 1.0, gamma=0.5),
+                    _zero_diffusion(scale), np.zeros(16),
+                    drift=LinearDrift(-1.0, 0.99))
 
 
 # -- local/global solves ----------------------------------------------------------

@@ -31,9 +31,23 @@ def test_derived_exponents():
     assert sc.sigma == pytest.approx(0.70)
 
 
+@pytest.mark.parametrize("bc, gamma, delta, eps", [
+    ("neumann", 0.40, 0.05, 0.5 + 0.5 / 2 - 0.05),
+    ("neumann", 0.45, 0.03, 0.5 + 0.5 / 2 - 0.03),
+    ("dirichlet", 0.77, 0.005, 0.5 / 2 - 0.005),
+    ("dirichlet", 0.95, 0.02, 0.5 / 2 - 0.02),
+])
+def test_derived_exponents_are_the_p2_formulas_exactly(bc, gamma, delta, eps):
+    # eps = 1/2 + 1/(2p) - delta (Neumann), 1/(2p) - delta (Dirichlet) at p = 2
+    sc = build_scale(ScaleConfig(bc=bc, gamma=gamma, delta=delta))
+    assert sc.eps == eps
+    assert sc.eta == 1.0 - eps
+    assert sc.sigma == (1.0 - eps) + gamma
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(a=-1.0), dict(a=0.0), dict(b=0.0), dict(b=1.0), dict(K=0),
-    dict(p=3), dict(delta=-0.1),
+    dict(delta=float("inf")), dict(delta=-0.1),
     dict(gamma=0.30),          # below the rough range
     dict(gamma=0.55),          # above the rough range
     dict(gamma=0.40, delta=0.20),   # eps <= 1 - gamma
