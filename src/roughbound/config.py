@@ -7,7 +7,8 @@ returns typed values (finite floats; tuples, or a range for `levels`, for
 the lists) or a ConfigError that names the file and line of an unknown,
 duplicate or malformed entry.  The full schema is documented in the README;
 every study key has a default, so minimal configs stay diff-able, and an
-absent `gamma` is filled in as H - gamma_slack.
+absent `gamma` is filled in as H - 0.05 (DEFAULT_GAMMA_SLACK), the default
+of `sample_fbm`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _KEYS = {
     "gamma": (_finite, None),
     # driver
     "H": (_finite, 0.45), "n": (int, 1024), "T": (_finite, 1.0),
-    "seed": (int, 0), "gamma_slack": (_finite, DEFAULT_GAMMA_SLACK),
+    "seed": (int, 0),
     # coefficients
     "drift": (_choice("none", "linear", "smooth_bounded"), "none"),
     "drift_c": (_finite, -1.0), "drift_amp": (_finite, 1.0),
@@ -125,7 +126,7 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} "
                               f"({exc})") from exc
     if cfg["gamma"] is None:
-        cfg["gamma"] = cfg["H"] - cfg["gamma_slack"]
+        cfg["gamma"] = cfg["H"] - DEFAULT_GAMMA_SLACK
     return cfg
 
 

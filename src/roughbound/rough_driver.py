@@ -31,8 +31,10 @@ The Schur algorithm factors it in O(n^2) from c alone (stable for positive
 definite Toeplitz matrices: Bojanczyk, Brent, de Hoog & Sweet 1995).  The
 draw dX = z @ U is summed over blocks of 64 rows of the upper factor U.  On
 a key's first draw the blocks stream from the recursion through one
-(64, n) buffer and U is never held; the one cached factor is built on a
-key's second draw in a row.  Streamed and cached draws are bitwise equal.
+(64, n) buffer and U is never held; a key's second draw in a row keeps
+copies of the streamed blocks as the one cached factor, the upper
+triangle's row blocks (about n(n+1)/2 + 32n doubles).  Streamed and cached
+draws are bitwise equal.
 Sampled paths are (H-)-Hoelder, so the recorded exponent defaults to
 gamma = H - 0.05.
 """
@@ -194,8 +196,9 @@ def geometric_chen_defect_max(D: RoughDriver) -> float:
 # -- exact fBm sampling ------------------------------------------------------
 
 _BLOCK_ROWS = 64
-# The one cached factor, by (H, n, T) key, and the key of the previous draw.
-_factor: dict[tuple, np.ndarray] = {}
+# The one cached factor, by (H, n, T) key, as its (k0, R) row blocks, and
+# the key of the previous draw.
+_factor: dict[tuple, tuple] = {}
 _previous_key: tuple | None = None
 
 
@@ -249,45 +252,24 @@ def _schur_row_blocks(c):
         yield k0, R
 
 
-def _toeplitz_cholesky(c) -> np.ndarray:
-    """Upper factor U = L^T with U^T U = toeplitz(c), from the Schur row blocks."""
-    n = np.size(c)
-    U = np.zeros((n, n))
-    for k0, R in _schur_row_blocks(c):
-        U[k0:k0 + R.shape[0], k0:] = R
-    return U
-
-
-def _key(H: float, n: int, T: float) -> tuple:
-    return round(H, 12), n, round(T, 12)
-
-
-def _increment_cholesky(H: float, n: int, T: float) -> np.ndarray:
-    """Upper factor U of the fGn increment covariance, kept as the one cached factor."""
-    key = _key(H, n, T)
-    U = _factor.get(key)
-    if U is None:
-        _factor.clear()
-        U = _factor[key] = _toeplitz_cholesky(_fgn_autocovariance(H, n, T))
-    return U
-
-
 def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
     """dX = z @ U, summed over blocks of _BLOCK_ROWS rows of U.
 
-    The blocks come from the cached factor if it is this key's or if the
-    previous draw had this key too (which builds and keeps it); otherwise
-    they stream from the Schur recursion and nothing is kept.  Either way
-    the same blocks meet the same products, so the draw is bitwise equal.
+    The blocks come from the cache if it holds this key; otherwise they
+    stream from the Schur recursion, and if the previous draw had this key
+    too, copies of them replace the cached blocks.  The draw reads the local
+    blocks, so a concurrent clear of the cache cannot lose it, and the same
+    blocks meet the same products either way, so the draw is bitwise equal.
     """
     global _previous_key
-    key = _key(H, n, T)
-    if key in _factor or key == _previous_key:
-        U = _increment_cholesky(H, n, T)
-        blocks = ((k0, U[k0:k0 + _BLOCK_ROWS, k0:])
-                  for k0 in range(0, n, _BLOCK_ROWS))
-    else:
+    key = round(H, 12), n, round(T, 12)
+    blocks = _factor.get(key)
+    if blocks is None:
         blocks = _schur_row_blocks(_fgn_autocovariance(H, n, T))
+        if key == _previous_key:
+            blocks = tuple((k0, R.copy()) for k0, R in blocks)
+            _factor.clear()
+            _factor[key] = blocks
     _previous_key = key
     dX = np.zeros(n)
     for k0, R in blocks:

@@ -7,7 +7,7 @@ explicit spectral constants,
     sup_t t^sigma |S_t|_{L(B_alpha, B_{alpha+sigma})} <= (sigma/e)^sigma,
     |(S_t - Id) v|_alpha <= t^sigma |v|_{alpha+sigma},
 
-both of which ``smoothing_constants`` measures and asserts.
+both of which ``smoothing_constants`` measures; its callers judge the report.
 """
 
 from __future__ import annotations
@@ -43,26 +43,18 @@ def smoothing_bound(sigma: float) -> float:
 @dataclass(frozen=True)
 class SmoothingReport:
     sigma: float
-    alpha: float
     measured_smoothing: float   # sup t^sigma mu^sigma e^{-mu t}
     smoothing_bound: float      # (sigma/e)^sigma
     measured_continuity: float  # sup (1 - e^{-mu t}) / (mu t)^sigma
     continuity_bound: float     # 1
 
-    @property
-    def ok(self):
-        slack = 1 + 1e-12
-        return (self.measured_smoothing <= self.smoothing_bound * slack
-                and self.measured_continuity <= self.continuity_bound * slack)
 
-
-def smoothing_constants(scale: Scale, sigma: float, alpha: float, t_grid) -> SmoothingReport:
+def smoothing_constants(scale: Scale, sigma: float, t_grid) -> SmoothingReport:
     """Measure the parabolic operator-norm constants over t_grid and all modes.
 
     The operators are diagonal, so the operator norm between B_alpha and
-    B_{alpha+sigma} is a sup over modes and does not depend on alpha; the
-    argument is kept to make the interface contract explicit.  Raises
-    AssertionError if a measured constant exceeds its exact spectral bound.
+    B_{alpha+sigma} is a sup over modes and does not depend on alpha.  The
+    report holds each measured constant next to its exact spectral bound.
     """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0,1], got {sigma}")
@@ -72,7 +64,4 @@ def smoothing_constants(scale: Scale, sigma: float, alpha: float, t_grid) -> Smo
     x = scale.mu[None, :] * t
     smoothing = float(np.max(x ** sigma * np.exp(-x)))
     continuity = float(np.max(-np.expm1(-x) / x ** sigma))
-    report = SmoothingReport(sigma, alpha, smoothing, smoothing_bound(sigma),
-                             continuity, 1.0)
-    assert report.ok, f"spectral semigroup bound violated: {report}"
-    return report
+    return SmoothingReport(sigma, smoothing, smoothing_bound(sigma), continuity, 1.0)

@@ -299,7 +299,7 @@ def invariants_battery(scale: Scale, *, H: float = 0.45, n: int = 64,
     worst_exc = 0.0
     t_grid = np.logspace(-4, 0, 60)
     for sig in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rep = smoothing_constants(scale, sig, 0.0, t_grid)
+        rep = smoothing_constants(scale, sig, t_grid)
         worst_exc = max(worst_exc,
                         rep.measured_smoothing / rep.smoothing_bound,
                         rep.measured_continuity / rep.continuity_bound)

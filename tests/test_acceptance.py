@@ -70,7 +70,7 @@ def test_criterion_03_semigroup_bounds():
     t_grid = np.logspace(-4, 0, 200)
     worst = 0.0
     for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rep = rb.smoothing_constants(sc, sigma, 0.0, t_grid)
+        rep = rb.smoothing_constants(sc, sigma, t_grid)
         worst = max(worst, rep.measured_smoothing / rep.smoothing_bound,
                     rep.measured_continuity / rep.continuity_bound)
     _report(3, "semigroup_bounds", worst <= 1 + 1e-12, worst, 1 + 1e-12)

@@ -150,6 +150,14 @@ def test_linearity(neumann_scale):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+def test_each_map_needs_its_boundary_condition(neumann_scale, dirichlet_scale):
+    g = BoundaryVector(1.0, 0.5)
+    with pytest.raises(ConfigError):
+        neumann_map(g, dirichlet_scale)
+    with pytest.raises(ConfigError):
+        dirichlet_map(g, neumann_scale)
+
+
 def test_boundary_vector_guards():
     with pytest.raises(ConfigError):
         BoundaryVector(np.nan, 0.0)

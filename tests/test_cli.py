@@ -81,6 +81,12 @@ def test_exit_codes(tmp_path):
                              "study = solve\nbc = dirichlet\nH = 0.6\nn = 128\n"
                              "diffusion_delta2 = 2.5\ndelta = 0.005\n")
     assert run(["solve", "--config", dirichlet_rough, "--out", str(out)]) == 9
+    assert run(["solve", "--config", ok]) == 2                # no --out
+    missing = str(tmp_path / "missing.cfg")
+    assert run(["sample", "--config", missing, "--out", str(out)]) == 11
+    conv = _write(tmp_path, "c.cfg", "study = convergence\nn = 64\n")
+    assert run(["convergence", "--config", conv, "--out", str(out),
+                "--levels", "4..x"]) == 2
 
 
 @pytest.mark.parametrize("study, line", [
@@ -118,6 +124,7 @@ def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
 @pytest.mark.parametrize("line", [
     "delta = nan", "T = inf", "b = -inf", "lambdas = 1,x",
     "eps0 = 0.1,nan", "y0_coeffs = inf", "resolutions = 64,x", "levels = 9..4",
+    "levels = 4..x",
     "study = bogus", "bc = robin", "drift = bogus", "diffusion = bogus",
     "y0 = nope",
 ])
@@ -137,6 +144,14 @@ def test_the_p_key_is_unknown(tmp_path, capsys):
     cfg = _write(tmp_path, "p.cfg", "study = solve\np = 2\n")
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'p'\n"
+
+
+def test_the_gamma_slack_key_is_unknown(tmp_path, capsys):
+    # gamma defaults to H - 0.05, as in sample_fbm; set gamma to pin it
+    cfg = _write(tmp_path, "s.cfg", "study = solve\ngamma_slack = 0.2\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}:2: unknown key "
+                                       "'gamma_slack'\n")
 
 
 def test_a_dirichlet_drift_names_the_gamma_bound(tmp_path, capsys):
@@ -345,8 +360,8 @@ def test_stability_and_cocycle_smoke(tmp_path):
 
 
 def test_parse_config_fills_gamma_from_h(tmp_path):
-    cfg = parse_config(_write(tmp_path, "a.cfg", "H = 0.6\ngamma_slack = 0.1\n"))
-    assert cfg["gamma"] == 0.6 - 0.1
+    cfg = parse_config(_write(tmp_path, "a.cfg", "H = 0.6\n"))
+    assert cfg["gamma"] == 0.6 - 0.05     # H - DEFAULT_GAMMA_SLACK: 0.55
     cfg = parse_config(_write(tmp_path, "b.cfg", "H = 0.6\ngamma = 0.55\n"))
     assert cfg["gamma"] == 0.55
 

@@ -13,8 +13,8 @@ from roughbound import rough_driver
 from roughbound.cli import cmd_sample
 from roughbound.config import parse_config
 from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
-                                     _increment_cholesky, _toeplitz_cholesky,
-                                     chen_defect_max, geometric_chen_defect_max)
+                                     _schur_row_blocks, chen_defect_max,
+                                     geometric_chen_defect_max)
 
 from conftest import (brute_force_holder, brute_force_increment_sup,
                       brute_force_rough_metric, dense_increment_cholesky,
@@ -56,11 +56,20 @@ def test_sampling_determinism_bitwise():
     assert not np.array_equal(a.X, c.X)
 
 
+def _schur_factor(c):
+    """The dense upper factor U, assembled from the Schur row blocks."""
+    n = np.size(c)
+    U = np.zeros((n, n))
+    for k0, R in _schur_row_blocks(c):
+        U[k0:k0 + R.shape[0], k0:] = R
+    return U
+
+
 @pytest.mark.parametrize("n", [2, 3, 64, 512])
 @pytest.mark.parametrize("H", [0.35, 0.45, 0.5, 0.8])
 def test_schur_factor_matches_dense_cholesky(H, n):
     L = dense_increment_cholesky(H, n, 1.0)
-    U = _increment_cholesky(H, n, 1.0)
+    U = _schur_factor(_fgn_autocovariance(H, n, 1.0))
     assert np.array_equal(U, np.triu(U))
     assert np.max(np.abs(U.T - L)) <= 1e-10 * np.max(np.abs(L))
 
@@ -108,6 +117,21 @@ def test_first_draw_streams_in_bounded_memory(cold_sampler):
     assert not rough_driver._factor
 
 
+def test_cached_factor_holds_the_upper_triangle_only(cold_sampler):
+    # at n = 1024 a dense factor alone is 8 MiB; the upper triangle's row
+    # blocks are about n(n+1)/2 + 32n doubles (4.3 MiB)
+    n = 1024
+    sample_fbm(0.45, n, 1.0, seed=1)
+    tracemalloc.start()
+    try:
+        sample_fbm(0.45, n, 1.0, seed=2)     # second in a row: caches
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(rough_driver._factor) == [(0.45, n, 1.0)]
+    assert peak < 6 * 2 ** 20, peak
+
+
 def test_sampler_caches_one_factor(cold_sampler):
     for n in (64, 128):
         for seed in (1, 2):
@@ -152,13 +176,13 @@ def test_fgn_autocovariance_matches_high_precision(H):
 
 
 def test_toeplitz_cholesky_rejects_non_pd_columns():
-    U = _toeplitz_cholesky([4.0, 2.0, 1.0])
+    U = _schur_factor([4.0, 2.0, 1.0])
     np.testing.assert_allclose(U.T @ U, [[4, 2, 1], [2, 4, 2], [1, 2, 4]],
                                rtol=1e-15)
     for col in ([1.0, 1.5], [1.0, -1.0], [1.0, 0.9, -0.9], [0.0, 0.0],
                 [-1.0, 0.0], [1.0, np.nan]):
         with pytest.raises(CovarianceNotPD):
-            _toeplitz_cholesky(col)
+            _schur_factor(col)
 
 
 def test_sampling_guards():
@@ -388,6 +412,8 @@ def test_shift_identity_flow_and_cocycle():
 
     with pytest.raises(GridMismatch):
         shift(D, 0.013)
+    with pytest.raises(GridMismatch):   # one grid point left
+        shift(D, D.T)
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(GridMismatch):
             D.index_of(t)

@@ -34,14 +34,14 @@ def test_semigroup_law(neumann_scale):
 def test_smoothing_constants_sigma_grid(neumann_scale):
     t_grid = np.logspace(-4, 0, 120)
     for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rep = smoothing_constants(neumann_scale, sigma, 0.0, t_grid)
+        rep = smoothing_constants(neumann_scale, sigma, t_grid)
         assert rep.measured_smoothing <= rep.smoothing_bound * (1 + 1e-12)
         assert rep.measured_continuity <= 1 + 1e-12
 
 
 def test_sigma_one_supremum_attained(neumann_scale):
     # sup_x x e^{-x} = 1/e at x = 1; mode mu_0 = 1 with t = 1 hits it exactly.
-    rep = smoothing_constants(neumann_scale, 1.0, 0.0, np.array([0.5, 1.0, 2.0]))
+    rep = smoothing_constants(neumann_scale, 1.0, np.array([0.5, 1.0, 2.0]))
     assert rep.measured_smoothing == pytest.approx(1 / np.e, rel=1e-12)
     assert smoothing_bound(1.0) == pytest.approx(1 / np.e, rel=1e-15)
 

@@ -95,6 +95,17 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
         ProblemSpec(neumann_scale, driver_small, F, np.zeros(5))
     with pytest.raises(ConfigError):   # a horizon where the Picard knobs go
         ProblemSpec(neumann_scale, driver_small, F, lifted_y0, None, 0.5)
+    with pytest.raises(ConfigError):   # diffusion declared off the solution index
+        ProblemSpec(neumann_scale, driver_small,
+                    ConstantBoundary(0.0, 0.0, 0.0, 2.0), lifted_y0)
+
+
+def test_the_young_solver_needs_a_dirichlet_scale(neumann_scale, driver_small,
+                                                  lifted_y0):
+    spec = ProblemSpec(neumann_scale, driver_small, _squashed(neumann_scale),
+                       lifted_y0)
+    with pytest.raises(ConfigError):
+        solve_young_dirichlet(spec)
 
 
 def test_a_drift_at_gamma_one_half_names_the_gamma_bound():
@@ -561,6 +572,14 @@ def test_cocycle_zero_noise(neumann_scale, lifted_y0):
     D = _zero_driver(2048, 0.5)
     spec = ProblemSpec(neumann_scale, D, _zero_diffusion(neumann_scale), lifted_y0)
     assert cocycle_defect(spec, 0.25, 0.25, 512) <= 1e-8
+
+
+def test_cocycle_defect_needs_a_resolution_that_divides_the_window(
+        neumann_scale, lifted_y0):
+    D = sample_fbm(0.45, 64, 1.0, seed=3, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
+    with pytest.raises(GridMismatch):   # 3 does not divide 32 steps (t + tau)
+        cocycle_defect(spec, 0.25, 0.25, 3)
 
 
 def test_cocycle_defect_scale(neumann_scale, lifted_y0):

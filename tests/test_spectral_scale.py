@@ -53,6 +53,7 @@ def test_derived_exponents_are_the_p2_formulas_exactly(bc, gamma, delta, eps):
     dict(gamma=0.40, delta=0.20),   # eps <= 1 - gamma
     dict(a=float("nan")), dict(a=float("inf")), dict(b=float("nan")),
     dict(b=-float("inf")), dict(delta=float("nan")),
+    dict(bc="robin"),
 ])
 def test_config_rejection(kwargs):
     with pytest.raises(ConfigError):
