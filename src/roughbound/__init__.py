@@ -5,9 +5,6 @@ sewing-lemma rough convolutions, a Picard fixed-point solver, and the
 verification harnesses (stability, cocycle, rates) behind the CLI.
 """
 
-from .boundary_lift import (BOUNDARY, BoundarySpace, BoundaryVector,
-                            dirichlet_map, dirichlet_profile,
-                            lift_operator_norm, neumann_map, neumann_profile)
 from .controlled_path import (ControlledPath, ConstantBoundary, LinearTrace,
                               SmoothMap, SquashedTrace, compose_smooth,
                               constant_path, crp_distance, crp_norm,
@@ -24,15 +21,17 @@ from .rough_convolution import (RemainderReport, SewingReport, level_sum,
 from .rough_driver import (RoughDriver, holder_seminorm, lift_explicit,
                            lift_geometric, rho, rough_metric, sample_fbm,
                            shift)
-from .semigroup import (SmoothingReport, apply_semigroup, smoothing_bound,
-                        smoothing_constants)
 from .solver import (DriftMap, GlobalSolveResult, LinearDrift,
                      LocalSolveResult, PicardParams, ProblemSpec,
                      SmoothBoundedDrift, additive_direct, cocycle_defect,
                      drift_convolve, drift_convolve_path, solve_global,
                      solve_local, solve_young_dirichlet, stability_distance)
-from .spectral_scale import (DIRICHLET, NEUMANN, Scale, ScaleConfig,
-                             SpectralVector, apply_generator, build_scale,
-                             fractional_power, scale_norm)
+from .spectral_scale import (BOUNDARY, DIRICHLET, NEUMANN, BoundarySpace,
+                             BoundaryVector, Scale, ScaleConfig,
+                             SmoothingReport, SpectralVector, apply_generator,
+                             apply_semigroup, build_scale, dirichlet_map,
+                             dirichlet_profile, fractional_power,
+                             lift_operator_norm, neumann_map, neumann_profile,
+                             scale_norm, smoothing_bound, smoothing_constants)
 
 __version__ = "0.1.0"

@@ -78,7 +78,7 @@ _KEYS = {
     "drift_delta1": (_finite, None),
     "diffusion": (_choice("linear_trace", "squashed_trace", "constant", "zero"),
                   "squashed_trace"), "diffusion_gain": (_finite, 0.8),
-    "diffusion_amp": (_finite, 1.0), "diffusion_delta2": (_finite, 2.0),
+    "diffusion_amp": (_finite, 1.0), "diffusion_delta2": (_finite, None),
     "diffusion_bias0": (_finite, 0.3), "diffusion_bias1": (_finite, -0.2),
     "g0": (_finite, 1.0), "g1": (_finite, 0.0),
     # initial data
@@ -145,6 +145,8 @@ def build_diffusion_from(cfg: dict, scale: Scale):
     kind = cfg["diffusion"]
     alpha = scale.eps - 1.0
     d2 = cfg["diffusion_delta2"]
+    if d2 is None:
+        d2 = scale.eta + 2.0
     if kind == "zero":
         return ConstantBoundary(0.0, 0.0, alpha, d2)
     if kind == "constant":

@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary_lift import BOUNDARY, BoundarySpace
 from .errors import ConfigError, ScaleIndexError
 from .rough_driver import RoughDriver, check_grid, increment_sups, restriction_indices
-from .spectral_scale import Scale
+from .spectral_scale import BOUNDARY, BoundarySpace, Scale
 
 _INDEX_TOL = 1e-9
 

@@ -107,7 +107,7 @@ def _convolve(P: ControlledPath, D: RoughDriver, k: int):
     scale = _require_interior(P)
     check_grid(P, D)
     xi = _germ(P, D, slice(0, -1), slice(1, None), k)
-    damp = np.exp(-scale.mu * D.step)
+    damp = scale.semigroup(D.step)
     return mode_filter(damp, damp, xi)
 
 
@@ -135,27 +135,25 @@ def young_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
 
 # -- dyadic sewing defects -----------------------------------------------------
 
-def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int,
-              s_idx: int = 0):
-    """Compensated sum over the level-n dyadic partition of [t_s, t_t].
+def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int):
+    """Compensated sum over the level-n dyadic partition of [0, t_t].
 
-    Partition points must be grid points: (t_idx - s_idx) must be divisible
-    by 2^level.  The germ is the Young one when P.gamma > 1/2.
+    Partition points must be grid points: t_idx must be divisible by 2^level.
+    The germ is the Young one when P.gamma > 1/2.
     """
     scale = _require_interior(P)
     check_grid(P, D)
     if level < 0:
         raise ConfigError(f"dyadic level must be non-negative, got {level}")
-    span = t_idx - s_idx
     pieces = 2 ** level
-    if span <= 0 or span % pieces != 0:
+    if t_idx <= 0 or t_idx % pieces != 0:
         raise GridMismatch(
-            f"level {level} partition does not fit the grid span {span}")
-    stride = span // pieces
-    u = np.arange(s_idx, t_idx, stride)
+            f"level {level} partition does not fit the grid span {t_idx}")
+    stride = t_idx // pieces
+    u = np.arange(0, t_idx, stride)
     xi = _germ(P, D, u, u + stride, _germ_order(P.gamma))
     t_time = P.times[t_idx]
-    weights = np.exp(-np.outer(t_time - P.times[u], scale.mu))
+    weights = scale.semigroup(t_time - P.times[u])
     return np.sum(weights * xi, axis=0)
 
 
@@ -229,7 +227,7 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     W = np.array([scale.sq_weights(P.alpha - k * g + b) for b in betas])
     per_lag = np.zeros((m - 1, W.shape[0]))
     for lag in range(1, m):
-        damp = np.exp(-scale.mu * (times[lag] - times[0]))
+        damp = scale.semigroup(times[lag] - times[0])
         r = z[lag:] - damp * (z[:-lag] + _germ(P, D, sel[:-lag], sel[lag:], k))
         per_lag[lag - 1] = (W @ (r * r).T).max(axis=1)
     dt = np.arange(1, m)[:, None] * ((times[-1] - times[0]) / (m - 1))

@@ -167,15 +167,10 @@ class GlobalSolveResult:
 
 # -- shared pieces ---------------------------------------------------------------
 
-def semigroup_rows(scale: Scale, times, y0_coeffs):
-    """S_t y0 sampled on the grid, shape (n+1, K)."""
-    return np.exp(-np.outer(np.asarray(times, dtype=float), scale.mu)) * y0_coeffs
-
-
 def _phi_weights(scale: Scale, h: float):
     """Exact exponential-trapezoid weights for the left/right nodal values."""
     x = scale.mu * h
-    damp = np.exp(-x)
+    damp = scale.semigroup(h)
     w_right = h * (x + np.expm1(-x)) / x ** 2
     w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
     return damp, w_left, w_right
@@ -215,7 +210,7 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
                           "use solve_young_dirichlet for Dirichlet noise")
     stride = _check_stride(D.n)
     coarse = D.restricted(stride)
-    base = semigroup_rows(scale, D.times, y0)
+    base = scale.semigroup(D.times) * y0
 
     def step(u):  # one application of Phi; the derivative component is G(u)
         lifted = lift_extrapolate(spec.diffusion, u, scale)
@@ -244,7 +239,7 @@ def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
     """Young regime on one window: (step, distance, start) in the Hoelder norm."""
     scale, eta, g = spec.scale, spec.scale.eta, D.gamma
     stride = _check_stride(D.n)
-    base = semigroup_rows(scale, D.times, y0)
+    base = scale.semigroup(D.times) * y0
     zero = np.zeros_like(base)   # read-only once wrapped, so shared by every path
 
     def path(rows):  # no Gubinelli derivative in the Young regime
@@ -308,49 +303,40 @@ def _halve(spec: ProblemSpec, D: RoughDriver, end: int, y0, regime):
 def _concatenate(spec: ProblemSpec, regime):
     """Local solutions, window after window, up to the horizon.
 
-    Each window restarts from the last state on the shifted driver; the
-    running sup at the solution index feeds the no-blow-up monitor and the
-    growth fit.  Returns the grid, the solution rows and the remaining fields
-    of a GlobalSolveResult.
+    Each window restarts from the last state on the shifted driver; its sup
+    at the solution index feeds the no-blow-up monitor, and the running sup
+    over the whole grid the growth fit.  Returns the grid, the solution rows
+    and the remaining fields of a GlobalSolveResult.
     """
     scale, D, alpha = spec.scale, spec.driver, spec.solution_alpha
     t_idx = iterations = 0
     y_cur = np.asarray(spec.y0, dtype=float)
-    rows = [y_cur[None, :]]
+    rows, norms = np.empty((D.n + 1, scale.K)), np.empty(D.n + 1)
+    rows[0], norms[0] = y_cur, scale.norm(y_cur, alpha)
     window_ends = []
-    r = max(1.0, float(scale.norm(y_cur, alpha)))
-    running_sup = [(0.0, float(scale.norm(y_cur, alpha)))]
+    r = max(1.0, float(norms[0]))
 
     while t_idx < D.n:
         u, window, steps, _ = _halve(spec, shift(D, D.times[t_idx]),
                                      D.n - t_idx, y_cur, regime)
         iterations += steps
-        rows.append(u.y[1:])
+        new = slice(t_idx + 1, t_idx + window.n + 1)
+        rows[new], norms[new] = u.y[1:], scale.norm(u.y[1:], alpha)
         y_cur = u.y[-1]
         t_idx += window.n
         window_ends.append(float(D.times[t_idx]))
-        sup_now = float(np.max(scale.norm(u.y, alpha)))
-        running_sup.append((float(D.times[t_idx]), sup_now))
+        sup_now = float(np.max(norms[new]))
         if sup_now > _BLOWUP_FACTOR * r:
             raise AprioriBoundViolation(
                 f"sup norm {sup_now:.3e} at t={D.times[t_idx]:.4f} exceeds "
                 f"{_BLOWUP_FACTOR:.0e} x max(1, |y0|)")
 
-    return (D.times.copy(), np.vstack(rows), tuple(window_ends),
-            iterations, *_fit_growth_bound(running_sup, r))
-
-
-def _fit_growth_bound(history, r):
-    """Smallest (M1, M2 >= 0) with sup_{s<=t} |y_s| <= M1 r e^{M2 t} on record."""
-    ts = np.array([t for t, _ in history])
-    sups = np.maximum.accumulate(np.array([s for _, s in history]))
-    sups = np.maximum(sups, 1e-300)
-    if ts[-1] > 0 and sups[-1] > sups[0]:
-        m2 = max(0.0, float(np.log(sups[-1] / sups[0]) / ts[-1]))
-    else:
-        m2 = 0.0
-    m1 = float(np.max(sups / (r * np.exp(m2 * ts))))
-    return m1, m2
+    # growth fit: M2 >= 0 takes r to the final running sup (0 when that stays
+    # below r), and M1 is the least factor with sup <= M1 r e^{M2 t} on the grid
+    sups = np.maximum.accumulate(norms)
+    m2 = float(np.log(max(sups[-1], r) / r) / D.T)
+    m1 = float(np.max(sups / (r * np.exp(m2 * D.times))))
+    return D.times.copy(), rows, tuple(window_ends), iterations, m1, m2
 
 
 # -- public solvers -------------------------------------------------------------------
@@ -469,10 +455,10 @@ def additive_direct(spec: ProblemSpec) -> ControlledPath:
     g0 = diffusion_rows(spec.diffusion, scale,
                         np.asarray(spec.y0, float)[None, :])[0]
     times = D.times
-    rows = semigroup_rows(scale, times, np.asarray(spec.y0, float))
+    rows = scale.semigroup(times) * np.asarray(spec.y0, float)
     dx = np.diff(D.X)
     for i in range(1, times.size):
-        weights = np.exp(-np.outer(times[i] - times[:i], scale.mu))
+        weights = scale.semigroup(times[i] - times[:i])
         rows[i] += g0 * np.sum(weights * dx[:i, None], axis=0)
     return ControlledPath(times.copy(), rows, np.tile(g0, (times.size, 1)),
                           spec.solution_alpha, scale.gamma, scale)

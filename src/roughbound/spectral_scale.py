@@ -20,12 +20,31 @@ itself, including every extrapolated realization (they share the spectral
 multiplier), is ``apply_generator``, which flips the overall sign so that
 theta = 1 reproduces A with spectrum -mu_k.
 
-The scale also carries the boundary lift, built once: N, which solves
-a u'' + b u = 0 with the scale's boundary data, has the coefficients
-trace_k / mu_k (Green's identity; see ``boundary_lift``), and A_{-sigma} N,
-which multiplies them by -mu_k, is -trace_k in closed form.  A scale whose
-cosh/sinh boundary system is singular (kappa = sqrt(-b/a) below 1e-300 or
-infinite) cannot be built.
+The scale also carries the rest of the operator's spectral calculus.  The
+boundary of (0,1) is two points, so every boundary Besov norm collapses to
+the Euclidean norm on R^2.  Both solution operators of a u'' + b u = 0 are
+known in closed form via cosh/sinh with kappa = sqrt(-b/a)
+(``neumann_profile``, ``dirichlet_profile``), and their eigenbasis
+coefficients follow from Green's identity applied to the truncated basis:
+
+    Neumann (conormal data -a u'(0) = g0, a u'(1) = g1):
+        c_k = (g0 e_k(0) + g1 e_k(1)) / mu_k
+    Dirichlet (trace data u(0) = g0, u(1) = g1):
+        c_k = a (g0 e_k'(0) - g1 e_k'(1)) / mu_k
+
+so the Neumann tail decays like mu_k^{-1} (norms finite below index 3/4) and
+the Dirichlet tail like mu_k^{-1/2} (finite below 1/4).  These are N, built
+once as ``Scale.lift``; A_{-sigma} N multiplies them by -mu_k.  A scale whose
+cosh/sinh system is singular (kappa below 1e-300 or infinite) cannot be built.
+
+The semigroup S_t = e^{tA} damps modes exactly: e^{-mu_k t} on the k-th
+coefficient at any index, formed only by ``Scale.semigroup``.  The two
+standard parabolic bounds come with explicit spectral constants,
+
+    sup_t t^sigma |S_t|_{L(B_alpha, B_{alpha+sigma})} <= (sigma/e)^sigma,
+    |(S_t - Id) v|_alpha <= t^sigma |v|_{alpha+sigma},
+
+both of which ``smoothing_constants`` measures; its callers judge the report.
 """
 
 from __future__ import annotations
@@ -74,11 +93,12 @@ class Scale:
 
     ``lift`` (K, 2) is N and ``generator_lift`` (2, K) is A_{-sigma} N, with
     trace_k = (e_k(0), e_k(1)) for Neumann and a (e_k'(0), -e_k'(1)) for
-    Dirichlet data.  Immutable; all operations on it are pure functions.
+    Dirichlet data; ``kappa`` = sqrt(-b/a) is the cosh/sinh wavenumber.
+    Immutable; all operations on it are pure functions.
     """
 
     def __init__(self, cfg: ScaleConfig):
-        self.eps = _validate(cfg)
+        self.eps, self.kappa = _validate(cfg)
         self.cfg = cfg
         self.bc = cfg.bc
         self.K = cfg.K
@@ -113,6 +133,12 @@ class Scale:
         else:
             vals = np.sqrt(2.0) * np.sin(k * np.pi * x[:, None])
         return vals
+
+    # -- semigroup -------------------------------------------------------
+
+    def semigroup(self, t):
+        """Per-mode damping e^{-mu_k t}: shape t.shape + (K,)."""
+        return np.exp(-np.multiply.outer(t, self.mu))
 
     # -- norms -----------------------------------------------------------
 
@@ -162,8 +188,8 @@ def _check_same_scale(u, v):
         raise ConfigError("spectral vectors live on different scales or indices")
 
 
-def _validate(cfg: ScaleConfig) -> float:
-    """Reject an unusable scale; return its eps."""
+def _validate(cfg: ScaleConfig) -> tuple:
+    """Reject an unusable scale; return its (eps, kappa)."""
     if not 0 < cfg.a < np.inf:
         raise ConfigError(
             f"diffusion coefficient must be finite and positive, got a={cfg.a}")
@@ -194,7 +220,7 @@ def _validate(cfg: ScaleConfig) -> float:
     if eps <= 1.0 - cfg.gamma:
         raise ConfigError(f"{name}={eps:.4f} must exceed "
                           f"1-gamma={1 - cfg.gamma:.4f}; {hint}")
-    return eps
+    return eps, kappa
 
 
 def build_scale(cfg: ScaleConfig) -> Scale:
@@ -233,3 +259,124 @@ def apply_generator(v: SpectralVector) -> SpectralVector:
 def generator_coefficients(scale: Scale, coeff_rows):
     """Rowwise A-action on an (..., K) coefficient array: multiply by -mu_k."""
     return -np.asarray(coeff_rows, dtype=float) * scale.mu
+
+
+# -- boundary lift ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundaryVector:
+    """Boundary data g = (g0, g1)."""
+
+    g0: float
+    g1: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.g0) and np.isfinite(self.g1)):
+            raise ConfigError("boundary data must be finite")
+
+    @property
+    def values(self):
+        return np.array([self.g0, self.g1])
+
+    def norm(self):
+        return float(np.hypot(self.g0, self.g1))
+
+
+class BoundarySpace:
+    """Value space for boundary-valued paths: Euclidean norm at every index."""
+
+    dim = 2
+
+    def norm(self, values, alpha=None):
+        return np.sqrt(np.sum(np.asarray(values, dtype=float) ** 2, axis=-1))
+
+    def sq_weights(self, alpha=None):
+        return np.ones(self.dim)
+
+    def __repr__(self):
+        return "BoundarySpace()"
+
+
+BOUNDARY = BoundarySpace()
+
+
+def _lift(g: BoundaryVector, scale: Scale, bc: str, name: str) -> SpectralVector:
+    if scale.bc != bc:
+        raise ConfigError(f"{name} needs a scale built with {bc.capitalize()} bc")
+    return SpectralVector(scale.lift @ g.values, scale.eps, scale)
+
+
+def neumann_map(g: BoundaryVector, scale: Scale) -> SpectralVector:
+    """Coefficients of the solution with conormal data g, at index eps."""
+    return _lift(g, scale, NEUMANN, "neumann_map")
+
+
+def dirichlet_map(g: BoundaryVector, scale: Scale) -> SpectralVector:
+    """Coefficients of the solution with trace data g, at index eps_D."""
+    return _lift(g, scale, DIRICHLET, "dirichlet_map")
+
+
+def neumann_profile(g: BoundaryVector, scale: Scale, x):
+    """Untruncated closed-form Neumann solution evaluated at points x."""
+    k = scale.kappa
+    x = np.asarray(x, dtype=float)
+    denom = scale.cfg.a * k * np.sinh(k)
+    return (g.g0 * np.cosh(k * (1.0 - x)) + g.g1 * np.cosh(k * x)) / denom
+
+
+def dirichlet_profile(g: BoundaryVector, scale: Scale, x):
+    """Untruncated closed-form Dirichlet solution evaluated at points x."""
+    k = scale.kappa
+    x = np.asarray(x, dtype=float)
+    return (g.g0 * np.sinh(k * (1.0 - x)) + g.g1 * np.sinh(k * x)) / np.sinh(k)
+
+
+def lift_operator_norm(scale: Scale, alpha: float) -> float:
+    """Operator norm of the lift from (R^2, euclidean) into B_alpha."""
+    m = scale.lift * scale.mu[:, None] ** float(alpha)
+    return float(np.linalg.norm(m, 2))
+
+
+# -- semigroup ----------------------------------------------------------------
+
+def apply_semigroup(v: SpectralVector, t: float) -> SpectralVector:
+    """S_t v: coefficients e^{-mu_k t} c_k at the same index; S_0 is Id exactly."""
+    if t < 0:
+        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    if t == 0:
+        return v
+    return SpectralVector(v.coeffs * v.scale.semigroup(t), v.alpha, v.scale)
+
+
+def smoothing_bound(sigma: float) -> float:
+    """sup_{x>0} x^sigma e^{-x} = (sigma/e)^sigma, with the value 1 at sigma=0."""
+    if sigma == 0:
+        return 1.0
+    return (sigma / np.e) ** sigma
+
+
+@dataclass(frozen=True)
+class SmoothingReport:
+    sigma: float
+    measured_smoothing: float   # sup t^sigma mu^sigma e^{-mu t}
+    smoothing_bound: float      # (sigma/e)^sigma
+    measured_continuity: float  # sup (1 - e^{-mu t}) / (mu t)^sigma
+    continuity_bound: float     # 1
+
+
+def smoothing_constants(scale: Scale, sigma: float, t_grid) -> SmoothingReport:
+    """Measure the parabolic operator-norm constants over t_grid and all modes.
+
+    The operators are diagonal, so the operator norm between B_alpha and
+    B_{alpha+sigma} is a sup over modes and does not depend on alpha.  The
+    report holds each measured constant next to its exact spectral bound.
+    """
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0,1], got {sigma}")
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    if np.any(t <= 0):
+        raise ValueError("t_grid must contain positive times only")
+    x = scale.mu[None, :] * t
+    smoothing = float(np.max(x ** sigma * np.exp(-x)))
+    continuity = float(np.max(-np.expm1(-x) / x ** sigma))
+    return SmoothingReport(sigma, smoothing, smoothing_bound(sigma), continuity, 1.0)

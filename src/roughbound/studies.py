@@ -19,10 +19,9 @@ from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
                                 rough_convolve, sewing_convergence)
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
-from .semigroup import smoothing_constants
 from .solver import (PicardParams, ProblemSpec, additive_direct,
                      check_gamma_prime, cocycle_defect, solve_global)
-from .spectral_scale import Scale, generator_coefficients
+from .spectral_scale import Scale, generator_coefficients, smoothing_constants
 
 
 def _anchor_path(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> ControlledPath:
@@ -181,9 +180,9 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
     seeds, resolutions = _some_seeds(seeds), tuple(resolutions)
     if len(resolutions) < 2:
         raise ConfigError("the cocycle study needs at least two resolutions")
-    if not (t > 0 and tau > 0):
-        raise ConfigError(f"the cocycle study needs t > 0 and tau > 0, "
-                          f"got t={t}, tau={tau}")
+    if not (t > 0 and tau > 0 and t + tau <= T * (1 + 1e-12)):  # sum roundoff
+        raise ConfigError(f"the cocycle study needs t > 0, tau > 0 and "
+                          f"t + tau <= T, got t={t}, tau={tau}, T={T}")
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)
@@ -277,6 +276,7 @@ class Check:
 def invariants_battery(scale: Scale, *, H: float = 0.45, n: int = 64,
                        T: float = 1.0, seeds=range(10), rng_seed: int = 0) -> list:
     """Fast cross-module property battery behind `roughbound invariants`."""
+    seeds = _some_seeds(seeds)
     checks = []
 
     worst = max(geometric_chen_defect_max(sample_fbm(H, n, T, seed=s))

@@ -6,7 +6,7 @@ from roughbound import (BoundaryVector, ConfigError, ControlledPath,
                         ScaleConfig, build_scale, crp_norm, dirichlet_map,
                         dirichlet_profile, lift_controlled, lift_operator_norm,
                         neumann_map, neumann_profile)
-from roughbound.boundary_lift import BOUNDARY
+from roughbound.spectral_scale import BOUNDARY
 from roughbound.controlled_path import constant_path
 
 from conftest import remainder

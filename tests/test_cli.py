@@ -113,6 +113,9 @@ def test_exit_codes(tmp_path):
     ("cocycle", "tau = 0"),
     ("cocycle", "tau = -0.25"),
     ("convergence", "levels = 4..4"),
+    ("invariants", "seeds = 0"),
+    ("invariants", "seeds = -2"),
+    ("cocycle", "tau = 0.8"),   # t + tau > T = 1
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
     cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
@@ -283,6 +286,16 @@ def test_solve_dirichlet_young_path(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_solve_dirichlet_derives_delta2(tmp_path):
+    # without the key, delta2 = eta + 2 clears the floor eta + 3/2
+    cfg = _write(tmp_path, "young.cfg",
+                 "study = solve\nbc = dirichlet\nH = 0.8\ngamma = 0.77\n"
+                 "delta = 0.005\nn = 256\nK = 8\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    spec = build_problem(parse_config(cfg))
+    assert spec.diffusion.delta2 == spec.scale.eta + 2.0
 
 
 def test_convergence_csv_and_levels_override(tmp_path):

@@ -97,11 +97,15 @@ def test_rough_convolve_matches_the_dense_recurrence(lifted, integrand):
     pytest.param(60, 2, 20, 0.77, id="60-2-20-young")])
 def test_level_sum_matches_the_dense_partition(lifted, integrand, t_idx,
                                                level, s_idx, gamma):
-    # above gamma = 1/2 the Young germ drops y' XX: the oracle reads XX = 0
+    # above gamma = 1/2 the Young germ drops y' XX: the oracle reads XX = 0;
+    # a partition of [t_s, t_t] is one of [0, t_t - t_s] on the shifted driver
     D, XX = lifted
     P = ControlledPath(integrand.times, integrand.y, integrand.y_prime,
                        integrand.alpha, gamma, integrand.space)
-    got = level_sum(P, D, t_idx, level, s_idx=s_idx)
+    Ds = shift(D, D.times[s_idx])
+    Ps = ControlledPath(Ds.times, P.y[s_idx:], P.y_prime[s_idx:], P.alpha,
+                        gamma, P.space)
+    got = level_sum(Ps, Ds, t_idx - s_idx, level)
     oracle = dense_level_sum(P, D.X, XX if gamma <= 0.5 else 0 * XX, t_idx,
                              level, s_idx)
     np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=1e-14)

@@ -17,8 +17,7 @@ from roughbound.controlled_path import (constant_path, crp_distance,
                                         diffusion_rows, lift_extrapolate)
 from roughbound.rough_convolution import rough_convolve
 from roughbound import solver
-from roughbound.solver import (_rough_window, drift_convolve,
-                               drift_convolve_path, semigroup_rows)
+from roughbound.solver import _rough_window, drift_convolve, drift_convolve_path
 
 from conftest import brute_force_stability_distance
 
@@ -125,7 +124,7 @@ def test_pure_semigroup_flow(neumann_scale, lifted_y0):
     spec = ProblemSpec(neumann_scale, D, _zero_diffusion(neumann_scale), lifted_y0)
     res = solve_local(spec)
     assert res.iterations == 1
-    exact = semigroup_rows(neumann_scale, D.times, lifted_y0)
+    exact = neumann_scale.semigroup(D.times) * lifted_y0
     assert np.max(np.abs(res.path.y - exact)) <= 1e-14
 
 
@@ -400,6 +399,30 @@ def test_growth_monitor_reported(neumann_scale, lifted_y0):
     assert sup <= res.apriori_m1 * r * np.exp(res.apriori_m2 * 1.0) * (1 + 1e-9)
 
 
+def test_growth_bound_holds_at_every_grid_time(neumann_scale, lifted_y0):
+    # the default CLI problem at n = 2048, seed 0: its sup peaks inside the
+    # first window, 1.44 x the bound fitted to the window ends alone
+    D = sample_fbm(0.45, 2048, 1.0, seed=0, gamma=0.40)
+    res = solve_global(ProblemSpec(neumann_scale, D, _squashed(neumann_scale),
+                                   lifted_y0))
+    alpha = -neumann_scale.eta
+    r = max(1.0, float(neumann_scale.norm(lifted_y0, alpha)))
+    sups = np.maximum.accumulate(neumann_scale.norm(res.path.y, alpha))
+    bound = res.apriori_m1 * r * np.exp(res.apriori_m2 * D.times)
+    assert np.all(sups <= bound * (1 + 1e-12))
+
+
+def test_growth_bound_from_zero_data(neumann_scale):
+    # r = max(1, |y0|) = 1 and the sup stays below it: no growth rate, and M1
+    # is the sup itself
+    D = sample_fbm(0.45, 512, 1.0, seed=0, gamma=0.40)
+    res = solve_global(ProblemSpec(neumann_scale, D, _squashed(neumann_scale),
+                                   np.zeros(16)))
+    sup = np.max(neumann_scale.norm(res.path.y, -neumann_scale.eta))
+    assert 0 < sup < 1
+    assert res.apriori_m2 == 0.0 and res.apriori_m1 == sup
+
+
 def test_linear_bound_for_diffusion_chain(neumann_scale, lifted_y0):
     # ||(G(y), DG(y) o G(y))|| <= C (1 + ||(y, G(y))||), C stable in n
     F = _squashed(neumann_scale)
@@ -450,7 +473,7 @@ def test_young_pure_semigroup(dirichlet_scale):
     spec = ProblemSpec(dirichlet_scale, D, _zero_diffusion(dirichlet_scale, 2.5),
                        y0)
     res = solve_young_dirichlet(spec)
-    assert np.max(np.abs(res.path.y - semigroup_rows(dirichlet_scale, t, y0))) <= 1e-14
+    assert np.max(np.abs(res.path.y - dirichlet_scale.semigroup(t) * y0)) <= 1e-14
 
 
 def test_young_additive_bypass(dirichlet_scale):
@@ -461,7 +484,7 @@ def test_young_additive_bypass(dirichlet_scale):
     g0 = diffusion_rows(F, dirichlet_scale, y0[None, :])[0]
     gp = constant_path(D.times, g0, np.zeros(16), -dirichlet_scale.eta, 0.77,
                        dirichlet_scale)
-    direct = (semigroup_rows(dirichlet_scale, D.times, y0)
+    direct = (dirichlet_scale.semigroup(D.times) * y0
               + young_convolve(gp, D).y)
     gap = np.max(dirichlet_scale.norm(res.path.y - direct, -dirichlet_scale.eta))
     assert gap <= 1e-9
