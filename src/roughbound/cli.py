@@ -31,17 +31,42 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_lines(path: str, header: str, lines) -> None:
-    text = "\n".join([header, *lines]) + "\n"
+# Rows per formatted block of an array artifact: one block of text is the
+# most a write holds, so the memory of a write does not grow with n.
+_BLOCK_ROWS = 256
+
+
+def _write_lines(path: str, header: str, chunks) -> None:
+    """Write `header`, then each newline-terminated chunk of `chunks` as it comes."""
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.write(header + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise IoError(path) from exc
 
 
 def _write_rows(path: str, header: str, rows) -> None:
-    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
+    _write_lines(path, header,
+                 (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+
+
+def _array_blocks(times, values, row):
+    """Text of `times` and the rows of `values`, `_BLOCK_ROWS` rows per chunk.
+
+    `row` is the template of one time row, a `%s` for the time before each
+    `%.17g` value.  Each time is formatted once, and each chunk is filled by
+    one `%` call.
+    """
+    for i in range(0, times.size, _BLOCK_ROWS):
+        stamps = [f"{t:.17g}" for t in times[i:i + _BLOCK_ROWS].tolist()]
+        block = values[i:i + _BLOCK_ROWS]
+        # (time, value) pairs in row-major order, as Python objects
+        cells = np.empty(block.shape + (2,), dtype=object)
+        cells[..., 0] = np.array(stamps, dtype=object)[:, None]
+        cells[..., 1] = block
+        yield (row * len(stamps)) % tuple(cells.ravel().tolist())
 
 
 def _fmt(v) -> str:
@@ -56,20 +81,12 @@ def _fmt(v) -> str:
 def cmd_sample(cfg: dict, out: str) -> list:
     D = build_driver_from(cfg)
     _write_lines(_out_path(out, "driver.csv"), "time,X",
-                 (f"{t:.17g},{x:.17g}" for t, x in zip(D.times, D.X)))
+                 _array_blocks(D.times, D.X[:, None], "%s,%.17g\n"))
     meta = [("H", D.H), ("n", D.n), ("T", D.T), ("gamma", D.gamma),
             ("seed", cfg["seed"]), ("lift", D.lift)]
     _write_rows(_out_path(out, "driver.meta"), "key,value", meta)
     return [studies.Check("sample_written", float(D.n), float(cfg["n"]),
                           D.n == cfg["n"])]
-
-
-def _solution_lines(times, y):
-    """`time,mode,coefficient` lines; each time is formatted once per row."""
-    modes = [f",{k}," for k in range(y.shape[1])]
-    for t, row in zip(times.tolist(), y.tolist()):
-        stamp = f"{t:.17g}"
-        yield from [f"{stamp}{k}{v:.17g}" for k, v in zip(modes, row)]
 
 
 def cmd_solve(cfg: dict, out: str) -> list:
@@ -82,8 +99,9 @@ def cmd_solve(cfg: dict, out: str) -> list:
     else:
         res = solve_young_dirichlet(spec)
     path = res.path.restricted(cfg["out_stride"]) if cfg["out_stride"] > 1 else res.path
+    row = "".join(f"%s,{k},%.17g\n" for k in range(path.y.shape[1]))
     _write_lines(_out_path(out, "solution.csv"), "time,mode,coefficient",
-                 _solution_lines(path.times, path.y))
+                 _array_blocks(path.times, path.y, row))
     sup = float(np.max(spec.scale.norm(path.y, spec.solution_alpha)))
     checks = [
         studies.Check("solve_completed", float(path.times[-1]), spec.horizon,

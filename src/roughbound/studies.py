@@ -183,6 +183,16 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
     if not (t > 0 and tau > 0 and t + tau <= T * (1 + 1e-12)):  # sum roundoff
         raise ConfigError(f"the cocycle study needs t > 0, tau > 0 and "
                           f"t + tau <= T, got t={t}, tau={tau}, T={T}")
+    # each flow solves over t, tau or t + tau at every resolution; check the
+    # grid (to the tolerance of `RoughDriver.index_of`) before any draw
+    for name, span in (("t", t), ("tau", tau), ("t + tau", t + tau)):
+        steps = span * master_n / T
+        if abs(steps - round(steps)) > 1e-8 or any(
+                r < 1 or round(steps) % r for r in resolutions):
+            raise ConfigError(
+                f"the cocycle study needs {name} = {span} to be a whole number "
+                f"of grid steps (n = {master_n}, T = {T}) that every "
+                f"resolution in {resolutions} divides; it spans {steps:.10g}")
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)

@@ -2,6 +2,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ import roughbound
 from roughbound import (ConstantBoundary, LinearDrift, LinearTrace,
                         SmoothBoundedDrift, default_trace_weights)
 from roughbound.cli import run
-from roughbound.config import build_problem, parse_config, parse_levels
+from roughbound.config import (build_driver_from, build_problem, parse_config,
+                               parse_levels)
 from roughbound.errors import ConfigError
+from roughbound.spectral_scale import NEUMANN
 
 
 def _write(tmp_path, name, text):
@@ -24,15 +28,20 @@ def _digest(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; importing it would cost every CLI run
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(roughbound.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it would cost every CLI run
     code = ("import sys, roughbound, roughbound.cli, roughbound.studies; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
 
@@ -89,6 +98,10 @@ def test_exit_codes(tmp_path):
                 "--levels", "4..x"]) == 2
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the setting should be rejected before any draw")
+
+
 @pytest.mark.parametrize("study, line", [
     ("cocycle", "resolutions = 0,64"),
     ("cocycle", "resolutions = 64"),
@@ -116,8 +129,14 @@ def test_exit_codes(tmp_path):
     ("invariants", "seeds = 0"),
     ("invariants", "seeds = -2"),
     ("cocycle", "tau = 0.8"),   # t + tau > T = 1
+    # 48 does not divide the 64 steps of t = tau = 0.25 at n = 256
+    ("cocycle", "K = 8\nseeds = 2\nresolutions = 32,64,48"),
+    ("cocycle", "t = 0.3"),     # t and t + tau are off the n = 256 grid
 ])
-def test_unusable_settings_exit_with_a_config_error(tmp_path, study, line):
+def test_unusable_settings_exit_with_a_config_error(tmp_path, monkeypatch,
+                                                    study, line):
+    if study != "convergence":   # `sewing_convergence` checks levels after a draw
+        monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
     cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
     out = tmp_path / "out"
     out.mkdir()
@@ -265,17 +284,79 @@ def test_solve_writes_solution_csv(tmp_path, capsys):
     assert "CHECK solve_completed PASS" in captured
 
 
-def test_solution_csv_bytes_match_per_value_formatting(tmp_path):
+@pytest.mark.parametrize("n, K, stride", [
+    (64, 4, 1),
+    (1024, 16, 1),    # 1025 rows: four full blocks of 256 and one row
+    (1024, 16, 4),    # 257 rows
+    (256, 8, 1),      # n + 1 one more than the block
+    (511, 2, 1),      # n + 1 two whole blocks
+    (64, 1, 1),
+])
+def test_solution_csv_bytes_match_per_value_formatting(tmp_path, n, K, stride):
     cfg = _write(tmp_path, "solve.cfg",
-                 "study = solve\nH = 0.45\nn = 64\nK = 4\nseed = 5\n")
+                 f"study = solve\nH = 0.45\nn = {n}\nK = {K}\nseed = 5\n"
+                 f"out_stride = {stride}\n")
     out = tmp_path / "out"
     out.mkdir()
     assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
     path = roughbound.solve_global(build_problem(parse_config(cfg))).path
+    path = path.restricted(stride) if stride > 1 else path
     expected = "time,mode,coefficient\n" + "".join(
         f"{t:.17g},{k},{v:.17g}\n"
         for t, row in zip(path.times, path.y) for k, v in enumerate(row))
     assert (out / "solution.csv").read_bytes() == expected.encode()
+
+
+def test_driver_csv_lines_match_per_value_formatting(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", "study = sample\nn = 1024\nseed = 3\n")
+    assert run(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+    D = build_driver_from(parse_config(cfg))
+    lines = (tmp_path / "driver.csv").read_bytes().decode().split("\n")
+    assert lines[0] == "time,X" and lines[-1] == ""
+    assert lines[1:-1] == [f"{t:.17g},{x:.17g}" for t, x in zip(D.times, D.X)]
+
+
+def test_writing_a_solution_holds_under_a_mebibyte(tmp_path, monkeypatch):
+    # a (4097, 16) solution is 0.5 MiB of doubles and 2.3 MiB of text; trace
+    # every allocation from the end of the solve to the end of the run
+    n, K = 4096, 16
+    times = np.linspace(0.0, 1.0, n + 1)
+    y = np.random.default_rng(0).standard_normal((n + 1, K))
+    result = SimpleNamespace(path=SimpleNamespace(times=times, y=y),
+                             iterations=1, window_ends=(1.0,),
+                             apriori_m1=1.0, apriori_m2=0.0)
+    spec = SimpleNamespace(driver=SimpleNamespace(n=n), horizon=1.0,
+                           solution_alpha=0.0,
+                           scale=SimpleNamespace(bc=NEUMANN,
+                                                 norm=lambda y, alpha: y[:1, 0]))
+
+    def solve(_spec):
+        tracemalloc.start()
+        return result
+
+    monkeypatch.setattr("roughbound.cli.build_problem", lambda cfg: spec)
+    monkeypatch.setattr("roughbound.cli.solve_global", solve)
+    cfg = _write(tmp_path, "solve.cfg", f"study = solve\nn = {n}\nK = {K}\n")
+    try:
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "solution.csv").stat().st_size > 2 * 2 ** 20
+    assert peak < 2 ** 20
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_mid_file_exits_11(tmp_path):
+    cfg = _write(tmp_path, "solve.cfg", "study = solve\nn = 256\nK = 8\n")
+    os.symlink("/dev/full", tmp_path / "solution.csv")
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughbound.cli", "solve", "--config", cfg,
+         "--out", str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 11
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_solve_dirichlet_young_path(tmp_path):

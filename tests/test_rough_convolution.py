@@ -333,7 +333,8 @@ def test_cocycle_study_mean_is_the_geometric_mean(monkeypatch, neumann_scale):
     monkeypatch.setattr(studies, "cocycle_defect", lambda *a: next(feed))
     F = ConstantBoundary(0.0, 0.0, neumann_scale.eps - 1.0, 2.0)
     y0 = np.zeros(neumann_scale.K)
-    st = studies.cocycle_study(neumann_scale, F, y0, H=0.5, master_n=16, T=1.0,
+    # t = tau = 0.25 span 8 steps at n = 32, which both resolutions divide
+    st = studies.cocycle_study(neumann_scale, F, y0, H=0.5, master_n=32, T=1.0,
                                gamma=0.40, seeds=range(3), resolutions=(4, 8),
                                t=0.25, tau=0.25)
     expected = stats.gmean(np.maximum(defects, 1e-300), axis=0)
