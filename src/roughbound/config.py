@@ -75,10 +75,9 @@ _KEYS = {
     # coefficients
     "drift": (_choice("none", "linear", "smooth_bounded"), "none"),
     "drift_c": (_finite, -1.0), "drift_amp": (_finite, 1.0),
-    "drift_delta1": (_finite, None),
     "diffusion": (_choice("linear_trace", "squashed_trace", "constant", "zero"),
                   "squashed_trace"), "diffusion_gain": (_finite, 0.8),
-    "diffusion_amp": (_finite, 1.0), "diffusion_delta2": (_finite, None),
+    "diffusion_amp": (_finite, 1.0),
     "diffusion_bias0": (_finite, 0.3), "diffusion_bias1": (_finite, -0.2),
     "g0": (_finite, 1.0), "g1": (_finite, 0.0),
     # initial data
@@ -144,9 +143,7 @@ def build_driver_from(cfg: dict):
 def build_diffusion_from(cfg: dict, scale: Scale):
     kind = cfg["diffusion"]
     alpha = scale.eps - 1.0
-    d2 = cfg["diffusion_delta2"]
-    if d2 is None:
-        d2 = scale.eta + 2.0
+    d2 = scale.eta + 2.0    # any index gain above eta + 3/2 gives the same numbers
     if kind == "zero":
         return ConstantBoundary(0.0, 0.0, alpha, d2)
     if kind == "constant":
@@ -162,9 +159,7 @@ def build_drift_from(cfg: dict, scale: Scale):
     kind = cfg["drift"]
     if kind == "none":
         return None
-    delta1 = cfg["drift_delta1"]
-    if delta1 is None:
-        delta1 = max(2 * scale.gamma, 0.8)
+    delta1 = max(2 * scale.gamma, 0.8)  # any gap in [2 gamma, 1) gives the same numbers
     if kind == "linear":
         return LinearDrift(cfg["drift_c"], delta1)
     return SmoothBoundedDrift(cfg["drift_amp"], delta1)
@@ -194,5 +189,5 @@ def build_picard_from(cfg: dict) -> PicardParams:
 
 def build_problem(cfg: dict) -> ProblemSpec:
     scale, F, y0 = scale_map_y0(cfg)
-    return ProblemSpec(scale, build_driver_from(cfg), F, y0,
-                       build_drift_from(cfg, scale), build_picard_from(cfg))
+    drift, picard = build_drift_from(cfg, scale), build_picard_from(cfg)
+    return ProblemSpec(scale, build_driver_from(cfg), F, y0, drift, picard)

@@ -165,6 +165,26 @@ def log2_slope(x, y) -> float:
     return float(x @ (ly - ly.mean()) / (x @ x))
 
 
+def _dyadic_levels(levels, t_idx: int) -> np.ndarray:
+    """The sorted levels of a sewing slope over the first t_idx grid steps.
+
+    ConfigError unless there are at least two levels and the lowest is
+    non-negative; GridMismatch unless 2^(highest + 1) divides t_idx, so that
+    every partition the defects compare, the finest included, is on the grid.
+    """
+    lv = np.asarray(sorted(levels), dtype=int)
+    if lv.size < 2:
+        raise ConfigError(f"a sewing slope needs at least two levels, got {lv.size}")
+    if lv[0] < 0:
+        raise ConfigError(f"dyadic level must be non-negative, got {lv[0]}")
+    t_idx, finest = int(t_idx), int(lv[-1]) + 1
+    # 2^finest > t_idx cannot divide it; test that before forming the power
+    if t_idx <= 0 or finest >= t_idx.bit_length() or t_idx % 2 ** finest:
+        raise GridMismatch(
+            f"level {finest} partition does not fit the grid span {t_idx}")
+    return lv
+
+
 @dataclass(frozen=True)
 class SewingReport:
     beta: float
@@ -183,9 +203,7 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     """
     scale = _require_interior(P)
     t_idx = D.index_of(t)
-    lv = np.asarray(sorted(levels), dtype=int)
-    if lv.size < 2:
-        raise ConfigError(f"a sewing slope needs at least two levels, got {lv.size}")
+    lv = _dyadic_levels(levels, t_idx)
     idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta
     sums = {int(l): level_sum(P, D, t_idx, int(l))
             for l in np.append(lv, lv[-1] + 1)}

@@ -33,7 +33,8 @@ draw dX = z @ U is summed over blocks of 64 rows of the upper factor U.  On
 a key's first draw the blocks stream from the recursion through one
 (64, n) buffer and U is never held; a key's second draw in a row keeps
 copies of the streamed blocks as the one cached factor, the upper
-triangle's row blocks (about n(n+1)/2 + 32n doubles).  Streamed and cached
+triangle's row blocks (about n(n+1)/2 + 32n doubles), if they fit a byte
+cap (n <= 4096 does).  Above it every draw streams.  Streamed and cached
 draws are bitwise equal.
 Sampled paths are (H-)-Hoelder, so the recorded exponent defaults to
 gamma = H - 0.05.
@@ -196,6 +197,9 @@ def geometric_chen_defect_max(D: RoughDriver) -> float:
 # -- exact fBm sampling ------------------------------------------------------
 
 _BLOCK_ROWS = 64
+# The largest factor the cache keeps, in bytes: n = 4096 (65 MiB) fits,
+# n = 8192 (258 MiB) streams on every draw.
+_CACHE_BYTES = 128 * 2 ** 20
 # The one cached factor, by (H, n, T) key, as its (k0, R) row blocks, and
 # the key of the previous draw.
 _factor: dict[tuple, tuple] = {}
@@ -257,7 +261,8 @@ def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
 
     The blocks come from the cache if it holds this key; otherwise they
     stream from the Schur recursion, and if the previous draw had this key
-    too, copies of them replace the cached blocks.  The draw reads the local
+    too and the blocks fit _CACHE_BYTES, copies of them replace the cached
+    blocks.  The draw reads the local
     blocks, so a concurrent clear of the cache cannot lose it, and the same
     blocks meet the same products either way, so the draw is bitwise equal.
     """
@@ -266,7 +271,8 @@ def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
     blocks = _factor.get(key)
     if blocks is None:
         blocks = _schur_row_blocks(_fgn_autocovariance(H, n, T))
-        if key == _previous_key:
+        # the blocks U[k0:k0+64, k0:] hold n(n+64)/2 doubles for 64 | n
+        if key == _previous_key and 4 * n * (n + _BLOCK_ROWS) <= _CACHE_BYTES:
             blocks = tuple((k0, R.copy()) for k0, R in blocks)
             _factor.clear()
             _factor[key] = blocks

@@ -256,11 +256,6 @@ def apply_generator(v: SpectralVector) -> SpectralVector:
     return SpectralVector(-w.coeffs, w.alpha, w.scale)
 
 
-def generator_coefficients(scale: Scale, coeff_rows):
-    """Rowwise A-action on an (..., K) coefficient array: multiply by -mu_k."""
-    return -np.asarray(coeff_rows, dtype=float) * scale.mu
-
-
 # -- boundary lift ------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Batch studies: the experiments behind the CLI and the acceptance suite.
 
 Each study is a pure function of explicit parameters returning a small report
-object; the CLI renders reports to CSV and pass/fail summary lines, and the
+object; the reports behind the CLI state their own pass/fail verdicts as
+`Check`s.  The CLI renders reports to CSV and prints the checks, and the
 acceptance tests assert on the same numbers.  Multi-seed studies run their
 seeds one after another, in the order given.
 """
@@ -12,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled_path import (ControlledPath, SmoothMap, compose_smooth,
-                              diffusion_rows, lift_controlled, lift_extrapolate)
+from .controlled_path import (ControlledPath, SmoothMap, diffusion_rows,
+                              lift_extrapolate)
 from .errors import ConfigError
-from .rough_convolution import (_germ_order, log2_slope, remainder_certificate,
-                                rough_convolve, sewing_convergence)
+from .rough_convolution import (_dyadic_levels, _germ_order, log2_slope,
+                                remainder_certificate, rough_convolve,
+                                sewing_convergence)
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
-from .solver import (PicardParams, ProblemSpec, additive_direct,
-                     check_gamma_prime, cocycle_defect, solve_global)
-from .spectral_scale import Scale, generator_coefficients, smoothing_constants
+from .solver import (PicardParams, ProblemSpec, check_gamma_prime,
+                     cocycle_defect, solve_global)
+from .spectral_scale import Scale, smoothing_constants
 
 
 def _anchor_path(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> ControlledPath:
@@ -55,6 +57,24 @@ def _geometric_mean(values):
     return np.exp(np.mean(np.log(np.maximum(values, 1e-300)), axis=0))
 
 
+# verdict thresholds: the cocycle defect must fall by this factor per
+# resolution doubling, and the stability responses must fit a line this well
+_COCYCLE_MIN_RATIO = 1.5
+_STABILITY_MAX_DEV = 0.20
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    value: float
+    threshold: float
+    ok: bool
+
+    def line(self):
+        return (f"CHECK {self.name} {'PASS' if self.ok else 'FAIL'} "
+                f"value={self.value:.6e} threshold={self.threshold:.6e}")
+
+
 # -- sewing rate ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -66,8 +86,9 @@ class SewingStudy:
     target: float
 
     @property
-    def ok(self):
-        return self.slope >= self.target
+    def check(self) -> Check:
+        return Check("sewing_slope", self.slope, self.target,
+                     self.slope >= self.target)
 
 
 def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
@@ -78,8 +99,8 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
     the conservative target (3 gamma - 1 - 0.1, or 2 gamma - 1 - 0.1 in the
     Young case, gamma > 1/2).
     """
-    levels = np.asarray(sorted(levels), dtype=int)
     seeds = _some_seeds(seeds)
+    levels = _dyadic_levels(levels, n)     # before the first draw
 
     def one(seed):
         D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
@@ -127,40 +148,6 @@ def remainder_refinement_study(scale: Scale, F: SmoothMap, y0, *, H: float,
     return RemainderStudy(coarse.betas, coarse.sup_ratios, fine.sup_ratios, ratios)
 
 
-# -- interchange identity ---------------------------------------------------------
-
-def interchange_error(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> float:
-    """Relative gap between A (int S N F dX) and int S A_{-sigma} N F dX.
-
-    The two sides follow independent code routes: composition + lift +
-    convolution + generator versus the fused lift-extrapolated convolution.
-    """
-    u = _anchor_path(scale, F, y0, D)
-    lifted = lift_controlled(compose_smooth(F, u), scale)
-    lhs = generator_coefficients(scale, rough_convolve(lifted, D).y)
-    rhs = rough_convolve(lift_extrapolate(F, u, scale), D).y
-    denom = max(float(np.max(scale.norm(lhs, scale.eps - 1.0))), 1e-300)
-    return float(np.max(scale.norm(lhs - rhs, scale.eps - 1.0))) / denom
-
-
-# -- solver probes -----------------------------------------------------------------
-
-def zero_noise_error(spec: ProblemSpec, drift_c: float) -> float:
-    """Max deviation from the per-mode exact solution e^{-(mu_k - c) t} y0_k."""
-    res = solve_global(spec)
-    scale = spec.scale
-    exact = np.exp(-np.outer(res.path.times, scale.mu - drift_c)) * spec.y0
-    return float(np.max(np.abs(res.path.y - exact)))
-
-
-def additive_bypass_error(spec: ProblemSpec) -> float:
-    """Sup-norm gap between the Picard solution and the direct evaluation."""
-    picard = solve_global(spec).path
-    direct = additive_direct(spec)
-    return float(np.max(spec.scale.norm(picard.y - direct.y,
-                                        spec.solution_alpha)))
-
-
 @dataclass(frozen=True)
 class CocycleStudy:
     resolutions: tuple
@@ -170,6 +157,11 @@ class CocycleStudy:
     @property
     def final_ratio(self):
         return self.ratios[-1]
+
+    @property
+    def check(self) -> Check:
+        return Check("cocycle_refinement_ratio", self.final_ratio,
+                     _COCYCLE_MIN_RATIO, self.final_ratio >= _COCYCLE_MIN_RATIO)
 
 
 def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
@@ -214,8 +206,13 @@ class StabilityStudy:
     max_rel_dev: float      # worst |response - slope*predictor| / (slope*predictor)
 
     @property
+    def check(self) -> Check:
+        return Check(f"stability_{self.kind}_linearity", self.max_rel_dev,
+                     _STABILITY_MAX_DEV, self.max_rel_dev <= _STABILITY_MAX_DEV)
+
+    @property
     def ok(self):
-        return self.max_rel_dev <= 0.20
+        return self.check.ok
 
 
 def _fit_through_origin(p, r):
@@ -270,18 +267,6 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
 
 
 # -- invariants battery ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    value: float
-    threshold: float
-    ok: bool
-
-    def line(self):
-        return (f"CHECK {self.name} {'PASS' if self.ok else 'FAIL'} "
-                f"value={self.value:.6e} threshold={self.threshold:.6e}")
-
 
 def invariants_battery(scale: Scale, *, H: float = 0.45, n: int = 64,
                        T: float = 1.0, seeds=range(10), rng_seed: int = 0) -> list:

@@ -15,6 +15,8 @@ from roughbound import studies
 from roughbound.cli import run as cli_run
 from roughbound.rough_driver import geometric_chen_defect_max
 
+from conftest import additive_bypass_error, interchange_error, zero_noise_error
+
 
 def _report(num, name, ok, value, threshold):
     line = (f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} "
@@ -80,16 +82,27 @@ def test_criterion_04_neumann_map():
     sc = rb.build_scale(rb.ScaleConfig(K=256, gamma=0.40))
     g = rb.BoundaryVector(0.0, 1.0)
     got = rb.neumann_map(g, sc).coeffs
-    worst = 0.0
-    for k in range(256):
-        # orthonormal cosine mode k alone, as Scale.basis evaluates it
+    # oracle: the profile against every orthonormal cosine mode (as
+    # Scale.basis evaluates them) by one composite Gauss-Legendre rule,
+    # 128 panels x 24 nodes on [0, 1]
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 / 128                                  # panel half-width
+    x = (((np.arange(128) + 0.5) / 128)[:, None] + half * nodes).ravel()
+    modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, np.arange(256)))
+    modes[:, 0] = 1.0
+    oracle = (np.tile(half * weights, 128) * rb.neumann_profile(g, sc, x)) @ modes
+    worst = float(np.max(np.abs(got - oracle)))
+    ok_quad = worst <= 1e-8
+
+    # cross-check of the rule itself: adaptive quadrature on sampled modes
+    rule_gap = 0.0
+    for k in (0, 1, 2, 31, 64, 127, 128, 200, 255):
         def f(x, k=k):
             mode = 1.0 if k == 0 else np.sqrt(2.0) * np.cos(k * np.pi * x)
             return rb.neumann_profile(g, sc, np.array([x]))[0] * mode
-        oracle, _ = integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-12,
-                                   epsrel=1e-12)
-        worst = max(worst, abs(got[k] - oracle))
-    ok_quad = worst <= 1e-8
+        ref, _ = integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-12,
+                                epsrel=1e-12)
+        rule_gap = max(rule_gap, abs(oracle[k] - ref))
 
     def ratio(alpha):
         vals = []
@@ -99,6 +112,7 @@ def test_criterion_04_neumann_map():
         return vals[1] / vals[0]
 
     r70, r80 = ratio(0.70), ratio(0.80)
+    _report(4, "neumann_oracle_matches_quad", rule_gap <= 1e-12, rule_gap, 1e-12)
     _report(4, "neumann_quadrature_oracle", ok_quad, worst, 1e-8)
     _report(4, "neumann_norm_ratio_a070", r70 <= 1.05, r70, 1.05)
     _report(4, "neumann_norm_ratio_a080", r80 >= 1.15, r80, 1.15)
@@ -128,7 +142,7 @@ def test_criterion_07_interchange(scale40, squashed40, y0_40):
     for seed in range(10):
         D = rb.sample_fbm(0.45, 512, 1.0, seed=seed, gamma=0.40)
         for F in maps:
-            worst = max(worst, studies.interchange_error(scale40, F, y0_40, D))
+            worst = max(worst, interchange_error(scale40, F, y0_40, D))
     _report(7, "interchange_identity", worst <= 1e-10, worst, 1e-10)
 
 
@@ -139,7 +153,7 @@ def test_criterion_08_zero_noise_solver():
     D = rb.lift_geometric(t, np.zeros(4097), 0.40)
     spec = rb.ProblemSpec(sc, D, rb.ConstantBoundary(0.0, 0.0, -sc.eta, 2.0),
                           y0, drift=rb.LinearDrift(-1.0, 0.85))
-    err = studies.zero_noise_error(spec, -1.0)
+    err = zero_noise_error(spec, -1.0)
     _report(8, "zero_noise_exact_modes", err <= 1e-8, err, 1e-8)
 
 
@@ -147,7 +161,7 @@ def test_criterion_09_additive_bypass(scale40, y0_40):
     D = rb.sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
     F = rb.ConstantBoundary(0.7, -0.3, -scale40.eta, 2.0)
     spec = rb.ProblemSpec(scale40, D, F, y0_40)
-    gap = studies.additive_bypass_error(spec)
+    gap = additive_bypass_error(spec)
     _report(9, "additive_noise_bypass", gap <= 1e-9, gap, 1e-9)
 
 

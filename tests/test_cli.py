@@ -88,7 +88,7 @@ def test_exit_codes(tmp_path):
     assert run(["sample", "--config", ok, "--out", str(blocked)]) == 11
     dirichlet_rough = _write(tmp_path, "d.cfg",
                              "study = solve\nbc = dirichlet\nH = 0.6\nn = 128\n"
-                             "diffusion_delta2 = 2.5\ndelta = 0.005\n")
+                             "delta = 0.005\n")
     assert run(["solve", "--config", dirichlet_rough, "--out", str(out)]) == 9
     assert run(["solve", "--config", ok]) == 2                # no --out
     missing = str(tmp_path / "missing.cfg")
@@ -100,6 +100,19 @@ def test_exit_codes(tmp_path):
 
 def _no_draw(*args, **kwargs):
     raise AssertionError("the setting should be rejected before any draw")
+
+
+@pytest.mark.parametrize("study", ["sample", "solve", "convergence", "cocycle",
+                                   "stability", "invariants"])
+def test_an_unusable_out_exits_11_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                  study):
+    monkeypatch.setattr("roughbound.config.sample_fbm", _no_draw)
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    cfg = _write(tmp_path, "ok.cfg", "n = 256\n")
+    for out in (tmp_path / "missing", tmp_path / "ok.cfg"):
+        assert run([study, "--config", cfg, "--out", str(out)]) == 11
+        assert capsys.readouterr().err == (
+            f"error: --out {out} is not an existing directory\n")
 
 
 @pytest.mark.parametrize("study, line", [
@@ -117,7 +130,7 @@ def _no_draw(*args, **kwargs):
     ("solve", "delta = nan"),
     ("solve", "a = nan"),
     ("solve", "b = -inf"),
-    ("solve", "diffusion_delta2 = nan"),
+    ("solve", "diffusion_gain = nan"),
     ("solve", "T = inf"),
     ("cocycle", "t = nan"),
     ("cocycle", "tau = nan"),
@@ -135,8 +148,8 @@ def _no_draw(*args, **kwargs):
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, monkeypatch,
                                                     study, line):
-    if study != "convergence":   # `sewing_convergence` checks levels after a draw
-        monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    monkeypatch.setattr("roughbound.config.sample_fbm", _no_draw)
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
     cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
     out = tmp_path / "out"
     out.mkdir()
@@ -176,10 +189,20 @@ def test_the_gamma_slack_key_is_unknown(tmp_path, capsys):
                                        "'gamma_slack'\n")
 
 
+@pytest.mark.parametrize("line", ["diffusion_delta2 = 2.5", "drift_delta1 = 0.9"])
+def test_the_index_gap_keys_are_unknown(tmp_path, capsys, line):
+    # every admissible delta1 or delta2 gives the same numbers, so config
+    # passes the defaults max(2 gamma, 0.8) and eta + 2 and has no such keys
+    cfg = _write(tmp_path, "d.cfg", f"study = solve\n{line}\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    key = line.split(" ")[0]
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
+
+
 def test_a_dirichlet_drift_names_the_gamma_bound(tmp_path, capsys):
     cfg = _write(tmp_path, "d.cfg",
                  "study = solve\nbc = dirichlet\nH = 0.8\ngamma = 0.77\n"
-                 "delta = 0.005\ndiffusion_delta2 = 2.5\ndrift = linear\n")
+                 "delta = 0.005\ndrift = linear\n")
     assert run(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "a drift needs gamma < 1/2" in capsys.readouterr().err
 
@@ -191,10 +214,9 @@ def _problem(tmp_path, text):
 @pytest.mark.parametrize("text, kind, delta1, attr, value", [
     ("drift = linear\ndrift_c = -0.5\n", LinearDrift, 0.8, "c", -0.5),
     ("drift = linear\ngamma = 0.45\n", LinearDrift, 0.9, "c", -1.0),
-    ("drift = linear\ndrift_delta1 = 0.95\n", LinearDrift, 0.95, "c", -1.0),
     ("drift = smooth_bounded\ndrift_amp = 2.0\n", SmoothBoundedDrift, 0.8,
      "amp", 2.0),
-    ("drift = smooth_bounded\ndrift_delta1 = 0.85\n", SmoothBoundedDrift, 0.85,
+    ("drift = smooth_bounded\ngamma = 0.45\n", SmoothBoundedDrift, 0.9,
      "amp", 1.0),
 ])
 def test_drift_selectors_build_their_maps(tmp_path, text, kind, delta1, attr,
@@ -206,10 +228,10 @@ def test_drift_selectors_build_their_maps(tmp_path, text, kind, delta1, attr,
 
 
 def test_diffusion_selectors_build_their_maps(tmp_path):
-    zero = _problem(tmp_path, "diffusion = zero\ndiffusion_delta2 = 2.5\n")
+    zero = _problem(tmp_path, "diffusion = zero\n")
     assert type(zero.diffusion) is ConstantBoundary
     assert zero.diffusion.g.tolist() == [0.0, 0.0]
-    assert zero.diffusion.delta2 == 2.5
+    assert zero.diffusion.delta2 == zero.scale.eta + 2.0
     assert zero.diffusion.domain_alpha == zero.solution_alpha
     const = _problem(tmp_path, "diffusion = constant\ng0 = 0.7\ng1 = -0.3\n")
     assert type(const.diffusion) is ConstantBoundary
@@ -258,10 +280,14 @@ def _no_solve(*args, **kwargs):
     ("roughbound.cli", "solve", "out_stride = 512", 3),
     ("roughbound.studies", "stability", "gamma_prime = 0.40", 2),
     ("roughbound.studies", "stability", "gamma_prime = 0.30", 2),
+    # the level-9 partition needs 512 steps, the grid has 256
+    ("roughbound.studies", "convergence", "levels = 4..8", 3),
 ])
 def test_unusable_settings_are_rejected_before_solving(tmp_path, monkeypatch,
                                                        module, study, line, code):
     monkeypatch.setattr(f"{module}.solve_global", _no_solve)
+    monkeypatch.setattr("roughbound.config.sample_fbm", _no_draw)
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
     cfg = _write(tmp_path, "bad.cfg", f"study = {study}\nn = 256\n{line}\n")
     out = tmp_path / "out"
     out.mkdir()
@@ -362,8 +388,7 @@ def test_a_write_that_fails_mid_file_exits_11(tmp_path):
 def test_solve_dirichlet_young_path(tmp_path):
     cfg = _write(tmp_path, "young.cfg",
                  "study = solve\nbc = dirichlet\nH = 0.8\ngamma = 0.77\n"
-                 "delta = 0.005\nn = 256\nK = 8\ndiffusion_delta2 = 2.5\n"
-                 "y0 = lift\nseed = 1\n")
+                 "delta = 0.005\nn = 256\nK = 8\ny0 = lift\nseed = 1\n")
     out = tmp_path / "out"
     out.mkdir()
     assert run(["solve", "--config", cfg, "--out", str(out)]) == 0

@@ -8,10 +8,10 @@ from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPa
                         lift_extrapolate, neumann_map, rho, sample_fbm)
 from roughbound.controlled_path import (crp_distance, diffusion_derivative_rows,
                                         path_seminorm)
-from roughbound.spectral_scale import generator_coefficients
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
-                      brute_force_remainder, lift_test_scale,
+                      brute_force_remainder, generator_coefficients,
+                      lift_test_scale,
                       phi_second_bound, remainder, remainder_seminorm, scaled,
                       squashed_d2value)
 

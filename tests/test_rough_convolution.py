@@ -11,9 +11,9 @@ from roughbound import (BoundaryVector, ConstantBoundary,
                         young_convolve)
 from roughbound import studies
 from roughbound.rough_convolution import log2_slope, mode_filter
-from roughbound.studies import canonical_integrand, interchange_error
+from roughbound.studies import canonical_integrand
 
-from conftest import scaled, xx_lag
+from conftest import interchange_error, scaled, xx_lag
 
 
 def _squashed(scale, gain=0.8, delta2=2.0):

@@ -143,6 +143,35 @@ def test_sampler_caches_one_factor(cold_sampler):
     assert list(rough_driver._factor) == [(0.45, 128, 1.0)]
 
 
+def test_draws_above_the_cache_cap_stream_in_bounded_memory(cold_sampler,
+                                                            monkeypatch):
+    # n = 1024 blocks are 4.3 MiB; below a 1 MiB cap a key's repeated draws
+    # keep nothing and hold the 64-row buffer (0.5 MiB) and O(n) vectors
+    n = 1024
+    cached = [sample_fbm(0.45, n, 1.0, seed=s).X for s in (1, 2, 3)]
+    assert list(rough_driver._factor) == [(0.45, n, 1.0)]
+    rough_driver._factor.clear()
+    monkeypatch.setattr(rough_driver, "_CACHE_BYTES", 2 ** 20)
+    tracemalloc.start()
+    try:
+        capped = [sample_fbm(0.45, n, 1.0, seed=s).X for s in (1, 2, 3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rough_driver._factor
+    assert peak < 2 * 64 * n * 8, peak
+    for a, b in zip(cached, capped):
+        assert np.array_equal(a, b)
+
+
+def test_the_cache_cap_keeps_the_benchmark_keys(cold_sampler):
+    # the benchmark draws at n <= 2048 (16.5 MiB of blocks) and keeps its
+    # warm draws
+    for seed in (1, 2):
+        sample_fbm(0.45, 2048, 1.0, seed=seed)
+    assert list(rough_driver._factor) == [(0.45, 2048, 1.0)]
+
+
 class _ClearedAfterStore(dict):
     """A cache that a concurrent draw at another key clears after each store."""
 
