@@ -19,7 +19,8 @@ from .controlled_path import (ConstantBoundary, LinearTrace, SquashedTrace,
                               default_trace_weights)
 from .errors import ConfigError, IoError
 from .rough_driver import DEFAULT_GAMMA_SLACK, sample_fbm
-from .solver import LinearDrift, PicardParams, ProblemSpec, SmoothBoundedDrift
+from .solver import (LinearDrift, PicardParams, ProblemSpec, SmoothBoundedDrift,
+                     check_problem)
 from .spectral_scale import DIRICHLET, NEUMANN, Scale, ScaleConfig, build_scale
 
 STUDIES = ("sample", "solve", "convergence", "cocycle", "stability", "invariants")
@@ -190,4 +191,5 @@ def build_picard_from(cfg: dict) -> PicardParams:
 def build_problem(cfg: dict) -> ProblemSpec:
     scale, F, y0 = scale_map_y0(cfg)
     drift, picard = build_drift_from(cfg, scale), build_picard_from(cfg)
+    check_problem(scale, F, y0, drift, picard)   # before the draw
     return ProblemSpec(scale, build_driver_from(cfg), F, y0, drift, picard)

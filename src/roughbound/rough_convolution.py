@@ -4,15 +4,15 @@ The rough convolution delivered to callers is the finest-grid compensated sum
 
     z_t = sum_{[u,v] in grid, v <= t} S_{t-u} (y_u X_{v,u} + y'_u XX_{v,u}),
 
-computed per mode by the exact one-step recurrence z_{i+1} = E (z_i + xi_i)
+computed per mode by the exact one-step recurrence z_{i+1} = E z_i + E xi_i
 with E = e^{-mu h}; its Gubinelli derivative is the integrand path itself.
 The recurrence runs as a blocked scan (``mode_filter``): a scaled cumulative
 sum inside blocks of at most 32 steps, and a doubling scan that carries the
 block ends across blocks; it matches the sequential recurrence to roundoff.
 The distance to the ideal sewing limit is not computable exactly, so the
 testable content is quantified by two certificates: dyadic level defects
-(whose fitted decay slope is the sewing rate) and the normalized integral
-remainder
+(whose fitted decay slope is the sewing rate; each level sum is the same
+scan over the level's partition) and the normalized integral remainder
 
     R_{t,s} = z_t - S_{t-s} z_s - S_{t-s}(y_s X_{t,s} + y'_s XX_{t,s}),
 
@@ -50,20 +50,20 @@ def _require_interior(P: ControlledPath) -> Scale:
     return P.space
 
 
-def mode_filter(damp, gain, xi):
-    """z_0 = 0, z_{i+1} = damp_k z_i + gain_k xi_i for every mode k; (n+1, K).
+def mode_filter(damp, xi):
+    """z_0 = 0, z_{i+1} = damp_k z_i + xi_i for every mode k; (n+1, K).
 
-    The rough and Young convolutions take gain = damp = e^{-mu h}, the drift
-    convolution in the solver gain = 1.  The n steps run as a blocked scan
-    with a = damp.  Inside a block of B steps, z_i = a^i cumsum_j(a^{-j} gain
-    xi_j) from a zero start; the block ends are carried across blocks by a
-    doubling scan (log2 of the block count steps, factor a^B per block), and
-    the carry c into a block enters its first step as a c, so that step i
-    adds a^{i+1} c.  One lower-triangular matmul per block does the cumsum,
-    written in place in an output of nb B + 1 rows whose first n + 1 are
-    returned.  B is _BLOCK, halved only until a^{-(B-1)} stays below
-    e^{_MAX_EXPONENT}; a damp that underflows to zero runs with B = 1, which
-    forms no negative power.
+    The rough and Young convolutions pass the damped germ e^{-mu h} xi, the
+    drift convolution in the solver its exponential-trapezoid input.  The n
+    steps run as a blocked scan with a = damp.  Inside a block of B steps,
+    z_i = a^i cumsum_j(a^{-j} xi_j) from a zero start; the block ends are
+    carried across blocks by a doubling scan (log2 of the block count steps,
+    factor a^B per block), and the carry c into a block enters its first
+    step as a c, so that step i adds a^{i+1} c.  One lower-triangular matmul
+    per block does the cumsum, written in place in an output of nb B + 1
+    rows whose first n + 1 are returned.  B is _BLOCK, halved only until
+    a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that underflows to zero
+    runs with B = 1, which forms no negative power.
     """
     n, k = xi.shape
     B = _BLOCK
@@ -74,7 +74,7 @@ def mode_filter(damp, gain, xi):
     steps = np.zeros((nb * B, k))
     steps[:n] = xi
     steps = steps.reshape(nb, B, k)
-    steps *= gain / up
+    steps *= 1.0 / up
     ends = np.ones(B) @ steps * up[-1]
     factor, span = damp ** B, 1
     while span < nb:
@@ -108,7 +108,7 @@ def _convolve(P: ControlledPath, D: RoughDriver, k: int):
     check_grid(P, D)
     xi = _germ(P, D, slice(0, -1), slice(1, None), k)
     damp = scale.semigroup(D.step)
-    return mode_filter(damp, damp, xi)
+    return mode_filter(damp, damp * xi)
 
 
 def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
@@ -139,22 +139,21 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int):
     """Compensated sum over the level-n dyadic partition of [0, t_t].
 
     Partition points must be grid points: t_idx must be divisible by 2^level.
-    The germ is the Young one when P.gamma > 1/2.
+    The sum is the convolution's own scan over the path and the driver
+    restricted to the partition, read at t_t, so at stride 1 it is the
+    convolution at t_t.  The germ is the Young one when P.gamma > 1/2.
     """
-    scale = _require_interior(P)
     check_grid(P, D)
     if level < 0:
         raise ConfigError(f"dyadic level must be non-negative, got {level}")
     pieces = 2 ** level
+    # restriction_indices alone would take t_idx = 12 at level 3 (stride 1)
     if t_idx <= 0 or t_idx % pieces != 0:
         raise GridMismatch(
             f"level {level} partition does not fit the grid span {t_idx}")
     stride = t_idx // pieces
-    u = np.arange(0, t_idx, stride)
-    xi = _germ(P, D, u, u + stride, _germ_order(P.gamma))
-    t_time = P.times[t_idx]
-    weights = scale.semigroup(t_time - P.times[u])
-    return np.sum(weights * xi, axis=0)
+    return _convolve(P.restricted(stride, t_idx), D.restricted(stride, t_idx),
+                     _germ_order(P.gamma))[-1]
 
 
 def log2_slope(x, y) -> float:
@@ -171,18 +170,20 @@ def _dyadic_levels(levels, t_idx: int) -> np.ndarray:
     ConfigError unless there are at least two levels and the lowest is
     non-negative; GridMismatch unless 2^(highest + 1) divides t_idx, so that
     every partition the defects compare, the finest included, is on the grid.
+    A range is checked from its length and ends before it is listed.
     """
-    lv = np.asarray(sorted(levels), dtype=int)
-    if lv.size < 2:
-        raise ConfigError(f"a sewing slope needs at least two levels, got {lv.size}")
-    if lv[0] < 0:
-        raise ConfigError(f"dyadic level must be non-negative, got {lv[0]}")
-    t_idx, finest = int(t_idx), int(lv[-1]) + 1
+    seq = levels if isinstance(levels, range) else sorted(levels)
+    if len(seq) < 2:
+        raise ConfigError(f"a sewing slope needs at least two levels, got {len(seq)}")
+    lowest, highest = sorted((int(seq[0]), int(seq[-1])))
+    if lowest < 0:
+        raise ConfigError(f"dyadic level must be non-negative, got {lowest}")
+    t_idx, finest = int(t_idx), highest + 1
     # 2^finest > t_idx cannot divide it; test that before forming the power
     if t_idx <= 0 or finest >= t_idx.bit_length() or t_idx % 2 ** finest:
         raise GridMismatch(
             f"level {finest} partition does not fit the grid span {t_idx}")
-    return lv
+    return np.asarray(sorted(seq), dtype=int)
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,43 @@ class PicardParams:
             raise ConfigError("max_iter and max_halvings must be non-negative")
 
 
+def check_problem(scale: Scale, diffusion: SmoothMap, y0, drift, picard) -> None:
+    """ConfigError unless the parts of a problem that need no driver fit
+    (`ProblemSpec`'s rules, which the CLI and the studies run before a draw)."""
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (scale.K,) or not np.all(np.isfinite(y0)):
+        raise ConfigError("y0 must be a finite coefficient vector of length K")
+    if not isinstance(picard, PicardParams):
+        raise ConfigError("picard must be a PicardParams")
+    for name, f in (("diffusion", diffusion), ("drift", drift)):
+        if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
+            raise ConfigError(f"the {name} map is non-finite at y0")
+    g = scale.gamma
+    if drift is not None and g >= 0.5:   # [2 gamma, 1) is empty
+        raise ConfigError(f"a drift needs gamma < 1/2, got gamma={g}")
+    if drift is not None and not (2 * g <= drift.delta1 < 1.0):
+        raise ConfigError(
+            f"drift index gap delta1={drift.delta1} outside [2 gamma, 1)"
+            f" = [{2 * g}, 1)")
+    floor = scale.eta + 1.5
+    if not floor < diffusion.delta2 < np.inf:
+        raise ConfigError(
+            f"diffusion index gain delta2={diffusion.delta2} must be "
+            f"finite and exceed eta + 3/2 = {floor:.4f}")
+    alpha = scale.eps - 1.0   # -eta, where solutions live
+    if abs(diffusion.domain_alpha - alpha) > 1e-9:
+        raise ConfigError(
+            f"diffusion map declared at index {diffusion.domain_alpha}, "
+            f"solutions live at {alpha:.4f}")
+
+
+def require_neumann(scale: Scale) -> None:
+    """ConfigError unless the rough solver can run on the scale."""
+    if scale.bc != NEUMANN:
+        raise ConfigError("the rough solver runs on the Neumann scale; "
+                          "use solve_young_dirichlet for Dirichlet noise")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Operator scale, driver, coefficients and solver knobs for one problem.
@@ -111,34 +148,11 @@ class ProblemSpec:
     picard: PicardParams = field(default_factory=PicardParams)
 
     def __post_init__(self):
-        y0 = np.asarray(self.y0, dtype=float)
-        if y0.shape != (self.scale.K,) or not np.all(np.isfinite(y0)):
-            raise ConfigError("y0 must be a finite coefficient vector of length K")
-        if not isinstance(self.picard, PicardParams):
-            raise ConfigError("picard must be a PicardParams")
-        for name, f in (("diffusion", self.diffusion), ("drift", self.drift)):
-            if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
-                raise ConfigError(f"the {name} map is non-finite at y0")
-        g = self.scale.gamma
-        if self.drift is not None and g >= 0.5:   # [2 gamma, 1) is empty
-            raise ConfigError(f"a drift needs gamma < 1/2, got gamma={g}")
-        if self.drift is not None and not (2 * g <= self.drift.delta1 < 1.0):
-            raise ConfigError(
-                f"drift index gap delta1={self.drift.delta1} outside [2 gamma, 1)"
-                f" = [{2 * g}, 1)")
-        floor = self.scale.eta + 1.5
-        if not floor < self.diffusion.delta2 < np.inf:
-            raise ConfigError(
-                f"diffusion index gain delta2={self.diffusion.delta2} must be "
-                f"finite and exceed eta + 3/2 = {floor:.4f}")
+        check_problem(self.scale, self.diffusion, self.y0, self.drift, self.picard)
         if abs(self.scale.gamma - self.driver.gamma) > 1e-9:
             raise ConfigError(
                 f"scale gamma {self.scale.gamma} and driver gamma "
                 f"{self.driver.gamma} must agree")
-        if abs(self.diffusion.domain_alpha - self.solution_alpha) > 1e-9:
-            raise ConfigError(
-                f"diffusion map declared at index {self.diffusion.domain_alpha}, "
-                f"solutions live at {self.solution_alpha:.4f}")
 
     @property
     def solution_alpha(self):
@@ -167,27 +181,21 @@ class GlobalSolveResult:
 
 # -- shared pieces ---------------------------------------------------------------
 
-def _phi_weights(scale: Scale, h: float):
-    """Exact exponential-trapezoid weights for the left/right nodal values."""
-    x = scale.mu * h
-    damp = scale.semigroup(h)
-    w_right = h * (x + np.expm1(-x)) / x ** 2
-    w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
-    return damp, w_left, w_right
-
-
 def drift_convolve(scale: Scale, times, f_rows):
     """int_0^{t_i} S_{t_i - r} f_r dr with f piecewise linear between nodes.
 
     The mode factor e^{-mu (t-r)} is integrated in closed form against the
-    linear interpolant, so the rule is exact for constant f.
+    linear interpolant (the exact exponential-trapezoid weights of the left
+    and right nodal values), so the rule is exact for constant f.
     """
     times = np.asarray(times, dtype=float)
     f_rows = np.asarray(f_rows, dtype=float)
     h = (times[-1] - times[0]) / (times.size - 1)
-    damp, w_left, w_right = _phi_weights(scale, h)
-    return mode_filter(damp, np.ones_like(damp),
-                       w_left * f_rows[:-1] + w_right * f_rows[1:])
+    x = scale.mu * h
+    damp = scale.semigroup(h)
+    w_right = h * (x + np.expm1(-x)) / x ** 2
+    w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
+    return mode_filter(damp, w_left * f_rows[:-1] + w_right * f_rows[1:])
 
 
 def drift_convolve_path(P: ControlledPath, f: DriftMap):
@@ -205,9 +213,7 @@ def _check_stride(n: int) -> int:
 def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     """Rough regime on one window: (step, distance, start) of the Picard loop."""
     scale, alpha, g = spec.scale, spec.solution_alpha, spec.scale.gamma
-    if scale.bc != NEUMANN:
-        raise ConfigError("the rough solver runs on the Neumann scale; "
-                          "use solve_young_dirichlet for Dirichlet noise")
+    require_neumann(scale)
     stride = _check_stride(D.n)
     coarse = D.restricted(stride)
     base = scale.semigroup(D.times) * y0

@@ -22,7 +22,8 @@ from .rough_convolution import (_dyadic_levels, _germ_order, log2_slope,
 from .rough_driver import (RoughDriver, geometric_chen_defect_max,
                            rough_metric, sample_fbm)
 from .solver import (PicardParams, ProblemSpec, check_gamma_prime,
-                     cocycle_defect, solve_global)
+                     check_problem, cocycle_defect, require_neumann,
+                     solve_global)
 from .spectral_scale import Scale, smoothing_constants
 
 
@@ -185,6 +186,8 @@ def cocycle_study(scale: Scale, F: SmoothMap, y0, *, H: float, master_n: int,
                 f"the cocycle study needs {name} = {span} to be a whole number "
                 f"of grid steps (n = {master_n}, T = {T}) that every "
                 f"resolution in {resolutions} divides; it spans {steps:.10g}")
+    check_problem(scale, F, y0, drift, picard)
+    require_neumann(scale)
 
     def one(seed):
         D = sample_fbm(H, master_n, T, seed=seed, gamma=gamma)
@@ -239,6 +242,8 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     if not (len(lambdas) and len(eps0)):
         raise ConfigError("the stability study needs lambdas and eps0")
     check_gamma_prime(gamma_prime, scale.gamma)
+    check_problem(scale, F, y0, drift, picard)
+    require_neumann(scale)
     D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
     y0 = np.asarray(y0, float)
     base = solve_global(ProblemSpec(scale, D, F, y0, drift, picard)).path

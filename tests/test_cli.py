@@ -115,6 +115,10 @@ def test_an_unusable_out_exits_11_before_any_draw(tmp_path, monkeypatch, capsys,
             f"error: --out {out} is not an existing directory\n")
 
 
+# a Dirichlet problem in the Young regime
+_YOUNG = "bc = dirichlet\nH = 0.8\ngamma = 0.77\ndelta = 0.005"
+
+
 @pytest.mark.parametrize("study, line", [
     ("cocycle", "resolutions = 0,64"),
     ("cocycle", "resolutions = 64"),
@@ -145,6 +149,12 @@ def test_an_unusable_out_exits_11_before_any_draw(tmp_path, monkeypatch, capsys,
     # 48 does not divide the 64 steps of t = tau = 0.25 at n = 256
     ("cocycle", "K = 8\nseeds = 2\nresolutions = 32,64,48"),
     ("cocycle", "t = 0.3"),     # t and t + tau are off the n = 256 grid
+    # the problem's rules and the rough regime's Neumann rule need no driver
+    ("solve", f"{_YOUNG}\ndrift = linear"),   # a drift needs gamma < 1/2
+    ("cocycle", f"{_YOUNG}\ndrift = linear\nresolutions = 16,32"),
+    ("stability", f"{_YOUNG}\ndrift = linear"),
+    ("cocycle", f"{_YOUNG}\nresolutions = 16,32"),   # Dirichlet, not Neumann
+    ("stability", _YOUNG),
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, monkeypatch,
                                                     study, line):
@@ -154,6 +164,26 @@ def test_unusable_settings_exit_with_a_config_error(tmp_path, monkeypatch,
     out = tmp_path / "out"
     out.mkdir()
     assert run([study, "--config", cfg, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("line, option", [
+    ("levels = 0..3000000\n", []),
+    ("", ["--levels", "0..3000000"]),
+])
+def test_a_wide_level_range_exits_3_before_it_is_listed(tmp_path, monkeypatch,
+                                                        line, option):
+    # listing 3,000,001 levels takes over 100 MiB; the range's ends alone show
+    # that the level-3000001 partition does not fit 8192 steps
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    cfg = _write(tmp_path, "wide.cfg", f"study = convergence\nn = 8192\n{line}")
+    tracemalloc.start()
+    try:
+        code = run(["convergence", "--config", cfg, "--out", str(tmp_path)]
+                   + option)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 2 ** 20
 
 
 @pytest.mark.parametrize("line", [

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from roughbound import (BoundaryVector, ConstantBoundary,
-                        ControlledPath, RegularityError, SquashedTrace,
+from roughbound import (BOUNDARY, BoundaryVector, ConfigError,
+                        ConstantBoundary, ControlledPath, GridMismatch,
+                        RegularityError, RoughDriver, SquashedTrace,
                         compose_smooth, constant_path, default_trace_weights,
-                        lift_controlled, lift_geometric, neumann_map,
-                        remainder_certificate,
+                        level_sum, lift_controlled, lift_geometric,
+                        neumann_map, remainder_certificate,
                         rough_convolve, sample_fbm, sewing_convergence,
                         young_convolve)
 from roughbound import studies
@@ -273,6 +274,47 @@ def test_young_regularity_guard(neumann_scale, driver_small):
         young_convolve(p, driver_small)  # gamma = 0.40 <= 1/2
 
 
+def _boundary_path(D):
+    rows = np.ones((D.n + 1, 2))
+    return ControlledPath(D.times, rows, rows, 2.0, D.gamma, BOUNDARY)
+
+
+def _interior_path(scale, D):
+    return constant_path(D.times, np.ones(scale.K), np.zeros(scale.K), -0.3,
+                         D.gamma, scale)
+
+
+# entry -> (error, call on a Neumann scale and a 64-step driver with gamma > 1/2)
+UNUSABLE_INPUTS = {
+    "rough_convolve on a boundary path": (
+        ConfigError, lambda sc, D: rough_convolve(_boundary_path(D), D)),
+    "young_convolve on a boundary path": (
+        ConfigError, lambda sc, D: young_convolve(_boundary_path(D), D)),
+    "level_sum at a negative level": (
+        ConfigError, lambda sc, D: level_sum(_interior_path(sc, D), D, 64, -1)),
+    # 8 pieces do not split 12 steps, though every 12 // 8 = 1st point would
+    "level_sum off its partition": (
+        GridMismatch, lambda sc, D: level_sum(_interior_path(sc, D), D, 12, 3)),
+    "lift_controlled on an interior path": (
+        ConfigError, lambda sc, D: lift_controlled(_interior_path(sc, D), sc)),
+    "SquashedTrace with amp 0": (
+        ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), 0.0,
+                                                 sc.eps - 1.0, 2.0)),
+    "SquashedTrace with amp < 0": (
+        ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), -1.0,
+                                                 sc.eps - 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNUSABLE_INPUTS))
+def test_convolution_entries_reject_unusable_inputs(entry, neumann_scale):
+    error, call = UNUSABLE_INPUTS[entry]
+    t = np.linspace(0.0, 1.0, 65)
+    D = lift_geometric(t, np.sin(3.0 * t), 0.77)
+    with pytest.raises(error):
+        call(neumann_scale, D)
+
+
 def test_young_sewing_rate(dirichlet_scale):
     from roughbound.studies import sewing_study
     w0, w1 = default_trace_weights(dirichlet_scale, 0.8)
@@ -287,10 +329,10 @@ def test_young_sewing_rate(dirichlet_scale):
 
 # -- the per-mode recurrence and the fits ------------------------------------------
 
-def _sequential_filter(damp, gain, xi):
+def _sequential_filter(damp, xi):
     z = np.zeros((xi.shape[0] + 1, damp.size))
     for i in range(xi.shape[0]):
-        z[i + 1] = damp * z[i] + gain * xi[i]
+        z[i + 1] = damp * z[i] + xi[i]
     return z
 
 
@@ -306,14 +348,36 @@ def test_mode_filter_matches_the_sequential_recurrence(n, rates):
     rng = np.random.default_rng(n)
     damp = np.exp(-np.array(RATES[rates]))
     xi = rng.standard_normal((n, damp.size))
+    # the input of the rough and Young scans (damped germs) and of the drift scan
     for gain in (damp, np.ones_like(damp)):
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            z = mode_filter(damp, gain, xi)
-        ref = _sequential_filter(damp, gain, xi)
+            z = mode_filter(damp, gain * xi)
+        ref = _sequential_filter(damp, gain * xi)
         assert z.shape == (n + 1, damp.size) and np.all(np.isfinite(z))
         assert np.all(z[0] == 0.0)
         scale = np.maximum(np.max(np.abs(ref), axis=0), 1e-300)
         assert np.all(np.max(np.abs(z - ref), axis=0) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n, t_idx", [(256, 64), (256, 128), (256, 256),
+                                      (1000, 64), (1000, 512), (1024, 64),
+                                      (1024, 512), (1024, 1024)])
+def test_level_sum_at_stride_1_is_the_convolution_bitwise(neumann_scale, n,
+                                                          t_idx):
+    # the level sums run on the convolution's own scan, so the finest
+    # partition of [0, t] reads the convolution at t bit for bit, with the
+    # rough and the Young germ and with the geometric and an explicit lift
+    rng = np.random.default_rng(n + t_idx)
+    base = sample_fbm(0.45, n, 1.0, seed=n)
+    y, yp = rng.standard_normal((2, n + 1, neumann_scale.K))
+    bracket = np.concatenate(([0.0], 1e-2 * np.cumsum(rng.standard_normal(n))))
+    level = t_idx.bit_length() - 1
+    for gamma, convolve in ((0.40, rough_convolve), (0.77, young_convolve)):
+        for g in (None, bracket):
+            D = RoughDriver(base.times, base.X, gamma, g=g)
+            P = ControlledPath(D.times, y, yp, -0.3, gamma, neumann_scale)
+            assert np.array_equal(level_sum(P, D, t_idx, level),
+                                  convolve(P, D).y[t_idx])
 
 
 def test_log2_slope_is_the_least_squares_line():

@@ -242,6 +242,11 @@ def test_driver_construction_guards():
     xx[2, 6] = np.inf
     with pytest.raises(ConfigError):
         lift_explicit(t, t.copy(), xx, 0.5)          # non-finite XX
+    with pytest.raises(ConfigError):
+        lift_geometric(t, np.zeros(8), 0.5)          # X one point short
+    for g in (np.zeros(8), np.full(9, 0.1), np.where(t > 0.5, np.nan, 0.0)):
+        with pytest.raises(ConfigError):             # short, g_0 != 0, NaN
+            RoughDriver(t, np.zeros(9), 0.5, g=g)
 
 
 def test_geometric_lift_linear_path():

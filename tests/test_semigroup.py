@@ -87,3 +87,12 @@ def test_drift_kernel_closed_form_and_quadrature(neumann_scale):
     fine = np.linspace(0.0, 1.0, 20001)
     quad = np.trapezoid(np.exp(-mu1 * (1.0 - fine)), fine)
     assert out[-1, 1] == pytest.approx(quad, abs=5e-8)
+
+
+@pytest.mark.parametrize("sigma, t_grid", [
+    (-0.1, [0.5]), (1.1, [0.5]), (np.nan, [0.5]), (0.5, [0.5, 0.0]),
+    (0.5, [-0.1, 0.5])])
+def test_smoothing_constants_reject_sigma_outside_0_1_and_times_not_positive(
+        neumann_scale, sigma, t_grid):
+    with pytest.raises(ValueError):
+        smoothing_constants(neumann_scale, sigma, t_grid)

@@ -374,6 +374,9 @@ def test_bounded_drift_selector(neumann_scale, lifted_y0):
     res = solve_global(ProblemSpec(neumann_scale, D, _zero_diffusion(neumann_scale),
                                    lifted_y0, drift=d))
     assert np.isfinite(res.path.y).all()
+    for amp in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            SmoothBoundedDrift(amp, 0.85)
 
 
 def test_blowup_monitor_aborts(neumann_scale):
@@ -603,6 +606,9 @@ def test_cocycle_defect_needs_a_resolution_that_divides_the_window(
     spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
     with pytest.raises(GridMismatch):   # 3 does not divide 32 steps (t + tau)
         cocycle_defect(spec, 0.25, 0.25, 3)
+    for resolution in (0, -1):
+        with pytest.raises(ConfigError):
+            cocycle_defect(spec, 0.25, 0.25, resolution)
 
 
 def test_cocycle_defect_scale(neumann_scale, lifted_y0):
