@@ -14,11 +14,13 @@ with the norm
 all seminorms taken over grid pairs.  Their increments have the form
 v_t - v_s + p_s X_{t,s}, so they come from the screened Gram kernel
 ``rough_driver.increment_sups`` (also behind ``path_seminorm``): each row
-block's squared norms are one low-rank GEMM plus one GEMM of inner dimension
-k per vector term, screened by one compare against a per-row rounding bound
-before the few surviving pairs are recomputed directly.  The same kernel
-serves the driver seminorms; only the integral-remainder certificate, whose
-increments are damped per lag, runs its own loop over lags.
+block's squared norms are one GEMM, screened against a per-row rounding
+bound before the few surviving pairs are recomputed directly.  A distance
+of two paths over one driver passes one leg, (y'_Q - y'_P) over X, since
+the remainder is linear in (y, y'); over two drivers it passes one leg per
+path.  The same kernel serves the driver seminorms; only the
+integral-remainder certificate, whose increments are damped per lag, runs
+its own loop over lags.
 Values may live on the interior scale (spectral coefficients) or on the
 two-point boundary (Euclidean norm); the same machinery serves both.
 
@@ -119,12 +121,17 @@ def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
     P runs over D and Q over E; Q = None gives the norm of P.  The seminorms
     take the given Hoelder exponent (twice it for the second remainder term)
     and come from the Gram kernel, the derivative's without legs and both
-    remainder terms' in one call with them.
+    remainder terms' in one call with them.  When Q runs over D itself
+    (E is D) the remainder is linear in (y, y'), and the difference
+    y_{t,s} - (P.y' - Q.y')_s X_{t,s} takes one leg instead of two.
     """
     g, a, sp = P.gamma, P.alpha, P.space
     y, yp = (P.y, P.y_prime) if Q is None else (P.y - Q.y, P.y_prime - Q.y_prime)
     # R = y_{t,s} - y'_s X_{t,s}: -y' over D for P, +y' over E for Q
-    legs = [(-P.y_prime, D.X)] + ([] if Q is None else [(Q.y_prime, E.X)])
+    if Q is None or E is D:
+        legs = [(-yp, D.X)]
+    else:
+        legs = [(-P.y_prime, D.X), (Q.y_prime, E.X)]
     sem_prime = path_seminorm(sp, P.times, yp, a - 2 * g, exponent)
     sem_r1, sem_r2 = increment_sups(
         P.times, y, legs, np.stack((sp.sq_weights(a - g), sp.sq_weights(a - 2 * g))),
@@ -137,18 +144,21 @@ def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
                  stride: int = 1) -> float:
     """crp_norm of the difference path over a common driver.
 
-    Over one driver the remainder is linear in (y, y'), so the difference of
-    two controlled paths is itself controlled and the norm applies directly.
-    A stride > 1 evaluates the norm on every stride-th grid point (used by
-    the Picard loop to bound per-iteration cost); D is then the strided
-    driver D.restricted(stride), built once for many distances.
+    Over one driver the remainder is linear in (y, y'), so this is
+    crp_difference_norm with one leg, bitwise the norm of the difference
+    path.  A stride > 1 evaluates the norm on every stride-th grid point
+    (used by the Picard loop to bound per-iteration cost); D is then the
+    strided driver D.restricted(stride), built once for many distances.
+    ConfigError unless stride >= 1.
     """
+    if stride < 1:
+        raise ConfigError(f"distance stride must be at least 1, got {stride}")
     check_grid(P1, P2)
-    sel = slice(None, None, stride)
-    diff = ControlledPath(P1.times[sel], P1.y[sel] - P2.y[sel],
-                          P1.y_prime[sel] - P2.y_prime[sel], P1.alpha,
-                          P1.gamma, P1.space)
-    return crp_norm(diff, D)
+    Q1, Q2 = (ControlledPath(P.times[::stride], P.y[::stride],
+                             P.y_prime[::stride], P.alpha, P.gamma, P.space)
+              for P in (P1, P2))
+    check_grid(Q1, D)
+    return crp_difference_norm(Q1, D, P1.gamma, Q2, D)
 
 
 # -- smooth maps into the boundary -------------------------------------------

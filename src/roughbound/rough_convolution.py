@@ -232,11 +232,15 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     taken when g = P.gamma > 1/2.  The pairs are those of every stride-th
     grid point, and one pass over their lags gives all three sups: per lag,
     the largest weighted square W (r r)^T of each norm (reducing along rows is
-    several times faster in numpy than (r r) W^T along columns).
+    several times faster in numpy than (r r) W^T along columns).  ConfigError
+    unless stride >= 1 selects at least two grid points.
     """
     scale = _require_interior(P)
     check_grid(P, D)
     check_grid(Z, D)
+    if not 1 <= stride <= P.n:
+        raise ConfigError(f"remainder stride {stride} selects fewer than two "
+                          f"of {P.n + 1} grid points")
     g = P.gamma
     k = _germ_order(g)
     betas = (0.0, g, 2 * g)

@@ -13,8 +13,10 @@ adversarial tests; `lift_explicit` validates a supplied XX matrix in O(n^2).
 
 The sups over grid pairs come from one kernel, `increment_sups`, for
 increments v_t - v_s + sum_l p^l_s X^l_{t,s} (only the integral-remainder
-certificate, damped per lag, keeps its own loop).  The driver seminorms
-have that form too: by Chen's relation
+certificate, damped per lag, keeps its own loop).  Each block of rows s
+gets its squared norms from one GEMM, and only the pairs within a rounding
+bound of the sup are recomputed from direct differences.  The driver
+seminorms have that form too: by Chen's relation
 
     XX_{t,s} = (X_t^2/2 + g_t) - (X_s^2/2 + g_s) - X_s X_{t,s},
 
@@ -42,6 +44,7 @@ gamma = H - 0.05.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +242,7 @@ def _schur_row_blocks(c):
     buf = np.empty((min(_BLOCK_ROWS, n), n))
     u = c / np.sqrt(c[0])
     v = np.concatenate(([0.0], u[1:]))
+    scratch = np.empty(n)
     for k0 in range(0, n, _BLOCK_ROWS):
         R = buf[:min(_BLOCK_ROWS, n - k0), k0:]
         for j, row in enumerate(R):
@@ -249,8 +253,14 @@ def _schur_row_blocks(c):
                     raise CovarianceNotPD("Toeplitz covariance not positive "
                                           f"definite at column {k0 + j} of {n}")
                 s = np.sqrt((1.0 - r) * (1.0 + r))
-                u = (u - r * v) / s
-                v = s * v - r * u
+                # u = (u - r v) / s, then v = s v - r u, in place
+                w = scratch[:u.size]
+                np.multiply(r, v, out=w)
+                np.subtract(u, w, out=u)
+                np.divide(u, s, out=u)
+                np.multiply(s, v, out=v)
+                np.multiply(r, u, out=w)
+                np.subtract(v, w, out=v)
             row[:j] = 0.0
             row[j:] = u
         yield k0, R
@@ -321,6 +331,25 @@ _BLOCK_CELLS = 16384
 _EPS = float(np.finfo(float).eps)
 
 
+@functools.lru_cache(maxsize=64)
+def _lag_tables(m: int, span: float, exponent: float, rows: int):
+    """Read-only (lag^{2e}, F, max 1/lag^{2e}) of m grid points over span.
+
+    lag^{2e} holds (c span / (m - 1))^{2 exponent} for c = 1 .. m - 1, and F
+    is a (rows, m - 1) view with F[i, c] = 1 / lag^{2e}[c - i] for c >= i,
+    else 0: the pair (s0 + i, s0 + 1 + c) of any block of rows has lag
+    c - i + 1.  Cached, so the distances of a Picard loop build them once.
+    """
+    dt = (np.arange(1, m) * (span / (m - 1))) ** (2.0 * exponent)
+    inv = 1.0 / dt
+    pad = np.concatenate((np.zeros(rows - 1), inv))
+    dt.setflags(write=False)
+    pad.setflags(write=False)
+    F = np.ndarray((rows, m - 1), buffer=pad, offset=(rows - 1) * pad.itemsize,
+                   strides=(-pad.itemsize, pad.itemsize))
+    return dt, F, float(np.max(inv))
+
+
 def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     """Per norm j, the sup over pairs s < t of |d_{st}|_j / (t-s)^exponents[j].
 
@@ -335,34 +364,34 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
                      + sum_{l,l'} x^l_t x^l'_t <p^l_s, p^l'_s>
                      + 2 <B_s, u_t> + sum_l 2 <p^l_s, x^l_t u_t>.
 
-    The t-side factors u, x^l u, 1, x^l, x^l x^l' carry no weights and are
-    built once per call, the s-side ones once per norm.  Rows s run in blocks
-    of at most _BLOCK_CELLS // (m - 1), and a block's squared norms are one
-    GEMM of inner dimension K = 2 + L + L(L+1)/2 for the first two lines plus
-    one of inner dimension k per inner product of the last.  (One fused GEMM
-    of inner dimension K + (L+1)k crosses OpenBLAS's single-thread size
-    m n k = 2^18 at m = 129 and needs larger per-norm factors; it was no
-    faster end to end.)  The Gram value loses half the digits where the
-    increment is small next to u, so only pairs whose Gram value comes within
-    a rounding bound beta_s of the sup are recomputed from direct
-    differences, and the sups are those direct values.
+    That is one dot product of length Kx = K + (L + 1) k, K = 2 + L + L(L+1)/2,
+    between the t-side factors a, 1, x^l, x^l x^l', u, x^l u, stacked once
+    per call into a (Kx, m) matrix, and the s-side factors, stacked once per
+    norm into an (m, Kx) matrix.  Rows s run in blocks of at most
+    _BLOCK_CELLS // (m - 1), and a block's squared norms are one GEMM.
+    The Gram value loses half the digits where the increment is small next
+    to u, so only pairs whose Gram value comes within a rounding bound beta_s
+    of the sup are recomputed from direct differences, and the sups are
+    those direct values.  The compare runs only on the rows whose maximum
+    clears its bound, which keeps the same pairs.
 
     Rounding bound.  Both values sum products of two of the atoms u_t, -u_s,
     -x^l_s p^l_s and x^l_t p^l_s, whose absolute values add up to at most
     M_s = (max_{t>s} |u_t| + |u_s| + sum_l |p^l_s| (max_{t>s} |x^l_t| + |x^l_s|))^2.
-    Along any product the Gram value rounds at most N_G = k + K + 3L + 8
+    Along any product the Gram value rounds at most N_G = k + Kx + 2L + 7
     times (the most in |B_s|^2: L + 2 in each atom of B, a product, the
-    weight, k - 1 sums, the factor 1, K - 1 sums, L + 1 additions of the
-    other GEMMs, and the lag scaling F = 1 / (t-s)^{2e} with its own
-    rounding), the direct value at most N_D = k + 2L + 6 times.  By the
+    weight, k - 1 sums, the factor 1, Kx - 1 sums of the one dot product,
+    and the lag scaling F = 1 / (t-s)^{2e} with its own rounding), the
+    direct value at most N_D = k + 2L + 6 times (L + 2 in each atom, a
+    product, the weight, k - 1 sums and the division by (t-s)^{2e}).  By the
     gamma_n rule each is within (N + 1) eps M_s max F of the exact value,
     and forming a row's threshold rounds by at most eps times the block's
     largest Gram value, itself at most M max F of its row.  So
-    beta_s = c eps M_s max F with c = N_G + N_D + 4 = 2k + K + 5L + 18 exceeds
-    every gap between Gram and direct value in row s, and a pair whose Gram
-    value is below the block's best lower bound, or the running sup, less
-    beta_s cannot hold the sup.  A non-finite Gram value sends its block to
-    the recompute.
+    beta_s = c eps M_s max F with c = N_G + N_D + 4 = 2k + Kx + 4L + 17
+    exceeds every gap between Gram and direct value in row s, and a pair
+    whose Gram value is below the block's best lower bound, or the running
+    sup, less beta_s cannot hold the sup.  A non-finite Gram value sends its
+    block to the recompute.
     """
     v = np.asarray(v, dtype=float)
     W = np.asarray(weights, dtype=float)
@@ -371,61 +400,74 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     if m < 2:
         return sups
     rows = max(1, _BLOCK_CELLS // (m - 1))
-    lags = np.arange(1, m) * ((times[-1] - times[0]) / (m - 1))
+    span = float(times[-1] - times[0])
     ps = [p for p, _ in legs]
     xs = [X - X[0] for _, X in legs]
     L = len(legs)
-    # scalar t-side factors a (row 0, set per norm), 1, x^l, x^l x^l' (squares first)
+    # pairs (l, l') of the x^l x^l' terms, squares first
     quad = [(l, l) for l in range(L)] + [(l, l2) for l in range(L)
                                          for l2 in range(l + 1, L)]
-    T = np.array([np.zeros(m), np.ones(m)] + xs + [xs[l] * xs[l2] for l, l2 in quad])
+    K = 2 + L + len(quad)
+    Kx = K + (L + 1) * k
     u = v - v[0]
-    ut = u.T.copy()     # GEMMs read (k, m) column blocks faster than (m, k) rows
-    xus = [x * ut for x in xs]
+    # t-side rows: a (set per norm), 1, x^l, x^l x^l', then blocks u, x^l u
+    T = np.empty((Kx, m))
+    T[1] = 1.0
+    for l, x in enumerate(xs):
+        T[2 + l] = x
+    for i, (l, l2) in enumerate(quad):
+        T[2 + L + i] = xs[l] * xs[l2]
+    T[K:K + k] = u.T
+    for l, x in enumerate(xs):
+        np.multiply(x, u.T, out=T[K + (l + 1) * k:K + (l + 2) * k])
     B = -u
     for p, x in zip(ps, xs):
         B -= x[:, None] * p
     # max over t > s of |x^l_t|, for s = 0 .. m - 2
     ahead = [np.maximum.accumulate(np.abs(x[:0:-1]))[::-1] for x in xs]
-    c_eps = (2 * k + T.shape[0] + 5 * L + 18) * _EPS     # K = T.shape[0]
+    c_eps = (2 * k + Kx + 4 * L + 17) * _EPS
+    S = np.empty((m, Kx))
+    S[:, 0] = 1.0
     for j, (w, e) in enumerate(zip(W, exponents)):
-        dt = lags ** (2.0 * float(e))
-        inv = 1.0 / dt
-        # a view F with F[i, c] = inv[c - i] for c >= i, else 0: the pair
-        # (s0 + i, s0 + 1 + c) of any block has lag c - i + 1
-        pad = np.concatenate((np.zeros(rows - 1), inv))
-        F = np.ndarray((rows, m - 1), buffer=pad, offset=(rows - 1) * pad.itemsize,
-                       strides=(-pad.itemsize, pad.itemsize))
+        dt, F, max_inv = _lag_tables(m, span, float(e), rows)
         w2 = 2.0 * w
         T[0] = (u * u) @ w
-        S = np.array([np.ones(m), (B * B) @ w] + [(B * p) @ w2 for p in ps]
-                     + [(ps[l] * ps[l2]) @ (w if l == l2 else w2) for l, l2 in quad])
-        bw = B * w2
-        pws = [p * w2 for p in ps]
+        S[:, 1] = (B * B) @ w
+        for l, p in enumerate(ps):
+            S[:, 2 + l] = (B * p) @ w2
+        for i, (l, l2) in enumerate(quad):
+            S[:, 2 + L + i] = (ps[l] * ps[l2]) @ (w if l == l2 else w2)
+        np.multiply(B, w2, out=S[:, K:K + k])
+        for l, p in enumerate(ps):
+            np.multiply(p, w2, out=S[:, K + (l + 1) * k:K + (l + 2) * k])
         # beta_s of every row s = 0 .. m - 2
         norm_u = np.sqrt(T[0])
         lead = np.maximum.accumulate(norm_u[:0:-1])[::-1] + norm_u[:-1]
         for l, (x, xa) in enumerate(zip(xs, ahead)):
-            lead += np.sqrt(S[2 + L + l, :-1]) * (xa + np.abs(x[:-1]))
-        beta = (c_eps * np.max(inv)) * lead * lead
+            lead += np.sqrt(S[:-1, 2 + L + l]) * (xa + np.abs(x[:-1]))
+        beta = (c_eps * max_inv) * lead * lead
         for s0 in range(0, m - 1, rows):
             b = min(rows, m - 1 - s0)
-            sq = S[:, s0:s0 + b].T @ T[:, s0 + 1:]
-            sq += bw[s0:s0 + b] @ ut[:, s0 + 1:]
-            for pw, xu in zip(pws, xus):
-                sq += pw[s0:s0 + b] @ xu[:, s0 + 1:]
             Fb = F[:b, :m - 1 - s0]
+            sq = S[s0:s0 + b] @ T[:, s0 + 1:]
             sq *= Fb
-            top = np.argmax(sq)
-            floor = sq.flat[top] - beta[s0 + top // sq.shape[1]]
+            top = np.max(sq, axis=1)
+            i = np.argmax(top)
+            floor = top[i] - beta[s0 + i]
             if not np.isfinite(floor):
-                keep = Fb > 0
-            elif floor > sups[j]:
-                keep = sq >= (floor - beta[s0:s0 + b])[:, None]
+                ii, cc = np.divmod(np.flatnonzero(Fb > 0), sq.shape[1])
             else:
-                keep = sq > (sups[j] - beta[s0:s0 + b])[:, None]
-            ii, cc = np.divmod(np.flatnonzero(keep), sq.shape[1])
-            ii, cc = ii[cc >= ii], cc[cc >= ii]     # the block's pairs t <= s
+                if floor > sups[j]:
+                    above, bound = np.greater_equal, floor - beta[s0:s0 + b]
+                else:
+                    above, bound = np.greater, sups[j] - beta[s0:s0 + b]
+                live = np.flatnonzero(above(top, bound))
+                if not live.size:
+                    continue
+                ii, cc = np.divmod(np.flatnonzero(above(sq[live], bound[live, None])),
+                                   sq.shape[1])
+                ii = live[ii]
+                ii, cc = ii[cc >= ii], cc[cc >= ii]     # the block's pairs t > s
             if ii.size:
                 s, t = s0 + ii, s0 + 1 + cc
                 d = v[t] - v[s]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPath,
-                        GridMismatch, LinearTrace, ScaleIndexError,
+                        GridMismatch, LinearTrace, RoughDriver, ScaleIndexError,
                         SquashedTrace, compose_smooth, constant_path,
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
-from roughbound.controlled_path import (crp_distance, diffusion_derivative_rows,
-                                        path_seminorm)
+from roughbound.controlled_path import (crp_difference_norm, crp_distance,
+                                        diffusion_derivative_rows, path_seminorm)
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
                       brute_force_remainder, generator_coefficients,
@@ -87,6 +87,27 @@ def test_crp_norm_grid_mismatch(neumann_scale, driver_small):
     with pytest.raises(GridMismatch):
         crp_distance(p, scaled(p, 2.0), other, stride=2)
     assert crp_distance(p, scaled(p, 2.0), other.restricted(2), stride=2) > 0
+
+
+@pytest.mark.parametrize("stride", [1, 2, 8])
+def test_one_shared_driver_takes_one_leg(neumann_scale, driver_small, stride):
+    # over one driver (E is D) the remainder difference takes one leg,
+    # (y'_Q - y'_P) over X; a copy of D is another driver and takes two
+    rng = np.random.default_rng(stride)
+    D = driver_small.restricted(stride)
+    P, Q = (ControlledPath(D.times, rng.standard_normal((D.n + 1, 16)),
+                           rng.standard_normal((D.n + 1, 16)), -0.3, 0.40,
+                           neumann_scale) for _ in range(2))
+    E = RoughDriver(D.times.copy(), D.X.copy(), D.gamma, D.H)
+    one_leg = crp_difference_norm(P, D, 0.35, Q, D)
+    assert one_leg == pytest.approx(crp_difference_norm(P, D, 0.35, Q, E),
+                                    rel=1e-13, abs=0.0)
+    # crp_distance is that call on the strided paths: bitwise the norm of the
+    # difference path
+    P1, P2 = (ControlledPath(driver_small.times, rng.standard_normal((257, 16)),
+                             rng.standard_normal((257, 16)), -0.3, 0.40,
+                             neumann_scale) for _ in range(2))
+    assert crp_distance(P1, P2, D, stride) == crp_norm((P1 - P2).restricted(stride), D)
 
 
 def test_remainder_reconstruction(neumann_scale, driver_small):

@@ -11,6 +11,7 @@ from roughbound import (BOUNDARY, BoundaryVector, ConfigError,
                         rough_convolve, sample_fbm, sewing_convergence,
                         young_convolve)
 from roughbound import studies
+from roughbound.controlled_path import crp_distance
 from roughbound.rough_convolution import log2_slope, mode_filter
 from roughbound.studies import canonical_integrand
 
@@ -303,7 +304,25 @@ UNUSABLE_INPUTS = {
     "SquashedTrace with amp < 0": (
         ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), -1.0,
                                                  sc.eps - 1.0, 2.0)),
+    # a remainder stride must select at least two of the 65 grid points
+    "remainder_certificate at stride 0": (
+        ConfigError, lambda sc, D: _remainder_at_stride(sc, D, 0)),
+    "remainder_certificate at stride -1": (
+        ConfigError, lambda sc, D: _remainder_at_stride(sc, D, -1)),
+    "remainder_certificate past the grid": (
+        ConfigError, lambda sc, D: _remainder_at_stride(sc, D, 100)),
+    "crp_distance at stride 0": (
+        ConfigError, lambda sc, D: crp_distance(_interior_path(sc, D),
+                                                _interior_path(sc, D), D, 0)),
+    "crp_distance at stride -1": (
+        ConfigError, lambda sc, D: crp_distance(_interior_path(sc, D),
+                                                _interior_path(sc, D), D, -1)),
 }
+
+
+def _remainder_at_stride(scale, D, stride):
+    P = _interior_path(scale, D)
+    return remainder_certificate(P, D, young_convolve(P, D), stride=stride)
 
 
 @pytest.mark.parametrize("entry", sorted(UNUSABLE_INPUTS))

@@ -553,31 +553,77 @@ def test_increment_sups_match_the_pairwise_oracle(neumann_scale, m, case, n_legs
 
 def _recompute_case(case):
     """(times, v, legs, one-hot weights, exponents): drift plus zigzag with no
-    legs at m = 257, or an fBm driver's lift v = (X, X^2/2 + g) with the leg
-    (0, -X) over X at n = 1024, the call behind rho."""
+    legs at m = 257, an fBm driver's lift v = (X, X^2/2 + g) with the leg
+    (0, -X) over X at n = 1024, the call behind rho, or a `_increment_case`
+    at m grid points, named "case m".  "tie m" makes every pair's ratio
+    equal.  "gram nan 130" puts |p_s| = 1e200 on rows 127 and 128, the
+    second row block, over a driver constant there: that block's Gram
+    values are inf - inf, while every increment is finite and the last one,
+    which holds the sup, jumps by 100."""
+    one_hot = np.eye(16), np.tile((0.4, 0.8), 8)
     if case == "zigzag":
         t = np.linspace(0.0, 1.0, 257)
         c = np.random.default_rng(0).standard_normal(16)
         v = 50.0 * t[:, None] * c + (-1.0) ** np.arange(257)[:, None] * c
-        return t, v, (), np.eye(16), np.tile((0.4, 0.8), 8)
-    D = sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
-    v = np.stack((D.X, 0.5 * D.X ** 2 + D.g), axis=1)
-    p = np.zeros_like(v)
-    p[:, 1] = -D.X
-    return D.times, v, ((p, D.X),), np.eye(2), (D.gamma, 2 * D.gamma)
+        return (t, v, ()) + one_hot
+    if case == "fbm lift":
+        D = sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
+        v = np.stack((D.X, 0.5 * D.X ** 2 + D.g), axis=1)
+        p = np.zeros_like(v)
+        p[:, 1] = -D.X
+        return D.times, v, ((p, D.X),), np.eye(2), (D.gamma, 2 * D.gamma)
+    name, m = case.rsplit(" ", 1)
+    m = int(m)
+    if name == "tie":
+        # v_t - v_s - c X_{t,s} = 50 (t - s) c: at exponent 1 every pair ties,
+        # so rounding alone decides which pair holds the sup
+        t = np.linspace(0.0, 1.0, m)
+        c = np.random.default_rng(m).standard_normal(16)
+        return (t, 53.0 * t[:, None] * c, ((np.tile(-c, (m, 1)), 3.0 * t),),
+                np.eye(16), np.ones(16))
+    if name == "gram nan":
+        v, ((p, X),) = _increment_case("generic", m, 1)
+        p, X = p.copy(), X.copy()
+        p[127:] = 1e200
+        X[127:] = X[127]
+        v[129] += 100.0     # the sup is the pair (128, 129) of that block
+        legs = ((p, X),)
+    else:
+        v, legs = _increment_case(name, m, 2)
+    return (np.linspace(0.0, 1.0, m), v, legs) + one_hot
 
 
-@pytest.mark.parametrize("case", ["zigzag", "fbm lift"])
+@pytest.mark.parametrize("case", [
+    "zigzag", "fbm lift", "gram nan 130", "tie 65", "tie 130", "tie 257"] + [
+    f"{name} {m}" for name in ("offset", "identical") for m in (2, 3, 130)])
 def test_increment_sups_equal_the_recompute_oracle(case):
     # the sups are direct recomputes, so they equal the oracle's bitwise iff
     # the screen keeps each norm's best pair.  Centred at row 0, the drift
     # leaves |u| far above the zigzag's increments with no leg to absorb the
     # Gram error, so the |u| terms of the per-row bound beta_s decide; the
-    # driver lift puts large X^2/2 next to small XX_{t,s}.
+    # driver lift puts large X^2/2 next to small XX_{t,s}.  The 1e8 offset
+    # and the identical legs (which cancel to zero) run over two legs, and
+    # m = 2, 3 leave one block of one or two rows.  The ties leave rounding
+    # alone to pick the sup pair: they drop it once the rounding constant c
+    # falls to about 1/4, against the derived worst case
+    # c = 2k + Kx + 4L + 17 (89 for them).  A non-finite block is recomputed.
     times, v, legs, W, exponents = _recompute_case(case)
-    sups = rough_driver.increment_sups(times, v, legs, W, exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sups = rough_driver.increment_sups(times, v, legs, W, exponents)
+    assert np.all(np.isfinite(sups))
     assert np.array_equal(sups, recompute_increment_sups(times, v, legs, W,
                                                          exponents))
+
+
+def test_lag_tables_are_cached_read_only():
+    dt, F, max_inv = rough_driver._lag_tables(65, 1.0, 0.4, 8)
+    assert rough_driver._lag_tables(65, 1.0, 0.4, 8)[1] is F
+    assert max_inv == np.max(1.0 / dt)
+    assert F[0, 0] == 1.0 / dt[0] and F[1, 0] == 0.0
+    for table in (dt, F):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_increment_sups_recompute_only_the_screened_pairs(neumann_scale):
