@@ -6,32 +6,28 @@ verification harnesses (stability, cocycle, rates) behind the CLI.
 """
 
 from .controlled_path import (ControlledPath, ConstantBoundary, LinearTrace,
-                              SmoothMap, SquashedTrace, compose_smooth,
-                              constant_path, crp_distance, crp_norm,
-                              default_trace_weights, diffusion_rows,
-                              lift_controlled, lift_extrapolate)
+                              SmoothMap, SquashedTrace, constant_path,
+                              crp_distance, crp_norm, default_trace_weights,
+                              diffusion_rows, lift_extrapolate)
 from .errors import (AprioriBoundViolation, ChenViolation, ConfigError,
                      ContractionFailure, CovarianceNotPD,
                      DirichletRegularityError, GridMismatch, IoError,
                      RegularityError, RoughboundError, ScaleIndexError,
-                     ScaleUnderflow, SingularLift)
+                     SingularLift)
 from .rough_convolution import (RemainderReport, SewingReport, level_sum,
                                 remainder_certificate, rough_convolve,
                                 sewing_convergence, young_convolve)
-from .rough_driver import (RoughDriver, holder_seminorm, lift_explicit,
-                           lift_geometric, rho, rough_metric, sample_fbm,
-                           shift)
+from .rough_driver import (RoughDriver, lift_explicit, lift_geometric, rho,
+                           rough_metric, sample_fbm, shift)
 from .solver import (DriftMap, GlobalSolveResult, LinearDrift,
                      LocalSolveResult, PicardParams, ProblemSpec,
-                     SmoothBoundedDrift, additive_direct, cocycle_defect,
-                     drift_convolve, drift_convolve_path, solve_global,
-                     solve_local, solve_young_dirichlet, stability_distance)
+                     SmoothBoundedDrift, cocycle_defect, drift_convolve,
+                     solve_global, solve_local, solve_young_dirichlet,
+                     stability_distance)
 from .spectral_scale import (BOUNDARY, DIRICHLET, NEUMANN, BoundarySpace,
                              BoundaryVector, Scale, ScaleConfig,
-                             SmoothingReport, SpectralVector, apply_generator,
-                             apply_semigroup, build_scale, dirichlet_map,
-                             dirichlet_profile, fractional_power,
-                             lift_operator_norm, neumann_map, neumann_profile,
-                             scale_norm, smoothing_bound, smoothing_constants)
+                             SmoothingReport, SpectralVector, build_scale,
+                             dirichlet_map, neumann_map, smoothing_bound,
+                             smoothing_constants)
 
 __version__ = "0.1.0"

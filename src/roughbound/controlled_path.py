@@ -31,9 +31,7 @@ is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F,
 computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows`` as
 one product each with the scale's (2, K) ``generator_lift``; the
 sigma-extrapolation and the eta-extrapolation agree on lifted data, so one
-matrix serves both components.  ``compose_smooth`` and
-``lift_controlled`` take the same map one controlled path at a time, an
-independent route for cross-checks.
+matrix serves both components.
 """
 
 from __future__ import annotations
@@ -43,8 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ScaleIndexError
-from .rough_driver import RoughDriver, check_grid, increment_sups, restriction_indices
-from .spectral_scale import BOUNDARY, BoundarySpace, Scale
+from .rough_driver import (RoughDriver, check_grid, increment_sups, is_integer,
+                           restriction_indices)
+from .spectral_scale import Scale
 
 _INDEX_TOL = 1e-9
 
@@ -149,10 +148,11 @@ def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
     path.  A stride > 1 evaluates the norm on every stride-th grid point
     (used by the Picard loop to bound per-iteration cost); D is then the
     strided driver D.restricted(stride), built once for many distances.
-    ConfigError unless stride >= 1.
+    ConfigError unless stride is an integer >= 1.
     """
-    if stride < 1:
-        raise ConfigError(f"distance stride must be at least 1, got {stride}")
+    if not is_integer(stride) or stride < 1:
+        raise ConfigError(f"distance stride must be an integer of at least 1, "
+                          f"got {stride}")
     check_grid(P1, P2)
     Q1, Q2 = (ControlledPath(P.times[::stride], P.y[::stride],
                              P.y_prime[::stride], P.alpha, P.gamma, P.space)
@@ -260,31 +260,6 @@ def _check_domain(F: SmoothMap, P: ControlledPath):
     if abs(F.domain_alpha - P.alpha) > _INDEX_TOL:
         raise ScaleIndexError(
             f"map declared for index {F.domain_alpha}, path is at {P.alpha}")
-
-
-def compose_smooth(F: SmoothMap, P: ControlledPath) -> ControlledPath:
-    """(F(y), DF(y) o y') as a boundary-valued controlled path.
-
-    The output index is the declared gain over the input index; the remainder
-    picks up the second-order Taylor defect of F, which stays 2 gamma-Hoelder
-    because D^2 F is bounded.
-    """
-    _check_domain(F, P)
-    return ControlledPath(P.times, F.value(P.y), F.dvalue(P.y, P.y_prime),
-                          P.alpha + F.delta2, P.gamma, BOUNDARY)
-
-
-def lift_controlled(path: ControlledPath, scale: Scale) -> ControlledPath:
-    """Lift a boundary-valued controlled path into the interior at index eps.
-
-    The lift is linear, so the Gubinelli derivative and the remainder map
-    through it unchanged: (Ny, Ny') with R^{Ny} = N R^y.
-    """
-    if not isinstance(path.space, BoundarySpace):
-        raise ConfigError("lift_controlled expects a boundary-valued path")
-    m = scale.lift.T
-    return ControlledPath(path.times, path.y @ m, path.y_prime @ m, scale.eps,
-                          path.gamma, scale)
 
 
 def lift_extrapolate(F: SmoothMap, P: ControlledPath, scale: Scale) -> ControlledPath:

@@ -15,11 +15,6 @@ class ConfigError(RoughboundError):
     exit_code = 2
 
 
-class ScaleUnderflow(RoughboundError):
-    """A scale index dropped below the extrapolation floor -2."""
-    exit_code = 6
-
-
 class ScaleIndexError(RoughboundError, IndexError):
     """A smooth map was applied to a controlled path at the wrong scale index."""
     exit_code = 13

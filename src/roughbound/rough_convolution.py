@@ -36,7 +36,7 @@ import numpy as np
 
 from .controlled_path import ControlledPath, crp_norm
 from .errors import ConfigError, GridMismatch, RegularityError
-from .rough_driver import RoughDriver, check_grid, rho
+from .rough_driver import RoughDriver, check_grid, is_integer, rho
 from .spectral_scale import Scale
 
 _LOG_FLOOR = 1e-300
@@ -233,14 +233,14 @@ def remainder_certificate(P: ControlledPath, D: RoughDriver, Z: ControlledPath,
     grid point, and one pass over their lags gives all three sups: per lag,
     the largest weighted square W (r r)^T of each norm (reducing along rows is
     several times faster in numpy than (r r) W^T along columns).  ConfigError
-    unless stride >= 1 selects at least two grid points.
+    unless the integer stride >= 1 selects at least two grid points.
     """
     scale = _require_interior(P)
     check_grid(P, D)
     check_grid(Z, D)
-    if not 1 <= stride <= P.n:
-        raise ConfigError(f"remainder stride {stride} selects fewer than two "
-                          f"of {P.n + 1} grid points")
+    if not (is_integer(stride) and 1 <= stride <= P.n):
+        raise ConfigError(f"remainder stride must be an integer in [1, {P.n}] "
+                          f"to select two of {P.n + 1} grid points, got {stride}")
     g = P.gamma
     k = _germ_order(g)
     betas = (0.0, g, 2 * g)

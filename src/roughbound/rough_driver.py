@@ -132,13 +132,20 @@ class RoughDriver:
                            self.H, self.g[sel])
 
 
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def restriction_indices(n: int, stride: int, stop: int | None = None):
     """Grid indices 0, stride, ..., stop (default n) of a grid of n steps.
 
-    GridMismatch unless stride >= 1 divides stop and 0 < stop <= n.
+    GridMismatch unless the integer stride >= 1 divides the integer stop and
+    0 < stop <= n.
     """
     stop_idx = n if stop is None else stop
-    if stride < 1 or not 0 < stop_idx <= n or stop_idx % stride != 0:
+    if not (is_integer(stride) and is_integer(stop_idx) and stride >= 1
+            and 0 < stop_idx <= n and stop_idx % stride == 0):
         raise GridMismatch(f"stride {stride} does not divide the grid up to "
                            f"index {stop_idx} of {n}")
     return np.arange(0, stop_idx + 1, stride)
@@ -302,10 +309,10 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
     """
     if not 0.0 < H < 1.0:
         raise ConfigError(f"Hurst parameter must lie in (0,1), got {H}")
-    if n < 2:
-        raise ConfigError(f"need a grid of at least 2 steps, got n={n}")
-    if T <= 0:
-        raise ConfigError(f"horizon must be positive, got T={T}")
+    if not is_integer(n) or n < 2:
+        raise ConfigError(f"need a whole number of at least 2 grid steps, got n={n}")
+    if not 0 < T < np.inf:
+        raise ConfigError(f"horizon must be finite and positive, got T={T}")
     z = np.random.default_rng(seed).standard_normal(n)
     x = np.concatenate(([0.0], np.cumsum(_fgn_increments(H, n, T, z))))
     if gamma is None:
@@ -475,12 +482,6 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
                     d += p[s] * (X[t] - X[s])[:, None]
                 sups[j] = np.maximum(sups[j], np.max(((d * d) @ w) / dt[cc - ii]))
     return np.sqrt(sups)
-
-
-def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:
-    """[X]_gamma = sup over grid pairs of |X_{t,s}| / (t-s)^gamma."""
-    g = D.gamma if gamma is None else gamma
-    return float(increment_sups(D.times, D.X[:, None], (), np.ones((1, 1)), (g,))[0])
 
 
 def _lifted_pair(D: RoughDriver):

@@ -38,7 +38,7 @@ from .controlled_path import (ControlledPath, SmoothMap, constant_path,
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch)
 from .rough_convolution import mode_filter, rough_convolve, young_convolve
-from .rough_driver import RoughDriver, check_grid, shift
+from .rough_driver import RoughDriver, check_grid, is_integer, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
 _BLOWUP_FACTOR = 1e8
@@ -92,8 +92,10 @@ class PicardParams:
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(
                 f"Picard tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 0 or self.max_halvings < 0:
-            raise ConfigError("max_iter and max_halvings must be non-negative")
+        counts = (self.max_iter, self.max_halvings)
+        if not all(is_integer(c) and c >= 0 for c in counts):
+            raise ConfigError("max_iter and max_halvings must be non-negative "
+                              f"integers, got {counts}")
 
 
 def check_problem(scale: Scale, diffusion: SmoothMap, y0, drift, picard) -> None:
@@ -196,13 +198,6 @@ def drift_convolve(scale: Scale, times, f_rows):
     w_right = h * (x + np.expm1(-x)) / x ** 2
     w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
     return mode_filter(damp, w_left * f_rows[:-1] + w_right * f_rows[1:])
-
-
-def drift_convolve_path(P: ControlledPath, f: DriftMap):
-    """Spec-facing wrapper: drift convolution of f along a sampled path."""
-    rows = drift_convolve(P.space, P.times, f.value(P.y))
-    return ControlledPath(P.times, rows, np.zeros_like(rows), P.alpha, P.gamma,
-                          P.space)
 
 
 def _check_stride(n: int) -> int:
@@ -448,23 +443,3 @@ def cocycle_defect(spec: ProblemSpec, t: float, tau: float,
     yb = _solve_at_resolution(spec, shift(D, tau), t, resolution, y_tau)
     return float(scale.norm(ya - yb, spec.solution_alpha))
 
-
-# -- direct additive evaluation (bypass oracle for F = const) ----------------------
-
-def additive_direct(spec: ProblemSpec) -> ControlledPath:
-    """Direct evaluation for constant F: y = S y0 + int S G dX, no iteration.
-
-    Uses plain per-time compensated sums (independent of the recurrence in
-    rough_convolve), so it double-checks the Picard route.
-    """
-    scale, D = spec.scale, spec.driver
-    g0 = diffusion_rows(spec.diffusion, scale,
-                        np.asarray(spec.y0, float)[None, :])[0]
-    times = D.times
-    rows = scale.semigroup(times) * np.asarray(spec.y0, float)
-    dx = np.diff(D.X)
-    for i in range(1, times.size):
-        weights = scale.semigroup(times[i] - times[:i])
-        rows[i] += g0 * np.sum(weights * dx[:i, None], axis=0)
-    return ControlledPath(times.copy(), rows, np.tile(g0, (times.size, 1)),
-                          spec.solution_alpha, scale.gamma, scale)

@@ -11,21 +11,18 @@ index alpha is the span of the first K eigenfunctions normed by
     |v|_alpha = (sum_k mu_k^(2 alpha) c_k^2)^(1/2),
 
 which extends to negative alpha without completion at finite K: every space
-shares one coefficient array and only the weight changes.  The floor alpha >=
--2 mirrors the two extrapolation steps the solver actually uses.
+shares one coefficient array and only the weight changes.
 
-Sign convention: ``fractional_power(v, theta)`` multiplies coefficients by
-mu_k^theta, i.e. it realizes (-A)^theta (positive spectrum).  The generator
-itself, including every extrapolated realization (they share the spectral
-multiplier), is ``apply_generator``, which flips the overall sign so that
-theta = 1 reproduces A with spectrum -mu_k.
+Sign convention: (-A)^theta multiplies coefficients by mu_k^theta (positive
+spectrum), and A itself, including every extrapolated realization (they
+share the spectral multiplier), multiplies them by -mu_k.
 
 The scale also carries the rest of the operator's spectral calculus.  The
 boundary of (0,1) is two points, so every boundary Besov norm collapses to
 the Euclidean norm on R^2.  Both solution operators of a u'' + b u = 0 are
-known in closed form via cosh/sinh with kappa = sqrt(-b/a)
-(``neumann_profile``, ``dirichlet_profile``), and their eigenbasis
-coefficients follow from Green's identity applied to the truncated basis:
+known in closed form via cosh/sinh with kappa = sqrt(-b/a), and their
+eigenbasis coefficients follow from Green's identity applied to the
+truncated basis:
 
     Neumann (conormal data -a u'(0) = g0, a u'(1) = g1):
         c_k = (g0 e_k(0) + g1 e_k(1)) / mu_k
@@ -53,11 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DirichletRegularityError, ScaleUnderflow, SingularLift
+from .errors import ConfigError, DirichletRegularityError, SingularLift
 
-SCALE_FLOOR = -2.0
 YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
-_FLOOR_SLACK = 1e-12
 _SINGULAR_TOL = 1e-300
 
 NEUMANN = "neumann"
@@ -228,34 +223,6 @@ def build_scale(cfg: ScaleConfig) -> Scale:
     return Scale(cfg)
 
 
-def scale_norm(v: SpectralVector, alpha: float) -> float:
-    """|v|_alpha, independent of the bookkeeping index stored on v."""
-    return float(v.scale.norm(v.coeffs, alpha))
-
-
-def fractional_power(v: SpectralVector, theta: float) -> SpectralVector:
-    """(-A)^theta applied spectrally: coefficients mu_k^theta c_k at index alpha - theta.
-
-    theta may have either sign; theta = -s inverts theta = s exactly.  The
-    overall sign flag lives in apply_generator: (-A)^1 = -A.
-    """
-    target = v.alpha - theta
-    if target < SCALE_FLOOR - _FLOOR_SLACK:
-        raise ScaleUnderflow(
-            f"index {target:.4f} below the extrapolation floor {SCALE_FLOOR}")
-    return SpectralVector(v.coeffs * v.scale.mu ** float(theta), target, v.scale)
-
-
-def apply_generator(v: SpectralVector) -> SpectralVector:
-    """A v (spectrum -mu_k), uniformly for every realization A_alpha.
-
-    The extrapolated operators A_{-eta}, A_{-sigma} share this multiplier;
-    only the bookkeeping index of the argument distinguishes them.
-    """
-    w = fractional_power(v, 1.0)
-    return SpectralVector(-w.coeffs, w.alpha, w.scale)
-
-
 # -- boundary lift ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -311,37 +278,7 @@ def dirichlet_map(g: BoundaryVector, scale: Scale) -> SpectralVector:
     return _lift(g, scale, DIRICHLET, "dirichlet_map")
 
 
-def neumann_profile(g: BoundaryVector, scale: Scale, x):
-    """Untruncated closed-form Neumann solution evaluated at points x."""
-    k = scale.kappa
-    x = np.asarray(x, dtype=float)
-    denom = scale.cfg.a * k * np.sinh(k)
-    return (g.g0 * np.cosh(k * (1.0 - x)) + g.g1 * np.cosh(k * x)) / denom
-
-
-def dirichlet_profile(g: BoundaryVector, scale: Scale, x):
-    """Untruncated closed-form Dirichlet solution evaluated at points x."""
-    k = scale.kappa
-    x = np.asarray(x, dtype=float)
-    return (g.g0 * np.sinh(k * (1.0 - x)) + g.g1 * np.sinh(k * x)) / np.sinh(k)
-
-
-def lift_operator_norm(scale: Scale, alpha: float) -> float:
-    """Operator norm of the lift from (R^2, euclidean) into B_alpha."""
-    m = scale.lift * scale.mu[:, None] ** float(alpha)
-    return float(np.linalg.norm(m, 2))
-
-
 # -- semigroup ----------------------------------------------------------------
-
-def apply_semigroup(v: SpectralVector, t: float) -> SpectralVector:
-    """S_t v: coefficients e^{-mu_k t} c_k at the same index; S_0 is Id exactly."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    if t == 0:
-        return v
-    return SpectralVector(v.coeffs * v.scale.semigroup(t), v.alpha, v.scale)
-
 
 def smoothing_bound(sigma: float) -> float:
     """sup_{x>0} x^sigma e^{-x} = (sigma/e)^sigma, with the value 1 at sigma=0."""

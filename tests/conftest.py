@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from roughbound import (BoundaryVector, ControlledPath, ProblemSpec, RoughDriver,
-                        Scale, ScaleConfig, SmoothMap, additive_direct,
-                        build_scale, compose_smooth, lift_controlled,
-                        lift_extrapolate, neumann_map, rough_convolve,
-                        sample_fbm, solve_global)
+from roughbound import (BOUNDARY, BoundarySpace, BoundaryVector, ConfigError,
+                        ControlledPath, ProblemSpec, RoughDriver, Scale,
+                        ScaleConfig, SmoothMap, SpectralVector, build_scale,
+                        diffusion_rows, lift_extrapolate, neumann_map,
+                        rough_convolve, sample_fbm, solve_global)
+from roughbound.controlled_path import _check_domain
+from roughbound.rough_driver import increment_sups
 from roughbound.studies import _anchor_path
 
 
@@ -28,6 +30,110 @@ def driver_small():
 @pytest.fixture(scope="session")
 def lifted_y0(neumann_scale):
     return neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs
+
+
+# -- reference implementations ---------------------------------------------------
+# Independent routes the tests compare the library against; none of them is
+# on a solver, study or CLI path.
+
+def fractional_power(v: SpectralVector, theta: float) -> SpectralVector:
+    """(-A)^theta applied spectrally: coefficients mu_k^theta c_k at index alpha - theta.
+
+    theta may have either sign; theta = -s inverts theta = s exactly.  The
+    overall sign flag lives in apply_generator: (-A)^1 = -A.
+    """
+    return SpectralVector(v.coeffs * v.scale.mu ** float(theta), v.alpha - theta,
+                          v.scale)
+
+
+def apply_generator(v: SpectralVector) -> SpectralVector:
+    """A v (spectrum -mu_k), uniformly for every realization A_alpha.
+
+    The extrapolated operators A_{-eta}, A_{-sigma} share this multiplier;
+    only the bookkeeping index of the argument distinguishes them.
+    """
+    w = fractional_power(v, 1.0)
+    return SpectralVector(-w.coeffs, w.alpha, w.scale)
+
+
+def apply_semigroup(v: SpectralVector, t: float) -> SpectralVector:
+    """S_t v: coefficients e^{-mu_k t} c_k at the same index; S_0 is Id exactly."""
+    if t < 0:
+        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    if t == 0:
+        return v
+    return SpectralVector(v.coeffs * v.scale.semigroup(t), v.alpha, v.scale)
+
+
+def neumann_profile(g: BoundaryVector, scale: Scale, x):
+    """Untruncated closed-form Neumann solution evaluated at points x."""
+    k = scale.kappa
+    x = np.asarray(x, dtype=float)
+    denom = scale.cfg.a * k * np.sinh(k)
+    return (g.g0 * np.cosh(k * (1.0 - x)) + g.g1 * np.cosh(k * x)) / denom
+
+
+def dirichlet_profile(g: BoundaryVector, scale: Scale, x):
+    """Untruncated closed-form Dirichlet solution evaluated at points x."""
+    k = scale.kappa
+    x = np.asarray(x, dtype=float)
+    return (g.g0 * np.sinh(k * (1.0 - x)) + g.g1 * np.sinh(k * x)) / np.sinh(k)
+
+
+def lift_operator_norm(scale: Scale, alpha: float) -> float:
+    """Operator norm of the lift from (R^2, euclidean) into B_alpha."""
+    m = scale.lift * scale.mu[:, None] ** float(alpha)
+    return float(np.linalg.norm(m, 2))
+
+
+def holder_seminorm(D: RoughDriver, gamma: float | None = None) -> float:
+    """[X]_gamma = sup over grid pairs of |X_{t,s}| / (t-s)^gamma."""
+    g = D.gamma if gamma is None else gamma
+    return float(increment_sups(D.times, D.X[:, None], (), np.ones((1, 1)), (g,))[0])
+
+
+def compose_smooth(F: SmoothMap, P: ControlledPath) -> ControlledPath:
+    """(F(y), DF(y) o y') as a boundary-valued controlled path.
+
+    The output index is the declared gain over the input index; the remainder
+    picks up the second-order Taylor defect of F, which stays 2 gamma-Hoelder
+    because D^2 F is bounded.
+    """
+    _check_domain(F, P)
+    return ControlledPath(P.times, F.value(P.y), F.dvalue(P.y, P.y_prime),
+                          P.alpha + F.delta2, P.gamma, BOUNDARY)
+
+
+def lift_controlled(path: ControlledPath, scale: Scale) -> ControlledPath:
+    """Lift a boundary-valued controlled path into the interior at index eps.
+
+    The lift is linear, so the Gubinelli derivative and the remainder map
+    through it unchanged: (Ny, Ny') with R^{Ny} = N R^y.
+    """
+    if not isinstance(path.space, BoundarySpace):
+        raise ConfigError("lift_controlled expects a boundary-valued path")
+    m = scale.lift.T
+    return ControlledPath(path.times, path.y @ m, path.y_prime @ m, scale.eps,
+                          path.gamma, scale)
+
+
+def additive_direct(spec: ProblemSpec) -> ControlledPath:
+    """Direct evaluation for constant F: y = S y0 + int S G dX, no iteration.
+
+    Uses plain per-time compensated sums (independent of the recurrence in
+    rough_convolve), so it double-checks the Picard route.
+    """
+    scale, D = spec.scale, spec.driver
+    g0 = diffusion_rows(spec.diffusion, scale,
+                        np.asarray(spec.y0, float)[None, :])[0]
+    times = D.times
+    rows = scale.semigroup(times) * np.asarray(spec.y0, float)
+    dx = np.diff(D.X)
+    for i in range(1, times.size):
+        weights = scale.semigroup(times[i] - times[:i])
+        rows[i] += g0 * np.sum(weights * dx[:i, None], axis=0)
+    return ControlledPath(times.copy(), rows, np.tile(g0, (times.size, 1)),
+                          spec.solution_alpha, scale.gamma, scale)
 
 
 def lift_test_scale(bc, K):

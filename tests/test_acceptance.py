@@ -15,7 +15,8 @@ from roughbound import studies
 from roughbound.cli import run as cli_run
 from roughbound.rough_driver import geometric_chen_defect_max
 
-from conftest import additive_bypass_error, interchange_error, zero_noise_error
+from conftest import (additive_bypass_error, interchange_error, neumann_profile,
+                      zero_noise_error)
 
 
 def _report(num, name, ok, value, threshold):
@@ -90,7 +91,7 @@ def test_criterion_04_neumann_map():
     x = (((np.arange(128) + 0.5) / 128)[:, None] + half * nodes).ravel()
     modes = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, np.arange(256)))
     modes[:, 0] = 1.0
-    oracle = (np.tile(half * weights, 128) * rb.neumann_profile(g, sc, x)) @ modes
+    oracle = (np.tile(half * weights, 128) * neumann_profile(g, sc, x)) @ modes
     worst = float(np.max(np.abs(got - oracle)))
     ok_quad = worst <= 1e-8
 
@@ -99,7 +100,7 @@ def test_criterion_04_neumann_map():
     for k in (0, 1, 2, 31, 64, 127, 128, 200, 255):
         def f(x, k=k):
             mode = 1.0 if k == 0 else np.sqrt(2.0) * np.cos(k * np.pi * x)
-            return rb.neumann_profile(g, sc, np.array([x]))[0] * mode
+            return neumann_profile(g, sc, np.array([x]))[0] * mode
         ref, _ = integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-12,
                                 epsrel=1e-12)
         rule_gap = max(rule_gap, abs(oracle[k] - ref))

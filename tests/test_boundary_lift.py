@@ -4,12 +4,12 @@ from scipy import integrate
 
 from roughbound import (BoundaryVector, ConfigError, ControlledPath,
                         ScaleConfig, build_scale, crp_norm, dirichlet_map,
-                        dirichlet_profile, lift_controlled, lift_operator_norm,
-                        neumann_map, neumann_profile)
+                        neumann_map)
 from roughbound.spectral_scale import BOUNDARY
 from roughbound.controlled_path import constant_path
 
-from conftest import remainder
+from conftest import (dirichlet_profile, lift_controlled, lift_operator_norm,
+                      neumann_profile, remainder)
 
 
 def quad_coefficients(profile, scale):

@@ -3,15 +3,15 @@ import pytest
 
 from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPath,
                         GridMismatch, LinearTrace, RoughDriver, ScaleIndexError,
-                        SquashedTrace, compose_smooth, constant_path,
+                        SquashedTrace, constant_path,
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
 from roughbound.controlled_path import (crp_difference_norm, crp_distance,
                                         diffusion_derivative_rows, path_seminorm)
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
-                      brute_force_remainder, generator_coefficients,
-                      lift_test_scale,
+                      brute_force_remainder, compose_smooth,
+                      generator_coefficients, holder_seminorm, lift_test_scale,
                       phi_second_bound, remainder, remainder_seminorm, scaled,
                       squashed_d2value)
 
@@ -125,7 +125,6 @@ def test_holder_consistency_bound(neumann_scale):
     # [y]_{gamma, alpha-theta} <= ||y'||_{inf, alpha-theta} [X]_gamma
     #                            + [R]_{gamma, alpha-theta},  theta in {g, 2g}
     from roughbound.controlled_path import sup_norm
-    from roughbound import holder_seminorm
     D = sample_fbm(0.45, 64, 1.0, seed=21, gamma=0.40)
     F = _squashed(neumann_scale)
     y0 = neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs

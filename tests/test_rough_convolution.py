@@ -5,9 +5,8 @@ from scipy import stats
 from roughbound import (BOUNDARY, BoundaryVector, ConfigError,
                         ConstantBoundary, ControlledPath, GridMismatch,
                         RegularityError, RoughDriver, SquashedTrace,
-                        compose_smooth, constant_path, default_trace_weights,
-                        level_sum, lift_controlled, lift_geometric,
-                        neumann_map, remainder_certificate,
+                        constant_path, default_trace_weights, level_sum,
+                        lift_geometric, neumann_map, remainder_certificate,
                         rough_convolve, sample_fbm, sewing_convergence,
                         young_convolve)
 from roughbound import studies
@@ -15,7 +14,8 @@ from roughbound.controlled_path import crp_distance
 from roughbound.rough_convolution import log2_slope, mode_filter
 from roughbound.studies import canonical_integrand
 
-from conftest import interchange_error, scaled, xx_lag
+from conftest import (compose_smooth, interchange_error, lift_controlled, scaled,
+                      xx_lag)
 
 
 def _squashed(scale, gain=0.8, delta2=2.0):
@@ -318,6 +318,13 @@ UNUSABLE_INPUTS = {
         ConfigError, lambda sc, D: crp_distance(_interior_path(sc, D),
                                                 _interior_path(sc, D), D, -1)),
 }
+# a stride is an integer: neither a whole float, nor a fraction, nor a bool
+for _stride in (2.0, 2.5, True):
+    UNUSABLE_INPUTS[f"remainder_certificate at stride {_stride!r}"] = (
+        ConfigError, lambda sc, D, s=_stride: _remainder_at_stride(sc, D, s))
+    UNUSABLE_INPUTS[f"crp_distance at stride {_stride!r}"] = (
+        ConfigError, lambda sc, D, s=_stride: crp_distance(
+            _interior_path(sc, D), _interior_path(sc, D), D.restricted(2), s))
 
 
 def _remainder_at_stride(scale, D, stride):
@@ -332,6 +339,16 @@ def test_convolution_entries_reject_unusable_inputs(entry, neumann_scale):
     D = lift_geometric(t, np.sin(3.0 * t), 0.77)
     with pytest.raises(error):
         call(neumann_scale, D)
+
+
+def test_numpy_integer_strides_are_accepted(neumann_scale):
+    t = np.linspace(0.0, 1.0, 65)
+    D = lift_geometric(t, np.sin(3.0 * t), 0.77)
+    P = _interior_path(neumann_scale, D)
+    two = np.int64(2)
+    assert crp_distance(P, P, D.restricted(two), two) == 0.0
+    assert (_remainder_at_stride(neumann_scale, D, two).sup_ratios
+            == _remainder_at_stride(neumann_scale, D, 2).sup_ratios)
 
 
 def test_young_sewing_rate(dirichlet_scale):

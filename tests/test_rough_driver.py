@@ -6,7 +6,7 @@ from scipy import stats
 
 from roughbound import (ChenViolation, ConfigError, ControlledPath,
                         CovarianceNotPD, GridMismatch, RoughDriver, crp_norm,
-                        holder_seminorm, level_sum, lift_explicit,
+                        level_sum, lift_explicit,
                         lift_geometric, rho, rough_convolve, rough_metric,
                         sample_fbm, shift, stability_distance, young_convolve)
 from roughbound import rough_driver
@@ -18,7 +18,7 @@ from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
 
 from conftest import (brute_force_holder, brute_force_increment_sup,
                       brute_force_rough_metric, dense_increment_cholesky,
-                      recompute_increment_sups)
+                      holder_seminorm, recompute_increment_sups)
 
 
 def test_brownian_increments_iid():
@@ -221,6 +221,9 @@ def test_sampling_guards():
         sample_fbm(0.5, 1, 1.0)
     with pytest.raises(ConfigError):
         sample_fbm(0.5, 64, -1.0)
+    for n, T in ((64, np.inf), (64, np.nan), (64.0, 1.0), (True, 1.0)):
+        with pytest.raises(ConfigError):
+            sample_fbm(0.45, n, T)
 
 
 def test_driver_construction_guards():
@@ -457,6 +460,10 @@ def test_restriction_requires_divisor():
     D = sample_fbm(0.45, 64, 1.0, seed=4)
     with pytest.raises(GridMismatch):
         D.restricted(3)
+    for stride in (2.0, 2.5, True):
+        with pytest.raises(GridMismatch):
+            D.restricted(stride)
+    assert D.restricted(np.int64(2)).n == 32
 
 
 def test_restriction_past_the_grid_end_is_a_grid_mismatch(neumann_scale):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from roughbound import (apply_semigroup, fractional_power, smoothing_bound,
-                        smoothing_constants)
+from roughbound import smoothing_bound, smoothing_constants
 from roughbound.solver import drift_convolve
+
+from conftest import apply_semigroup, fractional_power
 
 
 def test_time_zero_is_identity(neumann_scale):

@@ -7,7 +7,7 @@ from roughbound import (AprioriBoundViolation, BoundaryVector, ConfigError,
                         DirichletRegularityError, GridMismatch, LinearDrift,
                         LinearTrace,
                         PicardParams, ProblemSpec, SmoothBoundedDrift,
-                        SquashedTrace, additive_direct, cocycle_defect,
+                        SquashedTrace, cocycle_defect,
                         crp_norm, default_trace_weights, dirichlet_map,
                         lift_geometric, sample_fbm, shift, solve_global,
                         solve_local, solve_young_dirichlet,
@@ -17,9 +17,9 @@ from roughbound.controlled_path import (constant_path, crp_distance,
                                         diffusion_rows, lift_extrapolate)
 from roughbound.rough_convolution import rough_convolve
 from roughbound import solver
-from roughbound.solver import _rough_window, drift_convolve, drift_convolve_path
+from roughbound.solver import _rough_window, drift_convolve
 
-from conftest import brute_force_stability_distance
+from conftest import additive_direct, brute_force_stability_distance
 
 
 def _squashed(scale, gain=0.8, amp=1.0, delta2=2.0):
@@ -38,9 +38,11 @@ def _zero_driver(n, T, gamma=0.40):
 
 @pytest.mark.parametrize("kw", [dict(tol=float("nan")), dict(tol=-1.0),
                                 dict(tol=0.0), dict(tol=float("inf")),
-                                dict(max_iter=-1), dict(max_halvings=-1)],
+                                dict(max_iter=-1), dict(max_halvings=-1),
+                                dict(max_iter=2.5), dict(max_halvings=np.nan)],
                          ids=["nan", "negative", "zero", "inf", "max_iter",
-                              "max_halvings"])
+                              "max_halvings", "max_iter_fraction",
+                              "max_halvings_nan"])
 def test_picard_params_reject_unusable_settings(kw):
     with pytest.raises(ConfigError):
         PicardParams(**kw)
@@ -52,8 +54,8 @@ def test_picard_params_reject_unusable_settings(kw):
 def test_drift_zero(neumann_scale, driver_small):
     p = constant_path(driver_small.times, np.ones(16), np.zeros(16), -0.3,
                       0.40, neumann_scale)
-    out = drift_convolve_path(p, LinearDrift(0.0, 0.85))
-    assert np.all(out.y == 0.0)
+    out = drift_convolve(p.space, p.times, LinearDrift(0.0, 0.85).value(p.y))
+    assert np.all(out == 0.0)
 
 
 def test_drift_constant_mode_exact(neumann_scale):
