@@ -13,12 +13,14 @@ with the norm
 
 all seminorms taken over grid pairs.  Their increments have the form
 v_t - v_s + p_s X_{t,s}, so they come from the screened Gram kernel
-``rough_driver.increment_sups`` (also behind ``path_seminorm``): each row
-block's squared norms are one GEMM, screened against a per-row rounding
-bound before the few surviving pairs are recomputed directly.  A distance
+``rough_driver.increment_sups`` (also behind ``path_seminorm``): a first
+pass takes each row block's squared norms in one GEMM and keeps each row's
+largest, and a second pass recomputes directly only the few pairs that a
+lower bound on the sup, less a per-row rounding bound, leaves.  A distance
 of two paths over one driver passes one leg, (y'_Q - y'_P) over X, since
 the remainder is linear in (y, y'); over two drivers it passes one leg per
-path.  The same kernel serves the driver seminorms; only the
+path.  The Picard distance takes its differences on the strided rows of
+both paths.  The same kernel serves the driver seminorms; only the
 integral-remainder certificate, whose increments are damped per lag, runs
 its own loop over lags.
 Values may live on the interior scale (spectral coefficients) or on the
@@ -27,22 +29,24 @@ two-point boundary (Euclidean norm); the same machinery serves both.
 Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (bounded derivatives,
 the first supplied analytically), and a constant.  ``lift_extrapolate``
-is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F,
-computed rowwise by ``diffusion_rows`` and ``diffusion_derivative_rows`` as
-one product each with the scale's (2, K) ``generator_lift``; the
-sigma-extrapolation and the eta-extrapolation agree on lifted data, so one
-matrix serves both components.
+is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F:
+one ``value_and_dvalue`` call of the map (the squashed trace evaluates its
+tanh once for both) and one product each with the scale's (2, K)
+``generator_lift``, so G(y) is ``diffusion_rows``; the sigma-extrapolation
+and the eta-extrapolation agree on lifted data, so one matrix serves both
+components.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ScaleIndexError
+from .errors import ConfigError, GridMismatch, ScaleIndexError
 from .rough_driver import (RoughDriver, check_grid, increment_sups, is_integer,
-                           restriction_indices)
+                           restriction_indices, same_grid)
 from .spectral_scale import Scale
 
 _INDEX_TOL = 1e-9
@@ -124,19 +128,37 @@ def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
     (E is D) the remainder is linear in (y, y'), and the difference
     y_{t,s} - (P.y' - Q.y')_s X_{t,s} takes one leg instead of two.
     """
-    g, a, sp = P.gamma, P.alpha, P.space
     y, yp = (P.y, P.y_prime) if Q is None else (P.y - Q.y, P.y_prime - Q.y_prime)
     # R = y_{t,s} - y'_s X_{t,s}: -y' over D for P, +y' over E for Q
     if Q is None or E is D:
         legs = [(-yp, D.X)]
     else:
         legs = [(-P.y_prime, D.X), (Q.y_prime, E.X)]
-    sem_prime = path_seminorm(sp, P.times, yp, a - 2 * g, exponent)
-    sem_r1, sem_r2 = increment_sups(
-        P.times, y, legs, np.stack((sp.sq_weights(a - g), sp.sq_weights(a - 2 * g))),
-        (exponent, 2 * exponent))
+    return _five_terms(P, P.times, exponent, y, yp, legs)
+
+
+def _five_terms(P: ControlledPath, times, exponent: float, y, yp, legs) -> float:
+    """The five-term norm of (y, y') on `times` at P's space and indices,
+    its remainder y_{t,s} + sum_l p^l_s X^l_{t,s} over the given legs."""
+    g, a, sp = P.gamma, P.alpha, P.space
+    w_prime, w_rem = _seminorm_weights(sp, a, g)
+    sem_prime = float(increment_sups(times, yp, (), w_prime, (exponent,))[0])
+    sem_r1, sem_r2 = increment_sups(times, y, legs, w_rem, (exponent, 2 * exponent))
     return float(sup_norm(sp, y, a) + sup_norm(sp, yp, a - g)
                  + sem_prime + sem_r1 + sem_r2)
+
+
+@functools.lru_cache(maxsize=32)
+def _seminorm_weights(space, alpha: float, gamma: float):
+    """Read-only squared weights of the seminorms of the five-term norm: the
+    derivative's row at alpha - 2 gamma, the remainder's at alpha - gamma and
+    alpha - 2 gamma."""
+    w_prime = space.sq_weights(alpha - 2 * gamma)[None, :]
+    w_rem = np.stack((space.sq_weights(alpha - gamma),
+                      space.sq_weights(alpha - 2 * gamma)))
+    for w in (w_prime, w_rem):
+        w.setflags(write=False)
+    return w_prime, w_rem
 
 
 def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
@@ -148,17 +170,20 @@ def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
     path.  A stride > 1 evaluates the norm on every stride-th grid point
     (used by the Picard loop to bound per-iteration cost); D is then the
     strided driver D.restricted(stride), built once for many distances.
+    The differences are taken on the strided views of both paths.
     ConfigError unless stride is an integer >= 1.
     """
     if not is_integer(stride) or stride < 1:
         raise ConfigError(f"distance stride must be an integer of at least 1, "
                           f"got {stride}")
     check_grid(P1, P2)
-    Q1, Q2 = (ControlledPath(P.times[::stride], P.y[::stride],
-                             P.y_prime[::stride], P.alpha, P.gamma, P.space)
-              for P in (P1, P2))
-    check_grid(Q1, D)
-    return crp_difference_norm(Q1, D, P1.gamma, Q2, D)
+    times = P1.times[::stride]
+    if not same_grid(times, D.times):
+        raise GridMismatch("the strided paths and the driver live on different "
+                           "grids")
+    y = P1.y[::stride] - P2.y[::stride]
+    yp = P1.y_prime[::stride] - P2.y_prime[::stride]
+    return _five_terms(P1, times, P1.gamma, y, yp, [(-yp, D.X)])
 
 
 # -- smooth maps into the boundary -------------------------------------------
@@ -180,6 +205,10 @@ class SmoothMap:
 
     def dvalue(self, y_rows, h_rows):
         raise NotImplementedError
+
+    def value_and_dvalue(self, y_rows, h_rows):
+        """(value(y), dvalue(y, h)); a map overrides it to share their work."""
+        return self.value(y_rows), self.dvalue(y_rows, h_rows)
 
 
 class LinearTrace(SmoothMap):
@@ -224,10 +253,15 @@ class SquashedTrace(SmoothMap):
     def value(self, y_rows):
         return self.amp * np.tanh(self._u(y_rows) / self.amp)
 
-    # sech^2 = 1 - tanh^2: cosh overflows for |u| above ~710, tanh saturates
     def dvalue(self, y_rows, h_rows):
+        return self.value_and_dvalue(y_rows, h_rows)[1]
+
+    # sech^2 = 1 - tanh^2: cosh overflows for |u| above ~710, tanh saturates
+    def value_and_dvalue(self, y_rows, h_rows):
+        """F(y) and DF(y)[h] from one tanh."""
         t = np.tanh(self._u(y_rows) / self.amp)
-        return (1.0 - t * t) * (np.asarray(h_rows, dtype=float) @ self.w)
+        return (self.amp * t,
+                (1.0 - t * t) * (np.asarray(h_rows, dtype=float) @ self.w))
 
 
 class ConstantBoundary(SmoothMap):
@@ -270,16 +304,12 @@ def lift_extrapolate(F: SmoothMap, P: ControlledPath, scale: Scale) -> Controlle
     one; on lifted data A_{-eta} and A_{-sigma} share the spectral multiplier.
     """
     _check_domain(F, P)
-    return ControlledPath(P.times, diffusion_rows(F, scale, P.y),
-                          diffusion_derivative_rows(F, scale, P.y, P.y_prime),
-                          scale.eps - 1.0, P.gamma, scale)
+    value, dvalue = F.value_and_dvalue(P.y, P.y_prime)
+    return ControlledPath(P.times, value @ scale.generator_lift,
+                          dvalue @ scale.generator_lift, scale.eps - 1.0,
+                          P.gamma, scale)
 
 
 def diffusion_rows(F: SmoothMap, scale: Scale, y_rows):
     """G(y) = A_{-sigma} N F(y) evaluated rowwise on raw coefficient arrays."""
     return F.value(y_rows) @ scale.generator_lift
-
-
-def diffusion_derivative_rows(F: SmoothMap, scale: Scale, y_rows, h_rows):
-    """DG(y)[h] = A_{-sigma} N (DF(y)[h]) rowwise."""
-    return F.dvalue(y_rows, h_rows) @ scale.generator_lift

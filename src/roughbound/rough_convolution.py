@@ -30,6 +30,7 @@ lag, so they are not of the form v_t - v_s + p_s X_{t,s} that
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ from .spectral_scale import Scale
 _LOG_FLOOR = 1e-300
 _BLOCK = 32             # steps per block of the mode_filter scan
 _MAX_EXPONENT = 600.0   # largest mu h B the scan's in-block powers may reach
+_MAX_DOUBLINGS = 40     # carry factors kept: scans of up to 2^40 blocks
+_FILTER_CACHE = 16      # damping vectors whose scan constants are kept
 
 
 def _require_interior(P: ControlledPath) -> Scale:
@@ -58,35 +61,63 @@ def mode_filter(damp, xi):
     steps run as a blocked scan with a = damp.  Inside a block of B steps,
     z_i = a^i cumsum_j(a^{-j} xi_j) from a zero start; the block ends are
     carried across blocks by a doubling scan (log2 of the block count steps,
-    factor a^B per block), and the carry c into a block enters its first
-    step as a c, so that step i adds a^{i+1} c.  One lower-triangular matmul
-    per block does the cumsum, written in place in an output of nb B + 1
-    rows whose first n + 1 are returned.  B is _BLOCK, halved only until
-    a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that underflows to zero
-    runs with B = 1, which forms no negative power.
+    factors a^B, a^{2B}, a^{4B}, ... per block), and the carry c into a
+    block enters its first step as a c, so that step i adds a^{i+1} c.  One
+    lower-triangular matmul per block does the cumsum, written in place in
+    an output of nb B + 1 rows whose first n + 1 are returned.  B is _BLOCK,
+    halved only until a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that
+    underflows to zero runs with B = 1, which forms no negative power.
+    These constants depend on damp alone, so the last _FILTER_CACHE damping
+    vectors keep theirs; the input is zero-padded to whole blocks only when
+    B does not divide n.
     """
     n, k = xi.shape
-    B = _BLOCK
-    while B > 1 and np.min(damp) < np.exp(-_MAX_EXPONENT / B):
-        B //= 2
+    damp = np.asarray(damp, dtype=float)
+    B, up, down, last, ones, tri, factors = _filter_constants(damp.tobytes())
     nb = -(-n // B)
-    up = damp ** np.arange(B)[:, None]           # a^i, (B, K)
-    steps = np.zeros((nb * B, k))
-    steps[:n] = xi
-    steps = steps.reshape(nb, B, k)
-    steps *= 1.0 / up
-    ends = np.ones(B) @ steps * up[-1]
-    factor, span = damp ** B, 1
-    while span < nb:
+    if nb * B == n:
+        steps = xi.reshape(nb, B, k) * down
+    else:
+        steps = np.zeros((nb * B, k))
+        steps[:n] = xi
+        steps = steps.reshape(nb, B, k)
+        steps *= down
+    ends = ones @ steps * last
+    span = 1
+    for factor in factors:
+        if span >= nb:
+            break
         ends[span:] += factor * ends[:-span]
-        factor, span = factor * factor, 2 * span
+        span *= 2
     steps[1:, 0] += damp * ends[:-1]
     z = np.empty((nb * B + 1, k))
     z[0] = 0.0
     blocks = z[1:].reshape(nb, B, k)
-    np.matmul(np.tri(B), steps, out=blocks)
+    np.matmul(tri, steps, out=blocks)
     blocks *= up
     return z[:n + 1]
+
+
+@functools.lru_cache(maxsize=_FILTER_CACHE)
+def _filter_constants(key: bytes):
+    """Read-only scan constants of the damping vector a with float64 bytes key.
+
+    B, a^i and a^{-i} for i < B, a^{B-1}, ones(B), tri(B), and the carry
+    factors a^B, a^{2B}, a^{4B}, ..., enough for a scan of 2^_MAX_DOUBLINGS
+    blocks.
+    """
+    damp = np.frombuffer(key)
+    B = _BLOCK
+    while B > 1 and np.min(damp) < np.exp(-_MAX_EXPONENT / B):
+        B //= 2
+    up = damp ** np.arange(B)[:, None]           # a^i, (B, K)
+    down, ones, tri = 1.0 / up, np.ones(B), np.tri(B)
+    factors = [damp ** B]
+    for _ in range(_MAX_DOUBLINGS - 1):
+        factors.append(factors[-1] * factors[-1])
+    for a in (up, down, ones, tri, *factors):
+        a.setflags(write=False)
+    return B, up, down, up[-1], ones, tri, tuple(factors)
 
 
 def _germ_order(gamma: float) -> int:
@@ -103,12 +134,20 @@ def _germ(P: ControlledPath, D: RoughDriver, u, v, k: int):
 
 
 def _convolve(P: ControlledPath, D: RoughDriver, k: int):
-    """The compensated sum z on the fine grid with the order-k germ."""
+    """The compensated sum z on the fine grid with the order-k germ.
+
+    The germ of each grid step comes from the driver's cached adjacent
+    increments and is damped in place.
+    """
     scale = _require_interior(P)
     check_grid(P, D)
-    xi = _germ(P, D, slice(0, -1), slice(1, None), k)
+    dX, dXX = D.adjacent
+    xi = P.y[:-1] * dX[:, None]
+    if k == 2:
+        xi += P.y_prime[:-1] * dXX[:, None]
     damp = scale.semigroup(D.step)
-    return mode_filter(damp, damp * xi)
+    xi *= damp
+    return mode_filter(damp, xi)
 
 
 def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
@@ -124,13 +163,14 @@ def young_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
     """First-order compensated sum, valid for driver exponent above 1/2.
 
     The result is returned with a zero Gubinelli derivative (none is needed in
-    the Young regime).
+    the Young regime), a read-only broadcast of 0.
     """
     if D.gamma <= 0.5:
         raise RegularityError(
             f"Young convolution needs gamma > 1/2, got {D.gamma}")
     z = _convolve(P, D, 1)
-    return ControlledPath(P.times, z, np.zeros_like(z), P.alpha, P.gamma, P.space)
+    return ControlledPath(P.times, z, np.broadcast_to(0.0, z.shape), P.alpha,
+                          P.gamma, P.space)
 
 
 # -- dyadic sewing defects -----------------------------------------------------
@@ -142,8 +182,12 @@ def level_sum(P: ControlledPath, D: RoughDriver, t_idx: int, level: int):
     The sum is the convolution's own scan over the path and the driver
     restricted to the partition, read at t_t, so at stride 1 it is the
     convolution at t_t.  The germ is the Young one when P.gamma > 1/2.
+    ConfigError unless t_idx and level are integers (not bools).
     """
     check_grid(P, D)
+    for name, count in (("t_idx", t_idx), ("level", level)):
+        if not is_integer(count):
+            raise ConfigError(f"{name} must be an integer, got {count!r}")
     if level < 0:
         raise ConfigError(f"dyadic level must be non-negative, got {level}")
     pieces = 2 ** level

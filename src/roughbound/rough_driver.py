@@ -13,9 +13,11 @@ adversarial tests; `lift_explicit` validates a supplied XX matrix in O(n^2).
 
 The sups over grid pairs come from one kernel, `increment_sups`, for
 increments v_t - v_s + sum_l p^l_s X^l_{t,s} (only the integral-remainder
-certificate, damped per lag, keeps its own loop).  Each block of rows s
-gets its squared norms from one GEMM, and only the pairs within a rounding
-bound of the sup are recomputed from direct differences.  The driver
+certificate, damped per lag, keeps its own loop).  It runs two passes per
+norm: each block of rows s gets its squared norms from one GEMM and keeps
+only each row's largest, and the best lower bound over all rows leaves the
+few rows, and in them the few pairs, within a rounding bound of the sup;
+those alone are recomputed from direct differences.  The driver
 seminorms have that form too: by Chen's relation
 
     XX_{t,s} = (X_t^2/2 + g_t) - (X_s^2/2 + g_s) - X_s X_{t,s},
@@ -23,6 +25,8 @@ seminorms have that form too: by Chen's relation
 so (X_{t,s}, XX_{t,s}) is the increment of v = (X, X^2/2 + g) with the leg
 p = (0, -X) over X, and `rough_metric` passes the difference of two such
 pairs in one call; `rho`, the distance to the zero path, passes one pair.
+Each driver keeps its adjacent increments (X_{t_{i+1},t_i}, XX_{t_{i+1},t_i})
+once formed (`RoughDriver.adjacent`), for the convolutions over it.
 
 Fractional Brownian paths are drawn exactly in law from the Cholesky factor
 of the increment covariance, the Toeplitz matrix of the fGn autocovariance
@@ -81,8 +85,9 @@ class RoughDriver:
             raise ConfigError("driver path X must be finite")
         if x[0] != 0.0:
             raise ConfigError("rough paths are anchored at X_0 = 0")
-        if not self.gamma > 0:
-            raise ConfigError(f"Hoelder exponent must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError(
+                f"Hoelder exponent must be finite and positive, got {self.gamma}")
         g = np.zeros(t.size) if self.g is None else np.asarray(self.g, dtype=float)
         if g.shape != t.shape or not np.all(np.isfinite(g)) or g[0] != 0.0:
             raise ConfigError("bracket path g needs n+1 finite points with g_0 = 0")
@@ -122,6 +127,19 @@ class RoughDriver:
     def xx_entry(self, i, j):
         """XX_{t_j, t_i} for grid indices i <= j (integers or index arrays)."""
         return 0.5 * (self.X[j] - self.X[i]) ** 2 + (self.g[j] - self.g[i])
+
+    @functools.cached_property
+    def adjacent(self):
+        """Read-only (X_{i+1} - X_i, XX_{t_{i+1}, t_i}) over the n grid steps.
+
+        Formed once per driver, as xx_entry forms them, for the germs of
+        every convolution over it.
+        """
+        dX = self.X[1:] - self.X[:-1]
+        dXX = 0.5 * dX ** 2 + (self.g[1:] - self.g[:-1])
+        for a in (dX, dXX):
+            a.setflags(write=False)
+        return dX, dXX
 
     # -- derived drivers -----------------------------------------------------
 
@@ -322,12 +340,16 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
 
 # -- metric and shift ---------------------------------------------------------
 
+def same_grid(ta, tb) -> bool:
+    """True if the time grids ta, tb agree to 1e-12 max(1, |T|)."""
+    return (ta is tb or np.array_equal(ta, tb)
+            or (ta.shape == tb.shape and np.allclose(
+                ta, tb, rtol=0, atol=1e-12 * max(1.0, abs(ta[-1])))))
+
+
 def check_grid(a, b):
-    """GridMismatch unless paths or drivers a, b share a grid to 1e-12 max(1, |T|)."""
-    if a.times is b.times or np.array_equal(a.times, b.times):
-        return
-    if a.times.shape != b.times.shape or not np.allclose(
-            a.times, b.times, rtol=0, atol=1e-12 * max(1.0, abs(a.times[-1]))):
+    """GridMismatch unless paths or drivers a, b share a grid (`same_grid`)."""
+    if not same_grid(a.times, b.times):
         raise GridMismatch(f"{type(a).__name__} and {type(b).__name__} live on "
                            "different grids")
 
@@ -338,22 +360,27 @@ _BLOCK_CELLS = 16384
 _EPS = float(np.finfo(float).eps)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)     # at most 16 tables of 128 KiB
 def _lag_tables(m: int, span: float, exponent: float, rows: int):
     """Read-only (lag^{2e}, F, max 1/lag^{2e}) of m grid points over span.
 
     lag^{2e} holds (c span / (m - 1))^{2 exponent} for c = 1 .. m - 1, and F
-    is a (rows, m - 1) view with F[i, c] = 1 / lag^{2e}[c - i] for c >= i,
-    else 0: the pair (s0 + i, s0 + 1 + c) of any block of rows has lag
-    c - i + 1.  Cached, so the distances of a Picard loop build them once.
+    is a (min(rows, m - 1), m - 1) table with F[i, c] = 1 / lag^{2e}[c - i]
+    for c >= i, else 0: the pair (s0 + i, s0 + 1 + c) of any block of rows
+    has lag c - i + 1.  F is a strided view of one padded row, or a
+    contiguous copy when one block holds every row (at most _BLOCK_CELLS
+    doubles).  Cached, so the distances of a Picard loop build them once.
     """
     dt = (np.arange(1, m) * (span / (m - 1))) ** (2.0 * exponent)
     inv = 1.0 / dt
+    rows = min(rows, m - 1)
     pad = np.concatenate((np.zeros(rows - 1), inv))
-    dt.setflags(write=False)
-    pad.setflags(write=False)
     F = np.ndarray((rows, m - 1), buffer=pad, offset=(rows - 1) * pad.itemsize,
                    strides=(-pad.itemsize, pad.itemsize))
+    if rows == m - 1:   # stored so that F.T, the one block's table, is C-contiguous
+        F = F.T.copy().T
+    for table in (dt, pad, F):
+        table.setflags(write=False)
     return dt, F, float(np.max(inv))
 
 
@@ -372,15 +399,20 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
                      + 2 <B_s, u_t> + sum_l 2 <p^l_s, x^l_t u_t>.
 
     That is one dot product of length Kx = K + (L + 1) k, K = 2 + L + L(L+1)/2,
-    between the t-side factors a, 1, x^l, x^l x^l', u, x^l u, stacked once
-    per call into a (Kx, m) matrix, and the s-side factors, stacked once per
-    norm into an (m, Kx) matrix.  Rows s run in blocks of at most
-    _BLOCK_CELLS // (m - 1), and a block's squared norms are one GEMM.
-    The Gram value loses half the digits where the increment is small next
-    to u, so only pairs whose Gram value comes within a rounding bound beta_s
-    of the sup are recomputed from direct differences, and the sups are
-    those direct values.  The compare runs only on the rows whose maximum
-    clears its bound, which keeps the same pairs.
+    between the t-side factors a, 1, x^l, x^l x^l', w u, w x^l u, a (Kx, m)
+    matrix, and the s-side factors 1, |B|^2, 2 <B, p^l>, <p^l, p^l'>, 2 B,
+    2 p^l, an (m, Kx) matrix.  Per call only the weighted parts change with
+    the norm; the weighted sums of every norm come from one product per
+    term.  The Gram value loses half the digits where the increment is
+    small next to u, so the sups are direct values, found in two passes per
+    norm.  Pass 1 takes each block of rows s (at most _BLOCK_CELLS // (m - 1)
+    of them) in one GEMM and keeps only the largest Gram value top_s of each
+    row.  The floor max_s (top_s - beta_s) is then a lower bound on the sup
+    over all rows, and pass 2 revisits only the rows whose top_s clears
+    floor - beta_s: a row block at a time, it recomputes their Gram values
+    (or reuses them when one block holds every row) and recomputes the pairs
+    that clear the same bound from direct differences.  Once the direct sup
+    found so far reaches the floor, a pair must exceed it less beta_s.
 
     Rounding bound.  Both values sum products of two of the atoms u_t, -u_s,
     -x^l_s p^l_s and x^l_t p^l_s, whose absolute values add up to at most
@@ -392,13 +424,14 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     direct value at most N_D = k + 2L + 6 times (L + 2 in each atom, a
     product, the weight, k - 1 sums and the division by (t-s)^{2e}).  By the
     gamma_n rule each is within (N + 1) eps M_s max F of the exact value,
-    and forming a row's threshold rounds by at most eps times the block's
-    largest Gram value, itself at most M max F of its row.  So
+    and forming a row's threshold rounds by at most eps times the largest
+    Gram value, itself at most M max F of its row.  So
     beta_s = c eps M_s max F with c = N_G + N_D + 4 = 2k + Kx + 4L + 17
-    exceeds every gap between Gram and direct value in row s, and a pair
-    whose Gram value is below the block's best lower bound, or the running
-    sup, less beta_s cannot hold the sup.  A non-finite Gram value sends its
-    block to the recompute.
+    exceeds every gap between Gram and direct value in row s.  None of this
+    depends on the order of the sums, so a recomputed Gram value obeys it
+    too, and a pair whose Gram value is below floor - beta_s cannot hold the
+    sup.  A row with a non-finite Gram value bounds nothing and keeps every
+    pair for the direct recompute.
     """
     v = np.asarray(v, dtype=float)
     W = np.asarray(weights, dtype=float)
@@ -406,7 +439,8 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     sups = np.zeros(W.shape[0])
     if m < 2:
         return sups
-    rows = max(1, _BLOCK_CELLS // (m - 1))
+    n = m - 1
+    rows = max(1, _BLOCK_CELLS // n)
     span = float(times[-1] - times[0])
     ps = [p for p, _ in legs]
     xs = [X - X[0] for _, X in legs]
@@ -417,71 +451,108 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     K = 2 + L + len(quad)
     Kx = K + (L + 1) * k
     u = v - v[0]
-    # t-side rows: a (set per norm), 1, x^l, x^l x^l', then blocks u, x^l u
+    B = -u
+    for p, x in zip(ps, xs):
+        B -= x[:, None] * p
+    # t-side rows: a, 1, x^l, x^l x^l', then w u and w x^l u (a and the
+    # weighted rows are set per norm)
     T = np.empty((Kx, m))
     T[1] = 1.0
     for l, x in enumerate(xs):
         T[2 + l] = x
     for i, (l, l2) in enumerate(quad):
         T[2 + L + i] = xs[l] * xs[l2]
-    T[K:K + k] = u.T
-    for l, x in enumerate(xs):
-        np.multiply(x, u.T, out=T[K + (l + 1) * k:K + (l + 2) * k])
-    B = -u
-    for p, x in zip(ps, xs):
-        B -= x[:, None] * p
-    # max over t > s of |x^l_t|, for s = 0 .. m - 2
-    ahead = [np.maximum.accumulate(np.abs(x[:0:-1]))[::-1] for x in xs]
-    c_eps = (2 * k + Kx + 4 * L + 17) * _EPS
+    # s-side columns: 1, then |B_s|^2, 2 <B_s, p^l_s> and <p^l_s, p^l'_s>
+    # (twice for l != l') in the weights of the norm, then 2 B_s, 2 p^l_s
     S = np.empty((m, Kx))
     S[:, 0] = 1.0
+    np.multiply(B, 2.0, out=S[:, K:K + k])
+    for l, p in enumerate(ps):
+        np.multiply(p, 2.0, out=S[:, K + (l + 1) * k:K + (l + 2) * k])
+    # R[i, :, j]: norm j's weighted sums of product i, which make a (i = 0)
+    # and the s-side columns 1 .. K - 1; each product is formed in turn
+    terms = ([(u, u, 1.0), (B, B, 1.0)] + [(B, p, 2.0) for p in ps]
+             + [(ps[l], ps[l2], 1.0 if l == l2 else 2.0) for l, l2 in quad])
+    R = np.empty((K, m, W.shape[0]))
+    for i, (f, g, twice) in enumerate(terms):
+        prod = f * g
+        if twice != 1.0:
+            prod *= twice
+        np.matmul(prod, W.T, out=R[i])
+    # max over t > s of |x^l_t|, plus |x^l_s|, for s = 0 .. m - 2
+    reach = [np.maximum.accumulate(np.abs(x[:0:-1]))[::-1] + np.abs(x[:-1])
+             for x in xs]
+    c_eps = (2 * k + Kx + 4 * L + 17) * _EPS
     for j, (w, e) in enumerate(zip(W, exponents)):
         dt, F, max_inv = _lag_tables(m, span, float(e), rows)
-        w2 = 2.0 * w
-        T[0] = (u * u) @ w
-        S[:, 1] = (B * B) @ w
-        for l, p in enumerate(ps):
-            S[:, 2 + l] = (B * p) @ w2
-        for i, (l, l2) in enumerate(quad):
-            S[:, 2 + L + i] = (ps[l] * ps[l2]) @ (w if l == l2 else w2)
-        np.multiply(B, w2, out=S[:, K:K + k])
-        for l, p in enumerate(ps):
-            np.multiply(p, w2, out=S[:, K + (l + 1) * k:K + (l + 2) * k])
+        T[0] = R[0, :, j]
+        S[:, 1:K] = R[1:, :, j].T
+        np.multiply(u.T, w[:, None], out=T[K:K + k])
+        for l, x in enumerate(xs):
+            np.multiply(T[K:K + k], x, out=T[K + (l + 1) * k:K + (l + 2) * k])
         # beta_s of every row s = 0 .. m - 2
-        norm_u = np.sqrt(T[0])
+        norm_u = np.sqrt(R[0, :, j])
         lead = np.maximum.accumulate(norm_u[:0:-1])[::-1] + norm_u[:-1]
-        for l, (x, xa) in enumerate(zip(xs, ahead)):
-            lead += np.sqrt(S[:-1, 2 + L + l]) * (xa + np.abs(x[:-1]))
+        for l, x_reach in enumerate(reach):
+            lead += np.sqrt(R[2 + L + l, :-1, j]) * x_reach
         beta = (c_eps * max_inv) * lead * lead
-        for s0 in range(0, m - 1, rows):
-            b = min(rows, m - 1 - s0)
-            Fb = F[:b, :m - 1 - s0]
-            sq = S[s0:s0 + b] @ T[:, s0 + 1:]
-            sq *= Fb
-            top = np.max(sq, axis=1)
-            i = np.argmax(top)
-            floor = top[i] - beta[s0 + i]
-            if not np.isfinite(floor):
-                ii, cc = np.divmod(np.flatnonzero(Fb > 0), sq.shape[1])
-            else:
-                if floor > sups[j]:
-                    above, bound = np.greater_equal, floor - beta[s0:s0 + b]
-                else:
-                    above, bound = np.greater, sups[j] - beta[s0:s0 + b]
-                live = np.flatnonzero(above(top, bound))
-                if not live.size:
+        # pass 1: the largest Gram value of each row; one block is formed
+        # transposed, (t, s), so that its row maxima reduce along columns
+        if n <= rows:
+            gram = T[:, 1:].T @ S[:-1].T
+            gram *= F.T
+            top = gram.max(axis=0)
+        else:
+            top = np.empty(n)
+            for s0 in range(0, n, rows):
+                b = min(rows, n - s0)
+                sq = S[s0:s0 + b] @ T[:, s0 + 1:]
+                sq *= F[:b, :n - s0]
+                sq.max(axis=1, out=top[s0:s0 + b])
+        low = top - beta
+        floor = low.max()
+        if np.isfinite(floor):
+            above = np.greater_equal
+            bound = floor - beta
+        else:   # only the finite rows bound the sup
+            above = _not_below
+            with np.errstate(invalid="ignore"):
+                floor = np.max(low, where=np.isfinite(low), initial=-np.inf)
+                bound = floor - beta
+            bound[~np.isfinite(top)] = -np.inf
+        # pass 2: the pairs of the rows that clear the floor less beta_s,
+        # recomputed from direct differences one row block at a time; once
+        # the sup found so far reaches the floor, a pair must beat it
+        live = np.flatnonzero(above(top, bound))
+        blocks = (0,) if n <= rows else sorted(set((live - live % rows).tolist()))
+        for s0 in blocks:
+            rs = live if n <= rows else live[(live >= s0) & (live < s0 + rows)]
+            keep, bound_rs = above, bound[rs]
+            if above is np.greater_equal and sups[j] >= floor:
+                keep, bound_rs = np.greater, sups[j] - beta[rs]
+                clear = keep(top[rs], bound_rs)
+                if not clear.any():
                     continue
-                ii, cc = np.divmod(np.flatnonzero(above(sq[live], bound[live, None])),
-                                   sq.shape[1])
-                ii = live[ii]
-                ii, cc = ii[cc >= ii], cc[cc >= ii]     # the block's pairs t > s
-            if ii.size:
-                s, t = s0 + ii, s0 + 1 + cc
-                d = v[t] - v[s]
-                for p, X in legs:
-                    d += p[s] * (X[t] - X[s])[:, None]
-                sups[j] = np.maximum(sups[j], np.max(((d * d) @ w) / dt[cc - ii]))
+                rs, bound_rs = rs[clear], bound_rs[clear]
+            if n <= rows:
+                g = gram[:, rs].T
+            else:
+                g = S[rs] @ T[:, s0 + 1:]
+                g *= F[rs - s0, :n - s0]
+            i, c = np.nonzero(keep(g, bound_rs[:, None]))
+            s, t = rs[i], s0 + 1 + c
+            pair = t > s
+            s, t = s[pair], t[pair]
+            d = v[t] - v[s]
+            for p, X in legs:
+                d += p[s] * (X[t] - X[s])[:, None]
+            sups[j] = np.max(((d * d) @ w) / dt[t - s - 1], initial=sups[j])
     return np.sqrt(sups)
+
+
+def _not_below(a, b):
+    """~(a < b): a >= b, and True where a or b is NaN."""
+    return ~(a < b)
 
 
 def _lifted_pair(D: RoughDriver):

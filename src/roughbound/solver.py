@@ -28,6 +28,7 @@ re-anchored to G(y) on every window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,11 +194,22 @@ def drift_convolve(scale: Scale, times, f_rows):
     times = np.asarray(times, dtype=float)
     f_rows = np.asarray(f_rows, dtype=float)
     h = (times[-1] - times[0]) / (times.size - 1)
+    damp, w_left, w_right = _trapezoid_weights(scale, h)
+    xi = w_left * f_rows[:-1]
+    xi += w_right * f_rows[1:]
+    return mode_filter(damp, xi)
+
+
+@functools.lru_cache(maxsize=16)
+def _trapezoid_weights(scale: Scale, h: float):
+    """Read-only (e^{-mu h}, left weights, right weights) of one step h."""
     x = scale.mu * h
     damp = scale.semigroup(h)
     w_right = h * (x + np.expm1(-x)) / x ** 2
     w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
-    return mode_filter(damp, w_left * f_rows[:-1] + w_right * f_rows[1:])
+    for a in (damp, w_left, w_right):
+        a.setflags(write=False)
+    return damp, w_left, w_right
 
 
 def _check_stride(n: int) -> int:
@@ -217,7 +229,7 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
         lifted = lift_extrapolate(spec.diffusion, u, scale)
         rows = base + rough_convolve(lifted, D).y
         if spec.drift is not None:
-            rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
+            rows += drift_convolve(scale, D.times, spec.drift.value(u.y))
         return ControlledPath(D.times, rows, lifted.y, alpha, g, scale)
 
     # the paper's anchor (S y0 + int S G(y0) dX, G(y0))
@@ -430,10 +442,12 @@ def cocycle_defect(spec: ProblemSpec, t: float, tau: float,
     Each flow evaluation solves at the stated number of grid intervals over
     its own horizon (exact restrictions of the one sampled master driver), so
     the defect is attributable only to discretization; the rough-path shift
-    makes the driver side of the identity exact.
+    makes the driver side of the identity exact.  ConfigError unless the
+    resolution is an integer >= 1 (not a bool).
     """
-    if resolution < 1:
-        raise ConfigError(f"resolution must be at least 1, got {resolution}")
+    if not (is_integer(resolution) and resolution >= 1):
+        raise ConfigError(
+            f"resolution must be an integer of at least 1, got {resolution!r}")
     if tau == 0.0:   # phi(0, w, .) is the identity
         return 0.0
     scale = spec.scale

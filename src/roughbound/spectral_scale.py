@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DirichletRegularityError, SingularLift
+from .rough_driver import is_integer
 
 YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
 _SINGULAR_TOL = 1e-300
@@ -194,8 +195,9 @@ def _validate(cfg: ScaleConfig) -> tuple:
     kappa = np.sqrt(-cfg.b / cfg.a)   # sinh(kappa) >= kappa keeps sinh off 0 too
     if not _SINGULAR_TOL <= kappa < np.inf:
         raise SingularLift(f"cosh/sinh system singular for kappa={kappa}")
-    if cfg.K < 1:
-        raise ConfigError(f"need at least one mode, got K={cfg.K}")
+    if not (is_integer(cfg.K) and cfg.K >= 1):
+        raise ConfigError(
+            f"need a whole number of at least one mode, got K={cfg.K!r}")
     if not 0 < cfg.delta < np.inf:
         raise ConfigError(f"delta must be finite and positive, got {cfg.delta}")
     if cfg.bc == NEUMANN:

@@ -104,6 +104,11 @@ def compose_smooth(F: SmoothMap, P: ControlledPath) -> ControlledPath:
                           P.alpha + F.delta2, P.gamma, BOUNDARY)
 
 
+def diffusion_derivative_rows(F: SmoothMap, scale: Scale, y_rows, h_rows):
+    """DG(y)[h] = A_{-sigma} N (DF(y)[h]) rowwise."""
+    return F.dvalue(y_rows, h_rows) @ scale.generator_lift
+
+
 def lift_controlled(path: ControlledPath, scale: Scale) -> ControlledPath:
     """Lift a boundary-valued controlled path into the interior at index eps.
 

@@ -7,10 +7,11 @@ from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPa
                         crp_norm, default_trace_weights, diffusion_rows,
                         lift_extrapolate, neumann_map, rho, sample_fbm)
 from roughbound.controlled_path import (crp_difference_norm, crp_distance,
-                                        diffusion_derivative_rows, path_seminorm)
+                                        path_seminorm)
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
                       brute_force_remainder, compose_smooth,
+                      diffusion_derivative_rows,
                       generator_coefficients, holder_seminorm, lift_test_scale,
                       phi_second_bound, remainder, remainder_seminorm, scaled,
                       squashed_d2value)
@@ -256,6 +257,24 @@ def test_squashed_derivatives_match_the_cosh_formula():
     np.testing.assert_allclose(squashed_d2value(F, y, h, g),
                                (-2.0 / amp) * np.tanh(u) * sech2
                                * h[:, :2] * g[:, :2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "squashed", "constant"])
+def test_lift_extrapolate_is_the_two_diffusion_rows_bitwise(neumann_scale, kind):
+    # value_and_dvalue shares the tanh of the squashed map; every map must
+    # give what value and dvalue give one at a time
+    w0, w1 = default_trace_weights(neumann_scale, 0.8)
+    alpha = neumann_scale.eps - 1.0
+    F = {"linear": LinearTrace(w0, w1, alpha, 2.0),
+         "squashed": _squashed(neumann_scale),
+         "constant": ConstantBoundary(0.3, -0.7, alpha, 2.0)}[kind]
+    D = sample_fbm(0.45, 64, 1.0, seed=5)
+    y0 = neumann_map(BoundaryVector(1.0, 0.5), neumann_scale).coeffs
+    P = _anchor_path(neumann_scale, F, y0, D)
+    lifted = lift_extrapolate(F, P, neumann_scale)
+    assert np.array_equal(lifted.y, diffusion_rows(F, neumann_scale, P.y))
+    assert np.array_equal(lifted.y_prime, diffusion_derivative_rows(
+        F, neumann_scale, P.y, P.y_prime))
 
 
 def test_lift_extrapolate_zero_map(neumann_scale, driver_small):

@@ -318,7 +318,15 @@ UNUSABLE_INPUTS = {
         ConfigError, lambda sc, D: crp_distance(_interior_path(sc, D),
                                                 _interior_path(sc, D), D, -1)),
 }
-# a stride is an integer: neither a whole float, nor a fraction, nor a bool
+# a count is an integer: neither a whole float, nor a fraction, nor a bool
+for _count in (16.0, 2.5, True):
+    UNUSABLE_INPUTS[f"level_sum at t_idx {_count!r}"] = (
+        ConfigError, lambda sc, D, c=_count: level_sum(_interior_path(sc, D), D,
+                                                       c, 0))
+for _count in (3.0, 2.5, True):
+    UNUSABLE_INPUTS[f"level_sum at level {_count!r}"] = (
+        ConfigError, lambda sc, D, c=_count: level_sum(_interior_path(sc, D), D,
+                                                       16, c))
 for _stride in (2.0, 2.5, True):
     UNUSABLE_INPUTS[f"remainder_certificate at stride {_stride!r}"] = (
         ConfigError, lambda sc, D, s=_stride: _remainder_at_stride(sc, D, s))
@@ -393,6 +401,24 @@ def test_mode_filter_matches_the_sequential_recurrence(n, rates):
         assert np.all(z[0] == 0.0)
         scale = np.maximum(np.max(np.abs(ref), axis=0), 1e-300)
         assert np.all(np.max(np.abs(z - ref), axis=0) <= 1e-13 * scale)
+
+
+def test_mode_filter_keeps_a_bounded_cache_of_its_constants():
+    # the scan constants of each damping vector are cached; a repeated call
+    # is bitwise the first, with or without the zero padding (B | n or not),
+    # and the cache never holds more than its bound
+    from roughbound import rough_convolution
+    rng = np.random.default_rng(0)
+    damp = np.exp(-np.array(RATES["full range"]))
+    for n in (100, 1024):
+        xi = rng.standard_normal((n, damp.size))
+        first = mode_filter(damp, xi)
+        assert np.array_equal(mode_filter(damp.copy(), xi.copy()), first)
+    bound = rough_convolution._FILTER_CACHE
+    for rate in np.linspace(0.1, 5.0, 2 * bound):
+        mode_filter(np.exp(-rate * np.arange(1.0, 4.0)), np.ones((40, 3)))
+        assert rough_convolution._filter_constants.cache_info().currsize <= bound
+    assert np.array_equal(mode_filter(damp, xi), first)
 
 
 @pytest.mark.parametrize("n, t_idx", [(256, 64), (256, 128), (256, 256),

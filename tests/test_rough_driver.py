@@ -232,8 +232,9 @@ def test_driver_construction_guards():
         lift_geometric(t, np.ones(9), 0.5)           # X_0 != 0
     with pytest.raises(ConfigError):
         lift_geometric(t ** 2, np.zeros(9), 0.5)     # non-uniform grid
-    with pytest.raises(ConfigError):
-        lift_geometric(t, np.zeros(9), -0.1)
+    for gamma in (-0.1, 0.0, np.inf, np.nan):        # 0 < gamma < inf
+        with pytest.raises(ConfigError):
+            lift_geometric(t, np.zeros(9), gamma)
     for t0 in (0.5, 1.0):
         with pytest.raises(ConfigError):
             lift_geometric(t + t0, np.zeros(9), 0.5)  # grid not anchored at 0
@@ -250,6 +251,22 @@ def test_driver_construction_guards():
     for g in (np.zeros(8), np.full(9, 0.1), np.where(t > 0.5, np.nan, 0.0)):
         with pytest.raises(ConfigError):             # short, g_0 != 0, NaN
             RoughDriver(t, np.zeros(9), 0.5, g=g)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["geometric", "explicit"])
+def test_adjacent_increments_are_cached_read_only(explicit):
+    D = sample_fbm(0.45, 64, 1.0, seed=4)
+    if explicit:
+        D = _ito_lift(D)
+    dX, dXX = D.adjacent
+    assert D.adjacent[0] is dX                  # formed once per driver
+    i = np.arange(D.n)
+    assert np.array_equal(dX, np.diff(D.X))
+    assert np.array_equal(dXX, D.xx_entry(i, i + 1))
+    for a in (dX, dXX):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_geometric_lift_linear_path():
@@ -566,7 +583,10 @@ def _recompute_case(case):
     equal.  "gram nan 130" puts |p_s| = 1e200 on rows 127 and 128, the
     second row block, over a driver constant there: that block's Gram
     values are inf - inf, while every increment is finite and the last one,
-    which holds the sup, jumps by 100."""
+    which holds the sup, jumps by 100.  "gram nan early m" puts those rows
+    at 10 and 11, with the driver constant from row 10 on: at m = 130 they
+    sit in the first row block and the sup in the second, at m = 65 all
+    rows form one block."""
     one_hot = np.eye(16), np.tile((0.4, 0.8), 8)
     if case == "zigzag":
         t = np.linspace(0.0, 1.0, 257)
@@ -588,12 +608,13 @@ def _recompute_case(case):
         c = np.random.default_rng(m).standard_normal(16)
         return (t, 53.0 * t[:, None] * c, ((np.tile(-c, (m, 1)), 3.0 * t),),
                 np.eye(16), np.ones(16))
-    if name == "gram nan":
+    if name in ("gram nan", "gram nan early"):
+        first = 127 if name == "gram nan" else 10
         v, ((p, X),) = _increment_case("generic", m, 1)
         p, X = p.copy(), X.copy()
-        p[127:] = 1e200
-        X[127:] = X[127]
-        v[129] += 100.0     # the sup is the pair (128, 129) of that block
+        p[first:first + 2] = 1e200
+        X[first:] = X[first]
+        v[m - 1] += 100.0   # the sup is the pair (m - 2, m - 1)
         legs = ((p, X),)
     else:
         v, legs = _increment_case(name, m, 2)
@@ -601,7 +622,8 @@ def _recompute_case(case):
 
 
 @pytest.mark.parametrize("case", [
-    "zigzag", "fbm lift", "gram nan 130", "tie 65", "tie 130", "tie 257"] + [
+    "zigzag", "fbm lift", "gram nan 130", "gram nan early 65",
+    "gram nan early 130", "tie 65", "tie 130", "tie 257"] + [
     f"{name} {m}" for name in ("offset", "identical") for m in (2, 3, 130)])
 def test_increment_sups_equal_the_recompute_oracle(case):
     # the sups are direct recomputes, so they equal the oracle's bitwise iff

@@ -13,13 +13,13 @@ from roughbound import (AprioriBoundViolation, BoundaryVector, ConfigError,
                         solve_local, solve_young_dirichlet,
                         stability_distance, young_convolve)
 from roughbound.controlled_path import (constant_path, crp_distance,
-                                        diffusion_derivative_rows,
                                         diffusion_rows, lift_extrapolate)
 from roughbound.rough_convolution import rough_convolve
 from roughbound import solver
 from roughbound.solver import _rough_window, drift_convolve
 
-from conftest import additive_direct, brute_force_stability_distance
+from conftest import (additive_direct, brute_force_stability_distance,
+                      diffusion_derivative_rows)
 
 
 def _squashed(scale, gain=0.8, amp=1.0, delta2=2.0):
@@ -611,6 +611,16 @@ def test_cocycle_defect_needs_a_resolution_that_divides_the_window(
     for resolution in (0, -1):
         with pytest.raises(ConfigError):
             cocycle_defect(spec, 0.25, 0.25, resolution)
+
+
+@pytest.mark.parametrize("resolution", [2.0, 2.5, True])
+def test_cocycle_defect_needs_an_integer_resolution(neumann_scale, lifted_y0,
+                                                    resolution):
+    # 2.0 would reach the grid check as the stride 16.0, True would run as 1
+    D = sample_fbm(0.45, 64, 1.0, seed=3, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
+    with pytest.raises(ConfigError, match="resolution"):
+        cocycle_defect(spec, 0.25, 0.25, resolution)
 
 
 def test_cocycle_defect_scale(neumann_scale, lifted_y0):

@@ -54,6 +54,7 @@ def test_derived_exponents_are_the_p2_formulas_exactly(bc, gamma, delta, eps):
     dict(a=float("nan")), dict(a=float("inf")), dict(b=float("nan")),
     dict(b=-float("inf")), dict(delta=float("nan")),
     dict(bc="robin"),
+    dict(K=2.5), dict(K=16.0), dict(K=True),    # K counts modes: an integer
 ])
 def test_config_rejection(kwargs):
     with pytest.raises(ConfigError):
