@@ -405,11 +405,13 @@ def test_mode_filter_matches_the_sequential_recurrence(n, rates):
 
 def test_mode_filter_keeps_a_bounded_cache_of_its_constants():
     # the scan constants of each damping vector are cached; a repeated call
-    # is bitwise the first, with or without the zero padding (B | n or not),
-    # and the cache never holds more than its bound
+    # is bitwise the first, with or without the zero padding (the moderate
+    # rates keep B = 16, which divides 1024 but not 100), and the cache
+    # never holds more than its bound
     from roughbound import rough_convolution
     rng = np.random.default_rng(0)
-    damp = np.exp(-np.array(RATES["full range"]))
+    damp = np.exp(-np.array(RATES["moderate"]))
+    assert rough_convolution._filter_constants(damp.tobytes())[0] == 16
     for n in (100, 1024):
         xi = rng.standard_normal((n, damp.size))
         first = mode_filter(damp, xi)
