@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, ScaleIndexError
-from .rough_driver import (RoughDriver, check_grid, increment_sups, is_integer,
+from .errors import ConfigError, GridMismatch, ScaleIndexError, is_integer
+from .rough_driver import (RoughDriver, check_grid, increment_sups,
                            restriction_indices, same_grid)
 from .spectral_scale import Scale
 
@@ -148,7 +148,7 @@ def _five_terms(P: ControlledPath, times, exponent: float, y, yp, legs) -> float
                  + sem_prime + sem_r1 + sem_r2)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)      # one entry per (space, alpha, gamma) in use
 def _seminorm_weights(space, alpha: float, gamma: float):
     """Read-only squared weights of the seminorms of the five-term norm: the
     derivative's row at alpha - 2 gamma, the remainder's at alpha - gamma and

@@ -1,8 +1,16 @@
 """Domain-specific exceptions, one per failure mode the library can report.
 
 Each class carries the distinct nonzero CLI exit code of its failure mode as
-`exit_code`; a subclass's own code overrides its parents'.
+`exit_code`; a subclass's own code overrides its parents'.  `is_integer`
+is the count check behind the ConfigError and GridMismatch of every module.
 """
+
+import numbers
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class RoughboundError(Exception):

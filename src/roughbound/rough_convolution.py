@@ -36,15 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled_path import ControlledPath, crp_norm
-from .errors import ConfigError, GridMismatch, RegularityError
-from .rough_driver import RoughDriver, check_grid, is_integer, rho
+from .errors import ConfigError, GridMismatch, RegularityError, is_integer
+from .rough_driver import RoughDriver, check_grid, rho
 from .spectral_scale import Scale
 
 _LOG_FLOOR = 1e-300
 _BLOCK = 32             # steps per block of the mode_filter scan
 _MAX_EXPONENT = 600.0   # largest mu h B the scan's in-block powers may reach
-_MAX_DOUBLINGS = 40     # carry factors kept: scans of up to 2^40 blocks
-_FILTER_CACHE = 16      # damping vectors whose scan constants are kept
+_FILTER_CACHE = 8       # damping vectors whose scan constants are kept
 
 
 def _require_interior(P: ControlledPath) -> Scale:
@@ -61,19 +60,19 @@ def mode_filter(damp, xi):
     steps run as a blocked scan with a = damp.  Inside a block of B steps,
     z_i = a^i cumsum_j(a^{-j} xi_j) from a zero start; the block ends are
     carried across blocks by a doubling scan (log2 of the block count steps,
-    factors a^B, a^{2B}, a^{4B}, ... per block), and the carry c into a
-    block enters its first step as a c, so that step i adds a^{i+1} c.  One
-    lower-triangular matmul per block does the cumsum, written in place in
-    an output of nb B + 1 rows whose first n + 1 are returned.  B is _BLOCK,
-    halved only until a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that
-    underflows to zero runs with B = 1, which forms no negative power.
+    factor a^B per block), and the carry c into a block enters its first
+    step as a c, so that step i adds a^{i+1} c.  One lower-triangular matmul
+    per block does the cumsum, written in place in an output of nb B + 1
+    rows whose first n + 1 are returned.  B is _BLOCK, halved only until
+    a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that underflows to zero
+    runs with B = 1, which forms no negative power.
     These constants depend on damp alone, so the last _FILTER_CACHE damping
     vectors keep theirs; the input is zero-padded to whole blocks only when
     B does not divide n.
     """
     n, k = xi.shape
     damp = np.asarray(damp, dtype=float)
-    B, up, down, last, ones, tri, factors = _filter_constants(damp.tobytes())
+    B, up, down, last, ones, tri, factor = _filter_constants(damp.tobytes())
     nb = -(-n // B)
     if nb * B == n:
         steps = xi.reshape(nb, B, k) * down
@@ -84,11 +83,9 @@ def mode_filter(damp, xi):
         steps *= down
     ends = ones @ steps * last
     span = 1
-    for factor in factors:
-        if span >= nb:
-            break
+    while span < nb:
         ends[span:] += factor * ends[:-span]
-        span *= 2
+        factor, span = factor * factor, 2 * span
     steps[1:, 0] += damp * ends[:-1]
     z = np.empty((nb * B + 1, k))
     z[0] = 0.0
@@ -102,22 +99,17 @@ def mode_filter(damp, xi):
 def _filter_constants(key: bytes):
     """Read-only scan constants of the damping vector a with float64 bytes key.
 
-    B, a^i and a^{-i} for i < B, a^{B-1}, ones(B), tri(B), and the carry
-    factors a^B, a^{2B}, a^{4B}, ..., enough for a scan of 2^_MAX_DOUBLINGS
-    blocks.
+    B, a^i and a^{-i} for i < B, a^{B-1}, ones(B), tri(B) and a^B.
     """
     damp = np.frombuffer(key)
     B = _BLOCK
     while B > 1 and np.min(damp) < np.exp(-_MAX_EXPONENT / B):
         B //= 2
     up = damp ** np.arange(B)[:, None]           # a^i, (B, K)
-    down, ones, tri = 1.0 / up, np.ones(B), np.tri(B)
-    factors = [damp ** B]
-    for _ in range(_MAX_DOUBLINGS - 1):
-        factors.append(factors[-1] * factors[-1])
-    for a in (up, down, ones, tri, *factors):
+    down, ones, tri, factor = 1.0 / up, np.ones(B), np.tri(B), damp ** B
+    for a in (up, down, ones, tri, factor):
         a.setflags(write=False)
-    return B, up, down, up[-1], ones, tri, tuple(factors)
+    return B, up, down, up[-1], ones, tri, factor
 
 
 def _germ_order(gamma: float) -> int:

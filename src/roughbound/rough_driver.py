@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChenViolation, ConfigError, CovarianceNotPD, GridMismatch
+from .errors import (ChenViolation, ConfigError, CovarianceNotPD, GridMismatch,
+                     is_integer)
 
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
@@ -148,11 +149,6 @@ class RoughDriver:
         sel = restriction_indices(self.n, stride, stop)
         return RoughDriver(self.times[sel].copy(), self.X[sel].copy(), self.gamma,
                            self.H, self.g[sel])
-
-
-def is_integer(x) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def restriction_indices(n: int, stride: int, stop: int | None = None):

@@ -37,9 +37,9 @@ from .controlled_path import (ControlledPath, SmoothMap, constant_path,
                               crp_difference_norm, crp_distance, diffusion_rows,
                               lift_extrapolate, path_seminorm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
-                     DirichletRegularityError, GridMismatch)
+                     DirichletRegularityError, GridMismatch, is_integer)
 from .rough_convolution import mode_filter, rough_convolve, young_convolve
-from .rough_driver import RoughDriver, check_grid, is_integer, shift
+from .rough_driver import RoughDriver, check_grid, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
 _BLOWUP_FACTOR = 1e8
@@ -200,7 +200,7 @@ def drift_convolve(scale: Scale, times, f_rows):
     return mode_filter(damp, xi)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)      # one entry per (scale, step) in use
 def _trapezoid_weights(scale: Scale, h: float):
     """Read-only (e^{-mu h}, left weights, right weights) of one step h."""
     x = scale.mu * h

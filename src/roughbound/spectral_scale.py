@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DirichletRegularityError, SingularLift
-from .rough_driver import is_integer
+from .errors import (ConfigError, DirichletRegularityError, SingularLift,
+                     is_integer)
 
 YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
 _SINGULAR_TOL = 1e-300
