@@ -19,10 +19,11 @@ largest, and a second pass recomputes directly only the few pairs that a
 lower bound on the sup, less a per-row rounding bound, leaves.  A distance
 of two paths over one driver passes one leg, (y'_Q - y'_P) over X, since
 the remainder is linear in (y, y'); over two drivers it passes one leg per
-path.  The Picard distance takes its differences on the strided rows of
-both paths.  The same kernel serves the driver seminorms; only the
-integral-remainder certificate, whose increments are damped per lag, runs
-its own loop over lags.
+path.  One body serves the norm and every distance: it checks each grid
+against the first path's and strides the paths and their own drivers as
+views (the Picard distance takes every stride-th point).  The same kernel
+serves the driver seminorms; only the integral-remainder certificate,
+whose increments are damped per lag, runs its own loop over lags.
 Values may live on the interior scale (spectral coefficients) or on the
 two-point boundary (Euclidean norm); the same machinery serves both.
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatch, ScaleIndexError, is_integer
 from .rough_driver import (RoughDriver, check_grid, increment_sups,
-                           restriction_indices, same_grid)
+                           restriction_indices)
 from .spectral_scale import Scale
 
 _INDEX_TOL = 1e-9
@@ -83,7 +84,7 @@ class ControlledPath:
                               self.space)
 
     def __sub__(self, other: "ControlledPath") -> "ControlledPath":
-        check_grid(self, other)
+        _check_compatible(self, other)
         return ControlledPath(self.times, self.y - other.y,
                               self.y_prime - other.y_prime, self.alpha,
                               self.gamma, self.space)
@@ -112,14 +113,28 @@ def path_seminorm(space, times, values, alpha, exponent) -> float:
 
 def crp_norm(P: ControlledPath, D: RoughDriver) -> float:
     """The controlled-rough-path norm of (y, y'), seminorms over all grid pairs."""
-    check_grid(P, D)
-    return crp_difference_norm(P, D, P.gamma)
+    return _difference_norm(P, None, D, D, P.gamma)
 
 
-def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
-                        Q: ControlledPath | None = None,
-                        E: RoughDriver | None = None) -> float:
-    """The five-term norm of P - Q, each remainder over its own driver.
+def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
+                 stride: int = 1) -> float:
+    """crp_norm of P1 - P2 over their driver D on every stride-th grid point."""
+    return _difference_norm(P1, P2, D, D, P1.gamma, stride)
+
+
+def _check_compatible(P: ControlledPath, Q: ControlledPath) -> None:
+    """ConfigError unless P and Q share the space object and indices, as
+    spectral vectors must; GridMismatch unless they share a grid."""
+    if P.space is not Q.space or P.alpha != Q.alpha or P.gamma != Q.gamma:
+        raise ConfigError("controlled paths live on different spaces or indices")
+    check_grid(P, Q)
+
+
+def _difference_norm(P: ControlledPath, Q: ControlledPath | None,
+                     D: RoughDriver, E: RoughDriver, exponent: float,
+                     stride: int = 1) -> float:
+    """The five-term norm of P - Q on every stride-th grid point, each
+    remainder over its own driver.
 
     P runs over D and Q over E; Q = None gives the norm of P.  The seminorms
     take the given Hoelder exponent (twice it for the second remainder term)
@@ -127,21 +142,30 @@ def crp_difference_norm(P: ControlledPath, D: RoughDriver, exponent: float,
     remainder terms' in one call with them.  When Q runs over D itself
     (E is D) the remainder is linear in (y, y'), and the difference
     y_{t,s} - (P.y' - Q.y')_s X_{t,s} takes one leg instead of two.
+    ConfigError unless stride is an integer >= 1, GridMismatch unless it
+    divides P.n and every path and driver lives on P's grid.
     """
-    y, yp = (P.y, P.y_prime) if Q is None else (P.y - Q.y, P.y_prime - Q.y_prime)
+    if not is_integer(stride) or stride < 1:
+        raise ConfigError(f"distance stride must be an integer of at least 1, "
+                          f"got {stride}")
+    if P.n % stride:
+        raise GridMismatch(f"stride {stride} does not divide the grid of {P.n} steps")
+    check_grid(P, D)
+    if Q is not None:
+        _check_compatible(P, Q)
+        check_grid(P, E)
+    s = slice(None, None, stride)
+    y, yp = P.y[s], P.y_prime[s]
+    if Q is not None:
+        y, yp = y - Q.y[s], yp - Q.y_prime[s]
     # R = y_{t,s} - y'_s X_{t,s}: -y' over D for P, +y' over E for Q
     if Q is None or E is D:
-        legs = [(-yp, D.X)]
+        legs = [(-yp, D.X[s])]
     else:
-        legs = [(-P.y_prime, D.X), (Q.y_prime, E.X)]
-    return _five_terms(P, P.times, exponent, y, yp, legs)
-
-
-def _five_terms(P: ControlledPath, times, exponent: float, y, yp, legs) -> float:
-    """The five-term norm of (y, y') on `times` at P's space and indices,
-    its remainder y_{t,s} + sum_l p^l_s X^l_{t,s} over the given legs."""
+        legs = [(-P.y_prime[s], D.X[s]), (Q.y_prime[s], E.X[s])]
     g, a, sp = P.gamma, P.alpha, P.space
     w_prime, w_rem = _seminorm_weights(sp, a, g)
+    times = P.times[s]
     sem_prime = float(increment_sups(times, yp, (), w_prime, (exponent,))[0])
     sem_r1, sem_r2 = increment_sups(times, y, legs, w_rem, (exponent, 2 * exponent))
     return float(sup_norm(sp, y, a) + sup_norm(sp, yp, a - g)
@@ -159,31 +183,6 @@ def _seminorm_weights(space, alpha: float, gamma: float):
     for w in (w_prime, w_rem):
         w.setflags(write=False)
     return w_prime, w_rem
-
-
-def crp_distance(P1: ControlledPath, P2: ControlledPath, D: RoughDriver,
-                 stride: int = 1) -> float:
-    """crp_norm of the difference path over a common driver.
-
-    Over one driver the remainder is linear in (y, y'), so this is
-    crp_difference_norm with one leg, bitwise the norm of the difference
-    path.  A stride > 1 evaluates the norm on every stride-th grid point
-    (used by the Picard loop to bound per-iteration cost); D is then the
-    strided driver D.restricted(stride), built once for many distances.
-    The differences are taken on the strided views of both paths.
-    ConfigError unless stride is an integer >= 1.
-    """
-    if not is_integer(stride) or stride < 1:
-        raise ConfigError(f"distance stride must be an integer of at least 1, "
-                          f"got {stride}")
-    check_grid(P1, P2)
-    times = P1.times[::stride]
-    if not same_grid(times, D.times):
-        raise GridMismatch("the strided paths and the driver live on different "
-                           "grids")
-    y = P1.y[::stride] - P2.y[::stride]
-    yp = P1.y_prime[::stride] - P2.y_prime[::stride]
-    return _five_terms(P1, times, P1.gamma, y, yp, [(-yp, D.X)])
 
 
 # -- smooth maps into the boundary -------------------------------------------

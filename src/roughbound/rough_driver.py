@@ -336,16 +336,13 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
 
 # -- metric and shift ---------------------------------------------------------
 
-def same_grid(ta, tb) -> bool:
-    """True if the time grids ta, tb agree to 1e-12 max(1, |T|)."""
-    return (ta is tb or np.array_equal(ta, tb)
-            or (ta.shape == tb.shape and np.allclose(
-                ta, tb, rtol=0, atol=1e-12 * max(1.0, abs(ta[-1])))))
-
-
 def check_grid(a, b):
-    """GridMismatch unless paths or drivers a, b share a grid (`same_grid`)."""
-    if not same_grid(a.times, b.times):
+    """GridMismatch unless paths or drivers a, b share a grid: their times
+    agree to 1e-12 max(1, |T|)."""
+    ta, tb = a.times, b.times
+    if not (ta is tb or np.array_equal(ta, tb)
+            or (ta.shape == tb.shape and np.allclose(
+                ta, tb, rtol=0, atol=1e-12 * max(1.0, abs(ta[-1]))))):
         raise GridMismatch(f"{type(a).__name__} and {type(b).__name__} live on "
                            "different grids")
 

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled_path import (ControlledPath, SmoothMap, constant_path,
-                              crp_difference_norm, crp_distance, diffusion_rows,
-                              lift_extrapolate, path_seminorm)
+from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,
+                              constant_path, crp_distance, diffusion_rows,
+                              lift_extrapolate, path_seminorm, sup_norm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch, is_integer)
 from .rough_convolution import mode_filter, rough_convolve, young_convolve
-from .rough_driver import RoughDriver, check_grid, shift
+from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
 _BLOWUP_FACTOR = 1e8
@@ -222,7 +222,6 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     scale, alpha, g = spec.scale, spec.solution_alpha, spec.scale.gamma
     require_neumann(scale)
     stride = _check_stride(D.n)
-    coarse = D.restricted(stride)
     base = scale.semigroup(D.times) * y0
 
     def step(u):  # one application of Phi; the derivative component is G(u)
@@ -237,15 +236,15 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     const = constant_path(D.times, g0, np.zeros_like(g0), alpha, g, scale)
     anchor = ControlledPath(D.times, base + rough_convolve(const, D).y, const.y,
                             alpha, g, scale)
-    return step, lambda a, b: crp_distance(a, b, coarse, stride), anchor
+    return step, lambda a, b: crp_distance(a, b, D, stride), anchor
 
 
-def _young_distance(P1: ControlledPath, P2: ControlledPath, eta: float,
-                    gamma: float, stride: int) -> float:
+def _young_distance(P1: ControlledPath, P2: ControlledPath, stride: int) -> float:
+    """Hoelder norm of P1 - P2 at P1's indices on every stride-th grid point."""
     diff = P1.y[::stride] - P2.y[::stride]
-    space = P1.space
-    return (float(np.max(space.norm(diff, -eta)))
-            + path_seminorm(space, P1.times[::stride], diff, -eta - gamma, gamma))
+    a, g, space = P1.alpha, P1.gamma, P1.space
+    return (sup_norm(space, diff, a)
+            + path_seminorm(space, P1.times[::stride], diff, a - g, g))
 
 
 def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
@@ -262,7 +261,7 @@ def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
         g_rows = diffusion_rows(spec.diffusion, scale, u.y)
         return path(base + young_convolve(path(g_rows), D).y)
 
-    return step, lambda a, b: _young_distance(a, b, eta, g, stride), path(base)
+    return step, lambda a, b: _young_distance(a, b, stride), path(base)
 
 
 # -- the window engine -------------------------------------------------------------
@@ -407,11 +406,8 @@ def stability_distance(sol1: ControlledPath, sol2: ControlledPath,
     the gamma'-seminorm of the derivative difference at -eta - 2 gamma, and
     the gamma'/2 gamma'-seminorms of the remainder difference.
     """
-    check_grid(sol1, sol2)
-    check_grid(sol1, D1)
-    check_grid(sol2, D2)
     check_gamma_prime(gamma_prime, sol1.gamma)
-    return crp_difference_norm(sol1, D1, gamma_prime, sol2, D2)
+    return _difference_norm(sol1, sol2, D1, D2, gamma_prime)
 
 
 def check_gamma_prime(gamma_prime: float, gamma: float) -> None:
@@ -442,13 +438,17 @@ def cocycle_defect(spec: ProblemSpec, t: float, tau: float,
     Each flow evaluation solves at the stated number of grid intervals over
     its own horizon (exact restrictions of the one sampled master driver), so
     the defect is attributable only to discretization; the rough-path shift
-    makes the driver side of the identity exact.  ConfigError unless the
-    resolution is an integer >= 1 (not a bool).
+    makes the driver side of the identity exact.  A zero t or tau gives 0,
+    since phi(0, w, .) is the identity.  ConfigError unless the resolution is
+    an integer >= 1 (not a bool) and t, tau are finite and >= 0.
     """
     if not (is_integer(resolution) and resolution >= 1):
         raise ConfigError(
             f"resolution must be an integer of at least 1, got {resolution!r}")
-    if tau == 0.0:   # phi(0, w, .) is the identity
+    if not (np.isfinite(t) and np.isfinite(tau) and t >= 0 and tau >= 0):
+        raise ConfigError(f"the cocycle defect needs finite t >= 0 and tau >= 0, "
+                          f"got t={t}, tau={tau}")
+    if t == 0.0 or tau == 0.0:
         return 0.0
     scale = spec.scale
     D = spec.driver

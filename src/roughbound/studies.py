@@ -239,8 +239,10 @@ def stability_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int,
     # imported at call time: perfbench's tracer wraps solver.stability_distance
     from .solver import stability_distance
 
-    if not (len(lambdas) and len(eps0)):
-        raise ConfigError("the stability study needs lambdas and eps0")
+    # a fit through the origin needs some nonzero predictor
+    if not (any(lam != 1.0 for lam in lambdas) and any(e != 0.0 for e in eps0)):
+        raise ConfigError(f"the stability study needs a lambda other than 1 and "
+                          f"an eps0 other than 0, got {lambdas} and {eps0}")
     check_gamma_prime(gamma_prime, scale.gamma)
     check_problem(scale, F, y0, drift, picard)
     require_neumann(scale)

@@ -310,6 +310,9 @@ def _no_solve(*args, **kwargs):
     ("roughbound.cli", "solve", "out_stride = 512", 3),
     ("roughbound.studies", "stability", "gamma_prime = 0.40", 2),
     ("roughbound.studies", "stability", "gamma_prime = 0.30", 2),
+    # a fit through the origin needs a nonzero predictor
+    ("roughbound.studies", "stability", "lambdas = 1.0", 2),
+    ("roughbound.studies", "stability", "eps0 = 0.0", 2),
     # the level-9 partition needs 512 steps, the grid has 256
     ("roughbound.studies", "convergence", "levels = 4..8", 3),
 ])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from roughbound import (BOUNDARY, BoundaryVector, ConstantBoundary, ControlledPath,
-                        GridMismatch, LinearTrace, RoughDriver, ScaleIndexError,
-                        SquashedTrace, constant_path,
-                        crp_norm, default_trace_weights, diffusion_rows,
-                        lift_extrapolate, neumann_map, rho, sample_fbm)
-from roughbound.controlled_path import (crp_difference_norm, crp_distance,
-                                        path_seminorm)
+from roughbound import (BOUNDARY, BoundaryVector, ConfigError, ConstantBoundary,
+                        ControlledPath, GridMismatch, LinearTrace, RoughDriver,
+                        ScaleIndexError, SquashedTrace, constant_path, crp_norm,
+                        default_trace_weights, diffusion_rows, lift_extrapolate,
+                        neumann_map, rho, sample_fbm)
+from roughbound.controlled_path import crp_distance, path_seminorm
+from roughbound.solver import stability_distance
 
 from conftest import (brute_force_crp_norm, brute_force_holder,
                       brute_force_remainder, compose_smooth,
@@ -84,10 +84,10 @@ def test_crp_norm_grid_mismatch(neumann_scale, driver_small):
                       neumann_scale)
     with pytest.raises(GridMismatch):
         crp_norm(p, driver_small)
-    # a strided distance takes the strided driver, not the full-grid one
+    # a strided distance takes the paths' own driver, not the strided one
     with pytest.raises(GridMismatch):
-        crp_distance(p, scaled(p, 2.0), other, stride=2)
-    assert crp_distance(p, scaled(p, 2.0), other.restricted(2), stride=2) > 0
+        crp_distance(p, scaled(p, 2.0), other.restricted(2), stride=2)
+    assert crp_distance(p, scaled(p, 2.0), other, stride=2) > 0
 
 
 @pytest.mark.parametrize("stride", [1, 2, 8])
@@ -100,15 +100,41 @@ def test_one_shared_driver_takes_one_leg(neumann_scale, driver_small, stride):
                            rng.standard_normal((D.n + 1, 16)), -0.3, 0.40,
                            neumann_scale) for _ in range(2))
     E = RoughDriver(D.times.copy(), D.X.copy(), D.gamma, D.H)
-    one_leg = crp_difference_norm(P, D, 0.35, Q, D)
-    assert one_leg == pytest.approx(crp_difference_norm(P, D, 0.35, Q, E),
+    one_leg = stability_distance(P, Q, D, D, 0.35)
+    assert one_leg == pytest.approx(stability_distance(P, Q, D, E, 0.35),
                                     rel=1e-13, abs=0.0)
-    # crp_distance is that call on the strided paths: bitwise the norm of the
-    # difference path
+    # crp_distance on the paths' own driver is bitwise the norm of the strided
+    # difference path over the strided driver
     P1, P2 = (ControlledPath(driver_small.times, rng.standard_normal((257, 16)),
                              rng.standard_normal((257, 16)), -0.3, 0.40,
                              neumann_scale) for _ in range(2))
-    assert crp_distance(P1, P2, D, stride) == crp_norm((P1 - P2).restricted(stride), D)
+    assert (crp_distance(P1, P2, driver_small, stride)
+            == crp_norm((P1 - P2).restricted(stride), D))
+
+
+DIFFERENCE_ENTRIES = {
+    "crp_distance": lambda P, Q, D: crp_distance(P, Q, D),
+    "stability_distance": lambda P, Q, D: stability_distance(P, Q, D, D, 0.35),
+    "path subtraction": lambda P, Q, D: P - Q,
+}
+
+
+@pytest.mark.parametrize("mismatch", ["K", "alpha", "gamma"])
+@pytest.mark.parametrize("entry", sorted(DIFFERENCE_ENTRIES))
+def test_differences_need_one_space_and_index(entry, mismatch, neumann_scale,
+                                              driver_small):
+    # as for spectral vectors, a difference needs the same space object and
+    # the same indices: K = 8 rows do not broadcast against K = 16 ones, and
+    # a second path at another index would be measured at the first one's
+    def path(space=neumann_scale, alpha=-0.3, gamma=0.40):
+        rows = np.random.default_rng(1).standard_normal((257, space.K))
+        return ControlledPath(driver_small.times, rows, rows, alpha, gamma, space)
+
+    other = {"K": path(space=lift_test_scale("neumann", 8)),
+             "alpha": path(alpha=0.0), "gamma": path(gamma=0.38)}[mismatch]
+    DIFFERENCE_ENTRIES[entry](path(), path(), driver_small)   # accepted
+    with pytest.raises(ConfigError, match="different spaces or indices"):
+        DIFFERENCE_ENTRIES[entry](path(), other, driver_small)
 
 
 def test_remainder_reconstruction(neumann_scale, driver_small):

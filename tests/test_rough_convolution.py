@@ -317,6 +317,10 @@ UNUSABLE_INPUTS = {
     "crp_distance at stride -1": (
         ConfigError, lambda sc, D: crp_distance(_interior_path(sc, D),
                                                 _interior_path(sc, D), D, -1)),
+    # 3 does not divide the 64 steps of the grid
+    "crp_distance at stride 3": (
+        GridMismatch, lambda sc, D: crp_distance(_interior_path(sc, D),
+                                                 _interior_path(sc, D), D, 3)),
 }
 # a count is an integer: neither a whole float, nor a fraction, nor a bool
 for _count in (16.0, 2.5, True):
@@ -332,7 +336,7 @@ for _stride in (2.0, 2.5, True):
         ConfigError, lambda sc, D, s=_stride: _remainder_at_stride(sc, D, s))
     UNUSABLE_INPUTS[f"crp_distance at stride {_stride!r}"] = (
         ConfigError, lambda sc, D, s=_stride: crp_distance(
-            _interior_path(sc, D), _interior_path(sc, D), D.restricted(2), s))
+            _interior_path(sc, D), _interior_path(sc, D), D, s))
 
 
 def _remainder_at_stride(scale, D, stride):
@@ -354,7 +358,7 @@ def test_numpy_integer_strides_are_accepted(neumann_scale):
     D = lift_geometric(t, np.sin(3.0 * t), 0.77)
     P = _interior_path(neumann_scale, D)
     two = np.int64(2)
-    assert crp_distance(P, P, D.restricted(two), two) == 0.0
+    assert crp_distance(P, P, D, two) == 0.0
     assert (_remainder_at_stride(neumann_scale, D, two).sup_ratios
             == _remainder_at_stride(neumann_scale, D, 2).sup_ratios)
 

@@ -5,8 +5,8 @@ import pytest
 from scipy import stats
 
 from roughbound import (ChenViolation, ConfigError, ControlledPath,
-                        CovarianceNotPD, GridMismatch, RoughDriver, crp_norm,
-                        level_sum, lift_explicit,
+                        CovarianceNotPD, GridMismatch, RoughDriver, crp_distance,
+                        crp_norm, level_sum, lift_explicit,
                         lift_geometric, rho, rough_convolve, rough_metric,
                         sample_fbm, shift, stability_distance, young_convolve)
 from roughbound import rough_driver
@@ -399,6 +399,8 @@ GRID_ENTRIES = {
     "rough_convolve": lambda P, Q, D, E: rough_convolve(Q, D),
     "young_convolve": lambda P, Q, D, E: young_convolve(Q, D),
     "crp_norm": lambda P, Q, D, E: crp_norm(Q, D),
+    "crp_distance": lambda P, Q, D, E: crp_distance(P, Q, D, 1),
+    "crp_distance driver at stride 2": lambda P, Q, D, E: crp_distance(P, P, E, 2),
     "path subtraction": lambda P, Q, D, E: P - Q,
     "rough_metric": lambda P, Q, D, E: rough_metric(D, E),
     "stability_distance": lambda P, Q, D, E: stability_distance(P, Q, D, E, 0.35),

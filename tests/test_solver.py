@@ -161,7 +161,7 @@ def test_gubinelli_identity_and_fixed_point_residual(neumann_scale, lifted_y0):
                           diffusion_rows(spec.diffusion, neumann_scale, u.y))
     step, _, _ = _rough_window(spec, D, lifted_y0)
     phi = step(u)
-    assert crp_distance(phi, u, D.restricted(8), stride=8) <= 10 * spec.picard.tol
+    assert crp_distance(phi, u, D, stride=8) <= 10 * spec.picard.tol
 
 
 def test_restart_and_horizon_consistency(neumann_scale, lifted_y0):
@@ -594,6 +594,24 @@ def test_cocycle_tau_zero(neumann_scale, lifted_y0):
     D = sample_fbm(0.45, 1024, 1.0, seed=3, gamma=0.40)
     spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
     assert cocycle_defect(spec, 0.25, 0.0, 256) == 0.0
+
+
+def test_cocycle_t_zero(neumann_scale, lifted_y0):
+    # phi(0, w, .) is the identity, whatever the resolution
+    D = sample_fbm(0.45, 64, 1.0, seed=3, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
+    assert cocycle_defect(spec, 0.0, 0.25, 1) == 0.0
+
+
+@pytest.mark.parametrize("t, tau", [(-0.25, 0.25), (0.25, -0.25),
+                                    (np.nan, 0.25), (0.25, np.nan),
+                                    (np.inf, 0.25), (0.25, np.inf)])
+def test_cocycle_defect_needs_finite_nonnegative_spans(neumann_scale, lifted_y0,
+                                                        t, tau):
+    D = sample_fbm(0.45, 64, 1.0, seed=3, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, _squashed(neumann_scale), lifted_y0)
+    with pytest.raises(ConfigError, match="t=.*tau="):
+        cocycle_defect(spec, t, tau, 1)
 
 
 def test_cocycle_zero_noise(neumann_scale, lifted_y0):
