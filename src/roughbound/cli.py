@@ -19,7 +19,7 @@ import numpy as np
 from . import studies
 from .config import (build_drift_from, build_driver_from, build_picard_from,
                      build_problem, build_scale_from, parse_config,
-                     parse_levels, scale_map_y0)
+                     parse_value, scale_map_y0)
 from .errors import ConfigError, IoError, RoughboundError
 from .rough_driver import restriction_indices
 from .solver import solve_global, solve_young_dirichlet
@@ -180,8 +180,8 @@ def make_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key=value file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        p.add_argument("--seed", default=None,
+                       help="override the config seed (an integer >= 0)")
         p.add_argument("--out", default=None,
                        help="existing output directory for CSV artifacts")
         if name == "convergence":
@@ -195,9 +195,9 @@ def run(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = parse_value("seed", args.seed, "--seed")
         if getattr(args, "levels", None) is not None:
-            cfg["levels"] = parse_levels(args.levels)
+            cfg["levels"] = parse_value("levels", args.levels, "--levels")
         if args.out is None and args.command != "invariants":
             raise ConfigError(f"--out is required for `{args.command}`")
         if args.out is not None and not os.path.isdir(args.out):

@@ -8,7 +8,9 @@ the lists) or a ConfigError that names the file and line of an unknown,
 duplicate or malformed entry.  The full schema is documented in the README;
 every study key has a default, so minimal configs stay diff-able, and an
 absent `gamma` is filled in as H - 0.05 (DEFAULT_GAMMA_SLACK), the default
-of `sample_fbm`.
+of `sample_fbm`.  A `seed` is an integer >= 0, and an explicit `gamma` must
+lie below H, as `sample_fbm` requires.  `parse_value` is the one parser of
+a key's text, for the file and for the command-line overrides.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ def _floats(text: str) -> tuple:
     return tuple(_finite(v) for v in text.split(",") if v.strip())
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("a seed is an integer >= 0")
+    return seed
+
+
 def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -72,7 +81,7 @@ _KEYS = {
     "gamma": (_finite, None),
     # driver
     "H": (_finite, 0.45), "n": (int, 1024), "T": (_finite, 1.0),
-    "seed": (int, 0),
+    "seed": (_seed, 0),
     # coefficients
     "drift": (_choice("none", "linear", "smooth_bounded"), "none"),
     "drift_c": (_finite, -1.0), "drift_amp": (_finite, 1.0),
@@ -105,7 +114,7 @@ def parse_config(path) -> dict:
     except OSError as exc:
         raise IoError(str(path)) from exc
     cfg = {key: default for key, (_, default) in _KEYS.items()}
-    seen = set()
+    seen = {}   # key -> its line
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,15 +128,25 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        try:
-            cfg[key] = _KEYS[key][0](value)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} "
-                              f"({exc})") from exc
+        seen[key] = lineno
+        cfg[key] = parse_value(key, value, f"{path}:{lineno}")
     if cfg["gamma"] is None:
         cfg["gamma"] = cfg["H"] - DEFAULT_GAMMA_SLACK
+    elif not cfg["gamma"] < cfg["H"]:
+        raise ConfigError(f"{path}:{seen['gamma']}: bad value for gamma: "
+                          f"{cfg['gamma']!r} (an fBm path is gamma-Hoelder only "
+                          f"for gamma < H = {cfg['H']!r})")
     return cfg
+
+
+def parse_value(key: str, text: str, where: str):
+    """The typed value of `key` from its text, or a ConfigError naming `where`
+    (a file and line, or a command-line option)."""
+    try:
+        return _KEYS[key][0](text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {text!r} "
+                          f"({exc})") from exc
 
 
 def build_scale_from(cfg: dict) -> Scale:

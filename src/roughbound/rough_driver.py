@@ -17,7 +17,8 @@ certificate, damped per lag, keeps its own loop).  It runs two passes per
 norm: each block of rows s gets its squared norms from one GEMM and keeps
 only each row's largest, and the best lower bound over all rows leaves the
 few rows, and in them the few pairs, within a rounding bound of the sup;
-those alone are recomputed from direct differences.  The driver
+those alone are recomputed from direct differences, row by row and one dot
+product per pair, so a value depends on its pair alone.  The driver
 seminorms have that form too: by Chen's relation
 
     XX_{t,s} = (X_t^2/2 + g_t) - (X_s^2/2 + g_s) - X_s X_{t,s},
@@ -212,10 +213,11 @@ def chen_defect_max(X, XX, chunk: int = 64) -> float:
     return worst
 
 
-def geometric_chen_defect_max(D: RoughDriver) -> float:
-    """Chen defect scan of the geometric lift (algebraically zero; roundoff only)."""
-    XX = 0.5 * (D.X[None, :] - D.X[:, None]) ** 2
-    return chen_defect_max(D.X, XX)
+def driver_chen_defect_max(D: RoughDriver) -> float:
+    """Chen defect scan of D's own second level XX[s, t] = D.xx_entry(s, t)
+    (algebraically zero for any bracket path g; roundoff only)."""
+    i = np.arange(D.n + 1)
+    return chen_defect_max(D.X, D.xx_entry(i[:, None], i[None, :]))
 
 
 # -- exact fBm sampling ------------------------------------------------------
@@ -318,8 +320,9 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
                gamma: float | None = None) -> RoughDriver:
     """Exact-in-law fractional Brownian sample with the geometric lift.
 
-    Deterministic given (H, n, T, seed).  gamma defaults to H - 0.05
-    (DEFAULT_GAMMA_SLACK); pass gamma to pin the exponent used downstream.
+    Deterministic given (H, n, T, seed), for an integer seed >= 0.  gamma
+    defaults to H - 0.05 (DEFAULT_GAMMA_SLACK); pass gamma < H to pin the
+    exponent used downstream (the path is gamma-Hoelder only below H).
     """
     if not 0.0 < H < 1.0:
         raise ConfigError(f"Hurst parameter must lie in (0,1), got {H}")
@@ -327,10 +330,15 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
         raise ConfigError(f"need a whole number of at least 2 grid steps, got n={n}")
     if not 0 < T < np.inf:
         raise ConfigError(f"horizon must be finite and positive, got T={T}")
-    z = np.random.default_rng(seed).standard_normal(n)
-    x = np.concatenate(([0.0], np.cumsum(_fgn_increments(H, n, T, z))))
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if gamma is None:
         gamma = H - DEFAULT_GAMMA_SLACK
+    elif not gamma < H:
+        raise ConfigError(f"an fBm path with H = {H} is gamma-Hoelder only for "
+                          f"gamma < H, got gamma = {gamma}")
+    z = np.random.default_rng(seed).standard_normal(n)
+    x = np.concatenate(([0.0], np.cumsum(_fgn_increments(H, n, T, z))))
     return RoughDriver(np.linspace(0.0, T, n + 1), x, gamma, H)
 
 
@@ -401,11 +409,12 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
     norm.  Pass 1 takes each block of rows s (at most _BLOCK_CELLS // (m - 1)
     of them) in one GEMM and keeps only the largest Gram value top_s of each
     row.  The floor max_s (top_s - beta_s) is then a lower bound on the sup
-    over all rows, and pass 2 revisits only the rows whose top_s clears
-    floor - beta_s: a row block at a time, it recomputes their Gram values
-    (or reuses them when one block holds every row) and recomputes the pairs
-    that clear the same bound from direct differences.  Once the direct sup
-    found so far reaches the floor, a pair must exceed it less beta_s.
+    over all rows, and pass 2 takes the rows whose top_s clears floor -
+    beta_s one at a time: one product, scaled by the lag row F[0], gives the
+    row's Gram values, and each pair that clears the same bound is recomputed
+    from direct differences as its own dot product, so no value depends on
+    the pairs screened with it.  Once the direct sup found so far reaches the
+    floor, a row and a pair must exceed it less beta_s.
 
     Rounding bound.  Both values sum products of two of the atoms u_t, -u_s,
     -x^l_s p^l_s and x^l_t p^l_s, whose absolute values add up to at most
@@ -513,33 +522,23 @@ def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:
                 floor = np.max(low, where=np.isfinite(low), initial=-np.inf)
                 bound = floor - beta
             bound[~np.isfinite(top)] = -np.inf
-        # pass 2: the pairs of the rows that clear the floor less beta_s,
-        # recomputed from direct differences one row block at a time; once
-        # the sup found so far reaches the floor, a pair must beat it
-        live = np.flatnonzero(above(top, bound))
-        blocks = (0,) if n <= rows else sorted(set((live - live % rows).tolist()))
-        for s0 in blocks:
-            rs = live if n <= rows else live[(live >= s0) & (live < s0 + rows)]
-            keep, bound_rs = above, bound[rs]
+        # pass 2, row by row: the Gram values of a row that clears the floor
+        # less beta_s, then each pair that clears it as its own dot product;
+        # once the sup found so far reaches the floor, both must beat it
+        for s in np.flatnonzero(above(top, bound)).tolist():
+            keep, b = above, bound[s]
             if above is np.greater_equal and sups[j] >= floor:
-                keep, bound_rs = np.greater, sups[j] - beta[rs]
-                clear = keep(top[rs], bound_rs)
-                if not clear.any():
+                keep, b = np.greater, sups[j] - beta[s]
+                if not keep(top[s], b):
                     continue
-                rs, bound_rs = rs[clear], bound_rs[clear]
-            if n <= rows:
-                g = gram[:, rs].T
-            else:
-                g = S[rs] @ T[:, s0 + 1:]
-                g *= F[rs - s0, :n - s0]
-            i, c = np.nonzero(keep(g, bound_rs[:, None]))
-            s, t = rs[i], s0 + 1 + c
-            pair = t > s
-            s, t = s[pair], t[pair]
+            g = S[s] @ T[:, s + 1:]
+            g *= F[0, :n - s]
+            t = s + 1 + np.flatnonzero(keep(g, b))
             d = v[t] - v[s]
             for p, X in legs:
                 d += p[s] * (X[t] - X[s])[:, None]
-            sups[j] = np.max(((d * d) @ w) / dt[t - s - 1], initial=sups[j])
+            direct = np.matmul((d * d)[:, None, :], w[:, None])[:, 0, 0]
+            sups[j] = np.max(direct / dt[t - s - 1], initial=sups[j])
     return np.sqrt(sups)
 
 

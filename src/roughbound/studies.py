@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .rough_convolution import (_dyadic_levels, _germ_order, log2_slope,
                                 remainder_certificate, rough_convolve,
                                 sewing_convergence)
-from .rough_driver import (RoughDriver, geometric_chen_defect_max,
+from .rough_driver import (RoughDriver, driver_chen_defect_max,
                            rough_metric, sample_fbm)
 from .solver import (PicardParams, ProblemSpec, check_gamma_prime,
                      check_problem, cocycle_defect, require_neumann,
@@ -281,7 +281,7 @@ def invariants_battery(scale: Scale, *, H: float = 0.45, n: int = 64,
     seeds = _some_seeds(seeds)
     checks = []
 
-    worst = max(geometric_chen_defect_max(sample_fbm(H, n, T, seed=s))
+    worst = max(driver_chen_defect_max(sample_fbm(H, n, T, seed=s))
                 for s in seeds)
     checks.append(Check("chen_geometric_defect", worst, 1e-10, worst <= 1e-10))
 

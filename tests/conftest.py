@@ -248,9 +248,10 @@ def brute_force_increment_sup(times, v, legs, norm_fn, exponent):
 def recompute_increment_sups(times, v, legs, weights, exponents):
     """increment_sups by the kernel's own direct recompute over every pair
     (test oracle): d = v_t - v_s, then d += p^l_s (X^l_t - X^l_s) leg by leg,
-    and (d d) w_j / lag^{2 e_j} on the same array of lags.  With one-hot rows
-    w_j the weighted sum has one nonzero term, so the result is bitwise the
-    kernel's whenever its screen keeps the pair that holds the sup."""
+    and (d d) w_j, one dot product per pair, over lag^{2 e_j} on the same
+    array of lags.  A pair's value depends on that pair alone, so the result
+    is bitwise the kernel's whenever its screen keeps the pair that holds
+    the sup."""
     m = len(times)
     W = np.asarray(weights, dtype=float)
     lags = np.arange(1, m) * ((times[-1] - times[0]) / (m - 1))
@@ -262,7 +263,8 @@ def recompute_increment_sups(times, v, legs, weights, exponents):
             d = v[t] - v[s]
             for p, X in legs:
                 d += p[s] * (X[t] - X[s])[:, None]
-            sups[j] = max(sups[j], np.max(((d * d) @ w) / dt[t - s - 1]))
+            direct = np.matmul((d * d)[:, None, :], w[:, None])[:, 0, 0]
+            sups[j] = max(sups[j], np.max(direct / dt[t - s - 1]))
     return np.sqrt(sups)
 
 

@@ -13,7 +13,7 @@ from scipy import integrate
 import roughbound as rb
 from roughbound import studies
 from roughbound.cli import run as cli_run
-from roughbound.rough_driver import geometric_chen_defect_max
+from roughbound.rough_driver import driver_chen_defect_max
 
 from conftest import (additive_bypass_error, interchange_error, neumann_profile,
                       zero_noise_error)
@@ -46,7 +46,7 @@ def test_criterion_01_chen_relation():
     worst = 0.0
     for H in (0.35, 0.45, 0.5):
         for seed in range(100):
-            d = geometric_chen_defect_max(rb.sample_fbm(H, 64, 1.0, seed=seed))
+            d = driver_chen_defect_max(rb.sample_fbm(H, 64, 1.0, seed=seed))
             worst = max(worst, d)
     _report(1, "chen_relation_geometric", worst <= 1e-10, worst, 1e-10)
 

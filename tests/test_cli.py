@@ -96,6 +96,8 @@ def test_exit_codes(tmp_path):
     conv = _write(tmp_path, "c.cfg", "study = convergence\nn = 64\n")
     assert run(["convergence", "--config", conv, "--out", str(out),
                 "--levels", "4..x"]) == 2
+    assert run(["sample", "--config", ok, "--out", str(out),
+                "--seed", "-3"]) == 2
 
 
 def _no_draw(*args, **kwargs):
@@ -155,6 +157,9 @@ _YOUNG = "bc = dirichlet\nH = 0.8\ngamma = 0.77\ndelta = 0.005"
     ("stability", f"{_YOUNG}\ndrift = linear"),
     ("cocycle", f"{_YOUNG}\nresolutions = 16,32"),   # Dirichlet, not Neumann
     ("stability", _YOUNG),
+    # an fBm path is gamma-Hoelder only for gamma < H
+    ("solve", "bc = dirichlet\nH = 0.45\ngamma = 0.77\ndelta = 0.005"),
+    ("solve", "H = 0.35\ngamma = 0.45"),
 ])
 def test_unusable_settings_exit_with_a_config_error(tmp_path, monkeypatch,
                                                     study, line):
@@ -191,7 +196,7 @@ def test_a_wide_level_range_exits_3_before_it_is_listed(tmp_path, monkeypatch,
     "eps0 = 0.1,nan", "y0_coeffs = inf", "resolutions = 64,x", "levels = 9..4",
     "levels = 4..x",
     "study = bogus", "bc = robin", "drift = bogus", "diffusion = bogus",
-    "y0 = nope",
+    "y0 = nope", "seed = -1", "gamma = 0.45",
 ])
 def test_malformed_values_are_rejected_at_load_naming_file_and_line(
         tmp_path, capsys, line):
@@ -243,10 +248,10 @@ def _problem(tmp_path, text):
 
 @pytest.mark.parametrize("text, kind, delta1, attr, value", [
     ("drift = linear\ndrift_c = -0.5\n", LinearDrift, 0.8, "c", -0.5),
-    ("drift = linear\ngamma = 0.45\n", LinearDrift, 0.9, "c", -1.0),
+    ("drift = linear\nH = 0.5\ngamma = 0.45\n", LinearDrift, 0.9, "c", -1.0),
     ("drift = smooth_bounded\ndrift_amp = 2.0\n", SmoothBoundedDrift, 0.8,
      "amp", 2.0),
-    ("drift = smooth_bounded\ngamma = 0.45\n", SmoothBoundedDrift, 0.9,
+    ("drift = smooth_bounded\nH = 0.5\ngamma = 0.45\n", SmoothBoundedDrift, 0.9,
      "amp", 1.0),
 ])
 def test_drift_selectors_build_their_maps(tmp_path, text, kind, delta1, attr,

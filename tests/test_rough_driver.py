@@ -14,7 +14,7 @@ from roughbound.cli import cmd_sample
 from roughbound.config import parse_config
 from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
                                      _schur_row_blocks, chen_defect_max,
-                                     geometric_chen_defect_max)
+                                     driver_chen_defect_max)
 
 from conftest import (brute_force_holder, brute_force_increment_sup,
                       brute_force_rough_metric, dense_increment_cholesky,
@@ -224,6 +224,11 @@ def test_sampling_guards():
     for n, T in ((64, np.inf), (64, np.nan), (64.0, 1.0), (True, 1.0)):
         with pytest.raises(ConfigError):
             sample_fbm(0.45, n, T)
+    # a seed is an integer >= 0, and the path is gamma-Hoelder only below H
+    for kwargs in ({"seed": -1}, {"seed": 1.0}, {"seed": True},
+                   {"gamma": 0.45}, {"gamma": 0.77}, {"gamma": np.nan}):
+        with pytest.raises(ConfigError):
+            sample_fbm(0.45, 64, 1.0, **kwargs)
 
 
 def test_driver_construction_guards():
@@ -277,7 +282,19 @@ def test_geometric_lift_linear_path():
 
 def test_geometric_chen_defect_is_roundoff():
     D = sample_fbm(0.45, 64, 1.0, seed=5)
-    assert geometric_chen_defect_max(D) <= 1e-12
+    assert driver_chen_defect_max(D) <= 1e-12
+
+
+def test_an_accepted_explicit_lift_passes_the_chen_scan():
+    # an Ito lift with a bump of CHEN_TOL / 4 on XX_{t_11, 0}: lift_explicit
+    # accepts it, and the driver's own XX, read through g, obeys Chen
+    D = sample_fbm(0.45, 24, 1.0, seed=2)
+    xx = (0.5 * (D.X[None, :] - D.X[:, None]) ** 2
+          - 0.5 * (D.times[None, :] - D.times[:, None]))
+    xx[0, 11] += CHEN_TOL / 4
+    ok = lift_explicit(D.times, D.X, xx, D.gamma)
+    assert ok.lift == "explicit"
+    assert driver_chen_defect_max(ok) <= CHEN_TOL
 
 
 def test_stratonovich_oracle_matches_geometric_lift():
@@ -577,11 +594,14 @@ def test_increment_sups_match_the_pairwise_oracle(neumann_scale, m, case, n_legs
         rel=1e-14, abs=0.0)
 
 
-def _recompute_case(case):
-    """(times, v, legs, one-hot weights, exponents): drift plus zigzag with no
+def _recompute_case(case, scale):
+    """(times, v, legs, weights, exponents): drift plus zigzag with no
     legs at m = 257, an fBm driver's lift v = (X, X^2/2 + g) with the leg
     (0, -X) over X at n = 1024, the call behind rho, or a `_increment_case`
-    at m grid points, named "case m".  "tie m" makes every pair's ratio
+    at m grid points, named "case m", all with one-hot weights.  "1e8 leg
+    seed m" draws c, a walk X from 0 and noise from default_rng(seed) and
+    sets v = 1e8 + X c + 1e-6 noise with the one leg -c over X, in the
+    weights of `scale` at -0.7 and -1.1.  "tie m" makes every pair's ratio
     equal.  "gram nan 130" puts |p_s| = 1e200 on rows 127 and 128, the
     second row block, over a driver constant there: that block's Gram
     values are inf - inf, while every increment is finite and the last one,
@@ -603,6 +623,15 @@ def _recompute_case(case):
         return D.times, v, ((p, D.X),), np.eye(2), (D.gamma, 2 * D.gamma)
     name, m = case.rsplit(" ", 1)
     m = int(m)
+    if name.startswith("1e8 leg"):
+        rng = np.random.default_rng(int(name.rsplit(" ", 1)[1]))
+        c = rng.standard_normal(16)
+        X = np.cumsum(rng.standard_normal(m))
+        X -= X[0]
+        v = 1e8 + np.outer(X, c) + 1e-6 * rng.standard_normal((m, 16))
+        W = np.stack([scale.sq_weights(a) for a in (-0.7, -1.1)])
+        return (np.linspace(0.0, 1.0, m), v, ((np.tile(-c, (m, 1)), X),), W,
+                (0.4, 0.8))
     if name == "tie":
         # v_t - v_s - c X_{t,s} = 50 (t - s) c: at exponent 1 every pair ties,
         # so rounding alone decides which pair holds the sup
@@ -625,11 +654,15 @@ def _recompute_case(case):
 
 @pytest.mark.parametrize("case", [
     "zigzag", "fbm lift", "gram nan 130", "gram nan early 65",
-    "gram nan early 130", "tie 65", "tie 130", "tie 257"] + [
+    "gram nan early 130", "tie 65", "tie 130", "tie 257", "1e8 leg 1 65",
+    "1e8 leg 11 33", "1e8 leg 21 33", "1e8 leg 28 33"] + [
     f"{name} {m}" for name in ("offset", "identical") for m in (2, 3, 130)])
-def test_increment_sups_equal_the_recompute_oracle(case):
-    # the sups are direct recomputes, so they equal the oracle's bitwise iff
-    # the screen keeps each norm's best pair.  Centred at row 0, the drift
+def test_increment_sups_equal_the_recompute_oracle(neumann_scale, case):
+    # the sups are direct recomputes, one dot product per pair, so they equal
+    # the oracle's bitwise iff the screen keeps each norm's best pair, with
+    # real weights too: the "1e8 leg" cases leave a sup pair whose value, as
+    # a row of one product over a batch of screened pairs, moved in its last
+    # bit with the other pairs of the batch.  Centred at row 0, the drift
     # leaves |u| far above the zigzag's increments with no leg to absorb the
     # Gram error, so the |u| terms of the per-row bound beta_s decide; the
     # driver lift puts large X^2/2 next to small XX_{t,s}.  The 1e8 offset
@@ -637,8 +670,8 @@ def test_increment_sups_equal_the_recompute_oracle(case):
     # m = 2, 3 leave one block of one or two rows.  The ties leave rounding
     # alone to pick the sup pair: they drop it once the rounding constant c
     # falls to about 1/4, against the derived worst case
-    # c = 2k + Kx + 4L + 17 (89 for them).  A non-finite block is recomputed.
-    times, v, legs, W, exponents = _recompute_case(case)
+    # c = 2k + Kx + 4L + 17 (89 for them).  A non-finite row is recomputed.
+    times, v, legs, W, exponents = _recompute_case(case, neumann_scale)
     with np.errstate(over="ignore", invalid="ignore"):
         sups = rough_driver.increment_sups(times, v, legs, W, exponents)
     assert np.all(np.isfinite(sups))
@@ -658,7 +691,7 @@ def test_lag_tables_are_cached_read_only():
 
 
 def test_increment_sups_recompute_only_the_screened_pairs(neumann_scale):
-    # each block is centred at its first row, so the 1e8 offset leaves the
+    # the kernel centres once at row 0, so the 1e8 offset leaves the
     # rounding bound tight and few pairs reach the direct recompute; the
     # traced peak stays near a few (rows, m) temporaries of 128 KiB, where
     # recomputing every pair of the 64-row blocks holds about 6.5 MiB
