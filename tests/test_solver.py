@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -267,27 +269,46 @@ def _count_distances(monkeypatch):
     return calls
 
 
+def _count_steps(monkeypatch):
+    """Record every Picard step the window engine runs, in either regime."""
+    steps = []
+    for name in ("_rough_window", "_young_window"):
+        def counted(*args, regime=getattr(solver, name)):
+            step, distance, start = regime(*args)
+
+            def counted_step(u):
+                steps.append(None)
+                return step(u)
+            return counted_step, distance, start
+        monkeypatch.setattr(solver, name, counted)
+    return steps
+
+
 def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
                                                lifted_y0, dirichlet_scale):
-    # both problems halve windows whose iteration stopped early on a rising
-    # distance; only the steps actually run may be reported.  Window ends and
-    # step counts are pinned, so any move of a halved window shows.
-    calls = _count_distances(monkeypatch)
+    # both problems halve a window whose iteration stopped early on a rising
+    # distance; only the steps actually run may be reported, and the distance
+    # schedule evaluates fewer distances than that.  Window ends and step
+    # counts are pinned, so any move of a halved window shows.
+    steps, calls = _count_steps(monkeypatch), _count_distances(monkeypatch)
     w0, w1 = default_trace_weights(neumann_scale, 5.0)
     F = SquashedTrace(w0, w1, 4.0, -neumann_scale.eta, 2.0, bias=(0.3, -0.2))
     D = sample_fbm(0.45, 512, 1.0, seed=0, gamma=0.40)
     res = solve_global(ProblemSpec(neumann_scale, D, F, lifted_y0))
-    assert res.window_ends == (0.125, 0.15234375, 0.2578125, 0.267578125, 1.0)
-    assert res.iterations == len(calls) == 216
+    assert res.window_ends == (0.25, 1.0)
+    assert res.iterations == len(steps) == 141
+    assert len(calls) == 27 < len(steps)
 
+    steps.clear()
     calls.clear()
     y0 = dirichlet_map(BoundaryVector(0.5, -0.5), dirichlet_scale).coeffs
     w0, w1 = default_trace_weights(dirichlet_scale, 0.8)
     F = SquashedTrace(w0, w1, 1.0, -dirichlet_scale.eta, 2.5, bias=(0.3, -0.2))
     D = sample_fbm(0.8, 2048, 1.0, seed=102, gamma=0.77)
     res = solve_young_dirichlet(ProblemSpec(dirichlet_scale, D, F, y0))
-    assert res.window_ends == (0.25, 0.4375, 1.0)
-    assert res.iterations == len(calls) == 66
+    assert res.window_ends == (0.5, 1.0)
+    assert res.iterations == len(steps) == 45
+    assert len(calls) == 18 < len(steps)
 
 
 class _NanAwayFromStart(ConstantBoundary):
@@ -364,6 +385,76 @@ def test_non_finite_distance_is_named_in_the_failure(neumann_scale, lifted_y0,
             solve(ProblemSpec(scale, driver, F, start,
                               picard=PicardParams(1e-9, 0, 1)))
         assert "non-finite" not in str(info.value)
+
+
+class _Iterate:
+    """Stub Picard iterate: the step that made it, NaN rows at `nan_at`."""
+
+    def __init__(self, k, nan_at=None):
+        self.k = k
+        self.y = np.full(2, np.nan if k == nan_at else 0.0)
+
+
+def _stub_loop(dist_at, tol=1e-9, max_iter=80, max_halvings=10, nan_at=None):
+    """(spec, regime, evaluated steps) of a stub problem whose distance after
+    step k is dist_at(k); the stub spec carries only the Picard settings."""
+    spec = SimpleNamespace(picard=PicardParams(tol, max_iter, max_halvings))
+    evaluated = []
+
+    def distance(a, b):
+        assert a.k == b.k + 1
+        evaluated.append(a.k)
+        return dist_at(a.k)
+
+    def regime(spec, window, y0):
+        return (lambda u: _Iterate(u.k + 1, nan_at)), distance, _Iterate(0)
+    return spec, regime, evaluated
+
+
+def test_distance_schedule_on_a_geometric_loop():
+    # d_k = 0.2^(k-1), tol 1e-9: after step 2 the gaps are min(m, the floor of
+    # 0.8 log(tol/d)/log q) = 2, 4, 4, 1, 1 steps, and 0.2^13 is the first
+    # evaluated distance below tol, the same step an every-step loop stops at
+    spec, regime, evaluated = _stub_loop(lambda k: 0.2 ** (k - 1))
+    u, m, q, dist = solver._iterate(spec, *regime(spec, None, None))
+    assert evaluated == [1, 2, 4, 8, 12, 13, 14]
+    assert u.k == m == 14
+    assert dist == 0.2 ** 13 < 1e-9
+    assert q == pytest.approx(0.2, rel=1e-12)
+
+
+def test_two_rising_evaluated_distances_halve():
+    # a rise across the gap 2 -> 4 counts as one rising distance, and the
+    # rising loop is then evaluated every step
+    dists = {1: 1.0, 2: 0.1, 4: 0.5, 5: 1.0}
+    spec, regime, evaluated = _stub_loop(dists.__getitem__)
+    u, m, q, dist = solver._iterate(spec, *regime(spec, None, None))
+    assert u is None and m == 5 and q == 2.0 and dist == 1.0
+    assert evaluated == [1, 2, 4, 5]
+
+
+def test_schedule_is_clamped_to_the_last_allowed_step():
+    # after step 4 the schedule asks for step 8; max_iter = 6 brings it to
+    # step 6, where the loop first reaches tol and is accepted
+    dists = {1: 1.0, 2: 0.1, 4: 0.01, 6: 5e-10}
+    spec, regime, evaluated = _stub_loop(dists.__getitem__, max_iter=6)
+    u, m, q, dist = solver._iterate(spec, *regime(spec, None, None))
+    assert u.k == m == 6 and dist == 5e-10
+    assert evaluated == [1, 2, 4, 6]
+
+
+def test_non_finite_iterate_at_a_skipped_step_fails_the_window():
+    # step 3's distance is skipped, and its NaN iterate still stops the loop,
+    # though step 4's iterate would be finite again
+    spec, regime, evaluated = _stub_loop(lambda k: 0.1 ** (k - 1), nan_at=3,
+                                         max_halvings=2)
+    u, m, q, dist = solver._iterate(spec, *regime(spec, None, None))
+    assert u is None and m == 3 and np.isnan(dist)
+    assert evaluated == [1, 2]
+    with pytest.raises(ContractionFailure,
+                       match=r"after 2 halvings \(a Picard iterate or "
+                             r"distance was non-finite"):
+        solver._halve(spec, _zero_driver(8, 1.0), 8, None, regime)
 
 
 def test_bounded_drift_selector(neumann_scale, lifted_y0):
