@@ -40,12 +40,12 @@ components.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, ScaleIndexError, is_integer
+from .errors import (ConfigError, GridMismatch, ScaleIndexError, check_positive,
+                     is_integer)
 from .rough_driver import (RoughDriver, check_grid, increment_sups,
                            restriction_indices)
 from .spectral_scale import Scale
@@ -164,25 +164,14 @@ def _difference_norm(P: ControlledPath, Q: ControlledPath | None,
     else:
         legs = [(-P.y_prime[s], D.X[s]), (Q.y_prime[s], E.X[s])]
     g, a, sp = P.gamma, P.alpha, P.space
-    w_prime, w_rem = _seminorm_weights(sp, a, g)
+    # squared seminorm weights: y' at alpha - 2g, R at alpha - g and alpha - 2g
+    w2 = sp.sq_weights(a - 2 * g)
+    w_rem = np.stack((sp.sq_weights(a - g), w2))
     times = P.times[s]
-    sem_prime = float(increment_sups(times, yp, (), w_prime, (exponent,))[0])
+    sem_prime = float(increment_sups(times, yp, (), w2[None, :], (exponent,))[0])
     sem_r1, sem_r2 = increment_sups(times, y, legs, w_rem, (exponent, 2 * exponent))
     return float(sup_norm(sp, y, a) + sup_norm(sp, yp, a - g)
                  + sem_prime + sem_r1 + sem_r2)
-
-
-@functools.lru_cache(maxsize=8)      # one entry per (space, alpha, gamma) in use
-def _seminorm_weights(space, alpha: float, gamma: float):
-    """Read-only squared weights of the seminorms of the five-term norm: the
-    derivative's row at alpha - 2 gamma, the remainder's at alpha - gamma and
-    alpha - 2 gamma."""
-    w_prime = space.sq_weights(alpha - 2 * gamma)[None, :]
-    w_rem = np.stack((space.sq_weights(alpha - gamma),
-                      space.sq_weights(alpha - 2 * gamma)))
-    for w in (w_prime, w_rem):
-        w.setflags(write=False)
-    return w_prime, w_rem
 
 
 # -- smooth maps into the boundary -------------------------------------------
@@ -237,8 +226,7 @@ class SquashedTrace(SmoothMap):
     """
 
     def __init__(self, w0, w1, amp, domain_alpha, delta2, bias=(0.0, 0.0)):
-        if amp <= 0:
-            raise ConfigError(f"squash amplitude must be positive, got {amp}")
+        check_positive("squash amplitude", amp)
         self.w = np.stack([np.asarray(w0, dtype=float),
                            np.asarray(w1, dtype=float)], axis=1)
         self.amp = float(amp)

@@ -2,7 +2,8 @@
 
 Each class carries the distinct nonzero CLI exit code of its failure mode as
 `exit_code`; a subclass's own code overrides its parents'.  `is_integer`
-is the count check behind the ConfigError and GridMismatch of every module.
+is the count check behind the ConfigError and GridMismatch of every module,
+and `check_positive` the magnitude check behind their ConfigErrors.
 """
 
 import numbers
@@ -11,6 +12,12 @@ import numbers
 def is_integer(x) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_positive(name: str, x) -> None:
+    """ConfigError unless 0 < x < inf, so NaN and inf fail too."""
+    if not 0 < x < float("inf"):
+        raise ConfigError(f"{name} must be finite and positive, got {x}")
 
 
 class RoughboundError(Exception):

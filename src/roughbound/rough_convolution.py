@@ -203,12 +203,14 @@ def log2_slope(x, y) -> float:
 def _dyadic_levels(levels, t_idx: int) -> np.ndarray:
     """The sorted levels of a sewing slope over the first t_idx grid steps.
 
-    ConfigError unless there are at least two levels and the lowest is
-    non-negative; GridMismatch unless 2^(highest + 1) divides t_idx, so that
-    every partition the defects compare, the finest included, is on the grid.
-    A range is checked from its length and ends before it is listed.
+    ConfigError unless there are at least two integer levels and the lowest
+    is non-negative; GridMismatch unless 2^(highest + 1) divides t_idx, so
+    that every partition the defects compare, the finest included, is on the
+    grid.  A range is checked from its length and ends before it is listed.
     """
     seq = levels if isinstance(levels, range) else sorted(levels)
+    if not (isinstance(seq, range) or all(map(is_integer, seq))):
+        raise ConfigError(f"dyadic levels must be integers, got {seq!r}")
     if len(seq) < 2:
         raise ConfigError(f"a sewing slope needs at least two levels, got {len(seq)}")
     lowest, highest = sorted((int(seq[0]), int(seq[-1])))
@@ -239,6 +241,8 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     the norm index is alpha - gamma + beta.
     """
     scale = _require_interior(P)
+    if not np.isfinite(beta):
+        raise ConfigError(f"the sewing index shift beta must be finite, got {beta}")
     t_idx = D.index_of(t)
     lv = _dyadic_levels(levels, t_idx)
     idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ChenViolation, ConfigError, CovarianceNotPD, GridMismatch,
-                     is_integer)
+                     check_positive, is_integer)
 
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
@@ -87,9 +87,7 @@ class RoughDriver:
             raise ConfigError("driver path X must be finite")
         if x[0] != 0.0:
             raise ConfigError("rough paths are anchored at X_0 = 0")
-        if not 0 < self.gamma < np.inf:
-            raise ConfigError(
-                f"Hoelder exponent must be finite and positive, got {self.gamma}")
+        check_positive("Hoelder exponent gamma", self.gamma)
         g = np.zeros(t.size) if self.g is None else np.asarray(self.g, dtype=float)
         if g.shape != t.shape or not np.all(np.isfinite(g)) or g[0] != 0.0:
             raise ConfigError("bracket path g needs n+1 finite points with g_0 = 0")
@@ -295,9 +293,8 @@ def _fgn_increments(H: float, n: int, T: float, z) -> np.ndarray:
     The blocks come from the cache if it holds this key; otherwise they
     stream from the Schur recursion, and if the previous draw had this key
     too and the blocks fit _CACHE_BYTES, copies of them replace the cached
-    blocks.  The draw reads the local
-    blocks, so a concurrent clear of the cache cannot lose it, and the same
-    blocks meet the same products either way, so the draw is bitwise equal.
+    blocks.  The draw reads its local blocks, and the same blocks meet the
+    same products either way, so the draw is bitwise equal.
     """
     global _previous_key
     key = round(H, 12), n, round(T, 12)
@@ -328,8 +325,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
         raise ConfigError(f"Hurst parameter must lie in (0,1), got {H}")
     if not is_integer(n) or n < 2:
         raise ConfigError(f"need a whole number of at least 2 grid steps, got n={n}")
-    if not 0 < T < np.inf:
-        raise ConfigError(f"horizon must be finite and positive, got T={T}")
+    check_positive("horizon T", T)
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     if gamma is None:

@@ -40,7 +40,8 @@ from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,
                               constant_path, crp_distance, diffusion_rows,
                               lift_extrapolate, path_seminorm, sup_norm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
-                     DirichletRegularityError, GridMismatch, is_integer)
+                     DirichletRegularityError, GridMismatch, check_positive,
+                     is_integer)
 from .rough_convolution import mode_filter, rough_convolve, young_convolve
 from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
@@ -78,8 +79,7 @@ class SmoothBoundedDrift(DriftMap):
     """Per-mode saturating drift f(y)_k = amp tanh(c_k / amp); 1-Lipschitz."""
 
     def __init__(self, amp: float, delta1: float):
-        if amp <= 0:
-            raise ConfigError(f"drift amplitude must be positive, got {amp}")
+        check_positive("drift amplitude", amp)
         self.amp = float(amp)
         self.delta1 = float(delta1)
 
@@ -96,9 +96,7 @@ class PicardParams:
     max_halvings: int = 10
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(
-                f"Picard tol must be finite and positive, got {self.tol}")
+        check_positive("Picard tol", self.tol)
         counts = (self.max_iter, self.max_halvings)
         if not all(is_integer(c) and c >= 0 for c in counts):
             raise ConfigError("max_iter and max_halvings must be non-negative "

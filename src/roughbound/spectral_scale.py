@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DirichletRegularityError, SingularLift,
-                     is_integer)
+                     check_positive, is_integer)
 
 YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
 _SINGULAR_TOL = 1e-300
@@ -186,9 +186,7 @@ def _check_same_scale(u, v):
 
 def _validate(cfg: ScaleConfig) -> tuple:
     """Reject an unusable scale; return its (eps, kappa)."""
-    if not 0 < cfg.a < np.inf:
-        raise ConfigError(
-            f"diffusion coefficient must be finite and positive, got a={cfg.a}")
+    check_positive("diffusion coefficient a", cfg.a)
     if not -np.inf < cfg.b < 0:
         raise ConfigError(
             f"zeroth-order coefficient must be finite and negative, got b={cfg.b}")
@@ -198,8 +196,7 @@ def _validate(cfg: ScaleConfig) -> tuple:
     if not (is_integer(cfg.K) and cfg.K >= 1):
         raise ConfigError(
             f"need a whole number of at least one mode, got K={cfg.K!r}")
-    if not 0 < cfg.delta < np.inf:
-        raise ConfigError(f"delta must be finite and positive, got {cfg.delta}")
+    check_positive("delta", cfg.delta)
     if cfg.bc == NEUMANN:
         if not (1.0 / 3.0 < cfg.gamma <= 0.5):
             raise ConfigError(
@@ -308,8 +305,8 @@ def smoothing_constants(scale: Scale, sigma: float, t_grid) -> SmoothingReport:
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0,1], got {sigma}")
     t = np.asarray(t_grid, dtype=float)[:, None]
-    if np.any(t <= 0):
-        raise ValueError("t_grid must contain positive times only")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("t_grid must contain finite positive times only")
     x = scale.mu[None, :] * t
     smoothing = float(np.max(x ** sigma * np.exp(-x)))
     continuity = float(np.max(-np.expm1(-x) / x ** sigma))

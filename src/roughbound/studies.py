@@ -102,6 +102,7 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
     """
     seeds = _some_seeds(seeds)
     levels = _dyadic_levels(levels, n)     # before the first draw
+    check_problem(scale, F, y0, None, PicardParams())
 
     def one(seed):
         D = sample_fbm(H, n, T, seed=seed, gamma=gamma)
@@ -135,6 +136,7 @@ def remainder_refinement_study(scale: Scale, F: SmoothMap, y0, *, H: float,
 
     The pair grid takes every (n // 32)-th coarse point (every point if n < 32).
     """
+    check_problem(scale, F, y0, None, PicardParams())
     D_fine = sample_fbm(H, 2 * n, T, seed=seed, gamma=gamma)
     D_coarse = D_fine.restricted(2)
     reports = []
@@ -144,7 +146,7 @@ def remainder_refinement_study(scale: Scale, F: SmoothMap, y0, *, H: float,
         stride = max(1, stride_base // 32)
         reports.append(remainder_certificate(P, D, Z, stride=stride))
     coarse, fine = reports
-    ratios = tuple(c / f if f > 0 else 1.0
+    ratios = tuple(1.0 if f == 0 else c / f
                    for c, f in zip(coarse.sup_ratios, fine.sup_ratios))
     return RemainderStudy(coarse.betas, coarse.sup_ratios, fine.sup_ratios, ratios)
 

@@ -304,6 +304,12 @@ UNUSABLE_INPUTS = {
     "SquashedTrace with amp < 0": (
         ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), -1.0,
                                                  sc.eps - 1.0, 2.0)),
+    "SquashedTrace with amp nan": (
+        ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), np.nan,
+                                                 sc.eps - 1.0, 2.0)),
+    "SquashedTrace with amp inf": (
+        ConfigError, lambda sc, D: SquashedTrace(*default_trace_weights(sc), np.inf,
+                                                 sc.eps - 1.0, 2.0)),
     # a remainder stride must select at least two of the 65 grid points
     "remainder_certificate at stride 0": (
         ConfigError, lambda sc, D: _remainder_at_stride(sc, D, 0)),
@@ -337,11 +343,22 @@ for _stride in (2.0, 2.5, True):
     UNUSABLE_INPUTS[f"crp_distance at stride {_stride!r}"] = (
         ConfigError, lambda sc, D, s=_stride: crp_distance(
             _interior_path(sc, D), _interior_path(sc, D), D, s))
+# a level is an integer too; levels 3 and 4 fit the 64 steps of the grid
+for _levels in ([3.5, 4.5], (3, 4.9), [True, 3]):
+    UNUSABLE_INPUTS[f"sewing_convergence at levels {_levels!r}"] = (
+        ConfigError, lambda sc, D, lv=_levels: _sewing_at(sc, D, lv))
+for _beta in (np.nan, np.inf):
+    UNUSABLE_INPUTS[f"sewing_convergence at beta {_beta!r}"] = (
+        ConfigError, lambda sc, D, b=_beta: _sewing_at(sc, D, (3, 4), b))
 
 
 def _remainder_at_stride(scale, D, stride):
     P = _interior_path(scale, D)
     return remainder_certificate(P, D, young_convolve(P, D), stride=stride)
+
+
+def _sewing_at(scale, D, levels, beta=0.0):
+    return sewing_convergence(_interior_path(scale, D), D, 1.0, levels, beta=beta)
 
 
 @pytest.mark.parametrize("entry", sorted(UNUSABLE_INPUTS))
@@ -351,6 +368,42 @@ def test_convolution_entries_reject_unusable_inputs(entry, neumann_scale):
     D = lift_geometric(t, np.sin(3.0 * t), 0.77)
     with pytest.raises(error):
         call(neumann_scale, D)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the setting should be rejected before any draw")
+
+
+def _sewing(scale, F, y0, levels=range(3, 6)):
+    return studies.sewing_study(scale, F, y0, H=0.45, n=256, T=1.0, gamma=0.40,
+                                seeds=range(2), levels=levels)
+
+
+def _remainder(scale, F, y0):
+    return studies.remainder_refinement_study(scale, F, y0, H=0.45, n=256,
+                                              T=1.0, gamma=0.40, seed=5)
+
+
+@pytest.mark.parametrize("study", [_sewing, _remainder])
+@pytest.mark.parametrize("bad", ["map", "y0"])
+def test_studies_reject_a_non_finite_problem_before_any_draw(
+        monkeypatch, neumann_scale, study, bad):
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    F, y0 = _squashed(neumann_scale), np.zeros(16)
+    if bad == "map":
+        F = ConstantBoundary(np.nan, 0.0, neumann_scale.eps - 1.0, 2.0)
+    else:
+        y0[3] = np.nan
+    with pytest.raises(ConfigError):
+        study(neumann_scale, F, y0)
+
+
+def test_sewing_study_rejects_fractional_levels_before_any_draw(
+        monkeypatch, neumann_scale):
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    with pytest.raises(ConfigError):
+        _sewing(neumann_scale, _squashed(neumann_scale), np.zeros(16),
+                levels=[3.5, 5.5])
 
 
 def test_numpy_integer_strides_are_accepted(neumann_scale):

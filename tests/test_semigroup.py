@@ -92,7 +92,7 @@ def test_drift_kernel_closed_form_and_quadrature(neumann_scale):
 
 @pytest.mark.parametrize("sigma, t_grid", [
     (-0.1, [0.5]), (1.1, [0.5]), (np.nan, [0.5]), (0.5, [0.5, 0.0]),
-    (0.5, [-0.1, 0.5])])
+    (0.5, [-0.1, 0.5]), (0.5, [np.nan, 0.1]), (0.5, [np.inf])])
 def test_smoothing_constants_reject_sigma_outside_0_1_and_times_not_positive(
         neumann_scale, sigma, t_grid):
     with pytest.raises(ValueError):

@@ -467,7 +467,7 @@ def test_bounded_drift_selector(neumann_scale, lifted_y0):
     res = solve_global(ProblemSpec(neumann_scale, D, _zero_diffusion(neumann_scale),
                                    lifted_y0, drift=d))
     assert np.isfinite(res.path.y).all()
-    for amp in (0.0, -1.0):
+    for amp in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ConfigError):
             SmoothBoundedDrift(amp, 0.85)
 
