@@ -3,7 +3,8 @@
 Each class carries the distinct nonzero CLI exit code of its failure mode as
 `exit_code`; a subclass's own code overrides its parents'.  `is_integer`
 is the count check behind the ConfigError and GridMismatch of every module,
-and `check_positive` the magnitude check behind their ConfigErrors.
+`check_positive` the magnitude check behind their ConfigErrors, and
+`check_seed` the driver-seed check of the sampler and the multi-seed studies.
 """
 
 import numbers
@@ -18,6 +19,12 @@ def check_positive(name: str, x) -> None:
     """ConfigError unless 0 < x < inf, so NaN and inf fail too."""
     if not 0 < x < float("inf"):
         raise ConfigError(f"{name} must be finite and positive, got {x}")
+
+
+def check_seed(seed) -> None:
+    """ConfigError unless the driver seed is an integer >= 0 (not a bool)."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 class RoughboundError(Exception):

@@ -56,14 +56,16 @@ def mode_filter(damp, xi):
     """z_0 = 0, z_{i+1} = damp_k z_i + xi_i for every mode k; (n+1, K).
 
     The rough and Young convolutions pass the damped germ e^{-mu h} xi, the
-    drift convolution in the solver its exponential-trapezoid input.  The n
-    steps run as a blocked scan with a = damp.  Inside a block of B steps,
-    z_i = a^i cumsum_j(a^{-j} xi_j) from a zero start; the block ends are
-    carried across blocks by a doubling scan (log2 of the block count steps,
-    factor a^B per block), and the carry c into a block enters its first
-    step as a c, so that step i adds a^{i+1} c.  One lower-triangular matmul
-    per block does the cumsum, written in place in an output of nb B + 1
-    rows whose first n + 1 are returned.  B is _BLOCK, halved only until
+    drift convolution in the solver its exponential-trapezoid input, and a
+    rough Picard step with a drift the sum of the two, so that one scan gives
+    both convolutions of the step.  The n steps run as a blocked scan with
+    a = damp.  Inside a block of B steps, z_i = a^i cumsum_j(a^{-j} xi_j)
+    from a zero start; the block ends are carried across blocks by a
+    doubling scan (log2 of the block count steps, factor a^B per block), and
+    the carry c into a block enters its first step as a c, so that step i
+    adds a^{i+1} c.  One lower-triangular matmul per block does the cumsum,
+    written in place in an output of nb B + 1 rows whose first n + 1 are
+    returned.  B is _BLOCK, halved only until
     a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that underflows to zero
     runs with B = 1, which forms no negative power.
     These constants depend on damp alone, so the last _FILTER_CACHE damping
@@ -125,11 +127,11 @@ def _germ(P: ControlledPath, D: RoughDriver, u, v, k: int):
     return xi
 
 
-def _convolve(P: ControlledPath, D: RoughDriver, k: int):
-    """The compensated sum z on the fine grid with the order-k germ.
+def _damped_germ(P: ControlledPath, D: RoughDriver, k: int):
+    """(e^{-mu h}, e^{-mu h} xi) of the order-k germ xi of every grid step.
 
-    The germ of each grid step comes from the driver's cached adjacent
-    increments and is damped in place.
+    The germ comes from the driver's cached adjacent increments and is
+    damped in place; the array is the caller's to add to.
     """
     scale = _require_interior(P)
     check_grid(P, D)
@@ -139,7 +141,12 @@ def _convolve(P: ControlledPath, D: RoughDriver, k: int):
         xi += P.y_prime[:-1] * dXX[:, None]
     damp = scale.semigroup(D.step)
     xi *= damp
-    return mode_filter(damp, xi)
+    return damp, xi
+
+
+def _convolve(P: ControlledPath, D: RoughDriver, k: int):
+    """The compensated sum z on the fine grid with the order-k germ."""
+    return mode_filter(*_damped_germ(P, D, k))
 
 
 def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:
@@ -232,6 +239,12 @@ class SewingReport:
     slope: float          # fitted decay exponent: defect ~ 2^{-slope * level}
 
 
+def _check_beta(beta) -> None:
+    """ConfigError unless the sewing index shift beta is finite."""
+    if not np.isfinite(beta):
+        raise ConfigError(f"the sewing index shift beta must be finite, got {beta}")
+
+
 def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
                        beta: float = 0.0) -> SewingReport:
     """Dyadic level defects |I^{P^n} - I^{P^{n+1}}| at index alpha - 2 gamma + beta.
@@ -241,8 +254,7 @@ def sewing_convergence(P: ControlledPath, D: RoughDriver, t: float, levels,
     the norm index is alpha - gamma + beta.
     """
     scale = _require_interior(P)
-    if not np.isfinite(beta):
-        raise ConfigError(f"the sewing index shift beta must be finite, got {beta}")
+    _check_beta(beta)
     t_idx = D.index_of(t)
     lv = _dyadic_levels(levels, t_idx)
     idx = P.alpha - _germ_order(P.gamma) * P.gamma + beta

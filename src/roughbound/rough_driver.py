@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ChenViolation, ConfigError, CovarianceNotPD, GridMismatch,
-                     check_positive, is_integer)
+                     check_positive, check_seed, is_integer)
 
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
@@ -326,8 +326,7 @@ def sample_fbm(H: float, n: int, T: float = 1.0, seed: int = 0,
     if not is_integer(n) or n < 2:
         raise ConfigError(f"need a whole number of at least 2 grid steps, got n={n}")
     check_positive("horizon T", T)
-    if not (is_integer(seed) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_seed(seed)
     if gamma is None:
         gamma = H - DEFAULT_GAMMA_SLACK
     elif not gamma < H:

@@ -42,7 +42,8 @@ from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch, check_positive,
                      is_integer)
-from .rough_convolution import mode_filter, rough_convolve, young_convolve
+from .rough_convolution import (_damped_germ, mode_filter, rough_convolve,
+                                young_convolve)
 from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
@@ -188,18 +189,31 @@ class GlobalSolveResult:
 
 # -- shared pieces ---------------------------------------------------------------
 
-def drift_convolve(scale: Scale, times, f_rows):
+def drift_convolve(scale: Scale, times, f_rows, germ=None):
     """int_0^{t_i} S_{t_i - r} f_r dr with f piecewise linear between nodes.
 
     The mode factor e^{-mu (t-r)} is integrated in closed form against the
     linear interpolant (the exact exponential-trapezoid weights of the left
-    and right nodal values), so the rule is exact for constant f.
+    and right nodal values), so the rule is exact for constant f.  A germ,
+    the (n, K) damped rough germ e^{-mu h} xi of the same grid, has the
+    trapezoid input w_l f_i + w_r f_{i+1} added to it in place, and the one
+    scan of the sum returns the rough and the drift convolution together.
+    GridMismatch unless f_rows has a row per time and the germ a row per
+    step, each with a column per mode.
     """
     times = np.asarray(times, dtype=float)
     f_rows = np.asarray(f_rows, dtype=float)
-    h = (times[-1] - times[0]) / (times.size - 1)
-    damp, w_left, w_right = _trapezoid_weights(scale, h)
-    xi = w_left * f_rows[:-1]
+    n = times.size - 1
+    if f_rows.shape != (n + 1, scale.K) or (
+            germ is not None and germ.shape != (n, scale.K)):
+        raise GridMismatch(f"drift rows {f_rows.shape} or germ are not on the "
+                           f"{n}-step grid of {scale.K} modes")
+    damp, w_left, w_right = _trapezoid_weights(scale, (times[-1] - times[0]) / n)
+    if germ is None:
+        xi = w_left * f_rows[:-1]
+    else:
+        xi = germ
+        xi += w_left * f_rows[:-1]
     xi += w_right * f_rows[1:]
     return mode_filter(damp, xi)
 
@@ -230,9 +244,12 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
 
     def step(u):  # one application of Phi; the derivative component is G(u)
         lifted = lift_extrapolate(spec.diffusion, u, scale)
-        rows = base + rough_convolve(lifted, D).y
-        if spec.drift is not None:
-            rows += drift_convolve(scale, D.times, spec.drift.value(u.y))
+        if spec.drift is None:
+            rows = base + rough_convolve(lifted, D).y
+        else:  # one scan of the rough germ plus the drift's trapezoid input
+            rows = drift_convolve(scale, D.times, spec.drift.value(u.y),
+                                  germ=_damped_germ(lifted, D, 2)[1])
+            rows += base
         return ControlledPath(D.times, rows, lifted.y, alpha, g, scale)
 
     # the paper's anchor (S y0 + int S G(y0) dX, G(y0))

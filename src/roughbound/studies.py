@@ -3,8 +3,9 @@
 Each study is a pure function of explicit parameters returning a small report
 object; the reports behind the CLI state their own pass/fail verdicts as
 `Check`s.  The CLI renders reports to CSV and prints the checks, and the
-acceptance tests assert on the same numbers.  Multi-seed studies run their
-seeds one after another, in the order given.
+acceptance tests assert on the same numbers.  Multi-seed studies check every
+seed before the first draw, then run their seeds one after another, in the
+order given.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import numpy as np
 
 from .controlled_path import (ControlledPath, SmoothMap, diffusion_rows,
                               lift_extrapolate)
-from .errors import ConfigError
-from .rough_convolution import (_dyadic_levels, _germ_order, log2_slope,
-                                remainder_certificate, rough_convolve,
-                                sewing_convergence)
+from .errors import ConfigError, check_seed
+from .rough_convolution import (_check_beta, _dyadic_levels, _germ_order,
+                                log2_slope, remainder_certificate,
+                                rough_convolve, sewing_convergence)
 from .rough_driver import (RoughDriver, driver_chen_defect_max,
                            rough_metric, sample_fbm)
 from .solver import (PicardParams, ProblemSpec, check_gamma_prime,
@@ -46,10 +47,17 @@ def canonical_integrand(scale: Scale, F: SmoothMap, y0, D: RoughDriver) -> Contr
 
 
 def _some_seeds(seeds) -> tuple:
-    """The seeds as a tuple; ConfigError if there are none."""
-    seeds = tuple(seeds)
+    """The seeds as a tuple; ConfigError unless there is at least one and
+    each is a seed that `sample_fbm` takes."""
+    try:
+        seeds = tuple(seeds)
+    except TypeError:
+        raise ConfigError(
+            f"seeds must be an iterable of seeds, got {seeds!r}") from None
     if not seeds:
         raise ConfigError("a multi-seed study needs at least one seed")
+    for seed in seeds:
+        check_seed(seed)
     return seeds
 
 
@@ -102,6 +110,7 @@ def sewing_study(scale: Scale, F: SmoothMap, y0, *, H: float, n: int, T: float,
     """
     seeds = _some_seeds(seeds)
     levels = _dyadic_levels(levels, n)     # before the first draw
+    _check_beta(beta)
     check_problem(scale, F, y0, None, PicardParams())
 
     def one(seed):

@@ -374,9 +374,10 @@ def _no_draw(*args, **kwargs):
     raise AssertionError("the setting should be rejected before any draw")
 
 
-def _sewing(scale, F, y0, levels=range(3, 6)):
+def _sewing(scale, F, y0, levels=range(3, 6), **kw):
+    kw.setdefault("seeds", range(2))
     return studies.sewing_study(scale, F, y0, H=0.45, n=256, T=1.0, gamma=0.40,
-                                seeds=range(2), levels=levels)
+                                levels=levels, **kw)
 
 
 def _remainder(scale, F, y0):
@@ -404,6 +405,30 @@ def test_sewing_study_rejects_fractional_levels_before_any_draw(
     with pytest.raises(ConfigError):
         _sewing(neumann_scale, _squashed(neumann_scale), np.zeros(16),
                 levels=[3.5, 5.5])
+
+
+@pytest.mark.parametrize("kw", [
+    dict(beta=np.nan), dict(beta=np.inf), dict(seeds=[1, -1]),
+    dict(seeds=[1, 2.5]), dict(seeds=[1, True]), dict(seeds=3)],
+    ids=["beta_nan", "beta_inf", "seed_negative", "seed_fraction", "seed_bool",
+         "seeds_not_iterable"])
+def test_sewing_study_rejects_beta_and_seeds_before_any_draw(
+        monkeypatch, neumann_scale, kw):
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    with pytest.raises(ConfigError):
+        _sewing(neumann_scale, _squashed(neumann_scale), np.zeros(16), **kw)
+
+
+def test_multi_seed_studies_check_every_seed_before_any_draw(monkeypatch,
+                                                             neumann_scale):
+    monkeypatch.setattr("roughbound.studies.sample_fbm", _no_draw)
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        studies.invariants_battery(neumann_scale, seeds=[0, 1, -2])
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        studies.cocycle_study(neumann_scale, _squashed(neumann_scale),
+                              np.zeros(16), H=0.45, master_n=256, T=1.0,
+                              gamma=0.40, seeds=[0, 1.0], resolutions=(64, 128),
+                              t=0.5, tau=0.25)
 
 
 def test_numpy_integer_strides_are_accepted(neumann_scale):

@@ -16,8 +16,8 @@ from roughbound import (AprioriBoundViolation, BoundaryVector, ConfigError,
                         stability_distance, young_convolve)
 from roughbound.controlled_path import (constant_path, crp_distance,
                                         diffusion_rows, lift_extrapolate)
-from roughbound.rough_convolution import rough_convolve
-from roughbound import solver
+from roughbound.rough_convolution import mode_filter, rough_convolve
+from roughbound import rough_convolution, solver
 from roughbound.solver import _rough_window, drift_convolve
 
 from conftest import (additive_direct, brute_force_stability_distance,
@@ -78,6 +78,54 @@ def test_drift_second_order_refinement(neumann_scale):
         errs.append(np.max(np.abs(out[-1] - ref[-1])))
     assert 3.4 <= errs[0] / errs[1] <= 4.8
     assert 3.4 <= errs[1] / errs[2] <= 4.8
+
+
+def _trapezoid_input(scale, h, f_rows):
+    """e^{-mu h} and the closed-form w_l f_i + w_r f_{i+1} of every step."""
+    x = scale.mu * h
+    damp = scale.semigroup(h)
+    w_right = h * (x + np.expm1(-x)) / x ** 2
+    w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
+    return damp, w_left * f_rows[:-1] + w_right * f_rows[1:]
+
+
+def test_drift_convolve_scans_a_germ_with_its_input(neumann_scale):
+    t = np.linspace(0.0, 1.0, 513)
+    f = np.outer(np.sin(3 * t), np.linspace(1.0, -1.0, 16))
+    damp, xi = _trapezoid_input(neumann_scale, t[1], f)
+    plain = drift_convolve(neumann_scale, t, f)
+    assert np.array_equal(plain, mode_filter(damp, xi))
+    germ = np.random.default_rng(0).standard_normal((512, 16))
+    fused = drift_convolve(neumann_scale, t, f, germ=germ.copy())
+    ref = mode_filter(damp, germ) + plain
+    assert np.max(np.abs(fused - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for rows, g in ((f, germ[1:]), (f[1:], None), (f[:, :8], None)):
+        with pytest.raises(GridMismatch):
+            drift_convolve(neumann_scale, t, rows, germ=g)
+
+
+@pytest.mark.parametrize("drift", [LinearDrift(-0.5, 0.85),
+                                   SmoothBoundedDrift(1.0, 0.85)],
+                         ids=["linear", "smooth_bounded"])
+def test_the_fused_drift_step_is_the_unfused_picard_map(neumann_scale, lifted_y0,
+                                                        drift):
+    # every accepted window is a fixed point of S y(a) + int S G(u) dX +
+    # int S f(u) dr, each convolution formed on its own
+    F = _squashed(neumann_scale, gain=5.0, amp=4.0)
+    D = sample_fbm(0.45, 512, 1.0, seed=1, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, F, lifted_y0, drift=drift)
+    res = solve_global(spec)
+    p = res.path
+    ends = [0] + [D.index_of(t) for t in res.window_ends]
+    for a, b in zip(ends[:-1], ends[1:]):
+        Dw = shift(D, D.times[a]).restricted(1, stop=b - a)
+        u = ControlledPath(Dw.times, p.y[a:b + 1], p.y_prime[a:b + 1], p.alpha,
+                           p.gamma, p.space)
+        image = (neumann_scale.semigroup(Dw.times) * u.y[0]
+                 + rough_convolve(lift_extrapolate(F, u, neumann_scale), Dw).y
+                 + drift_convolve(neumann_scale, Dw.times, drift.value(u.y)))
+        resid = np.max(neumann_scale.norm(image - u.y, spec.solution_alpha))
+        assert resid <= spec.picard.tol, (a, resid)
 
 
 # -- problem validation ----------------------------------------------------------
@@ -309,6 +357,33 @@ def test_iterations_count_the_picard_steps_run(monkeypatch, neumann_scale,
     assert res.window_ends == (0.5, 1.0)
     assert res.iterations == len(steps) == 45
     assert len(calls) == 18 < len(steps)
+
+
+@pytest.mark.parametrize("drift", [None, LinearDrift(-0.5, 0.85)],
+                         ids=["no_drift", "linear"])
+def test_a_rough_picard_step_runs_one_scan(monkeypatch, neumann_scale, lifted_y0,
+                                           drift):
+    # one mode_filter scan per step (the germ and the drift input share it)
+    # and one per window attempt for the anchor, over halvings and windows
+    scans, attempts = [], []
+    for module in (solver, rough_convolution):
+        def counted(*args, fn=module.mode_filter):
+            scans.append(None)
+            return fn(*args)
+        monkeypatch.setattr(module, "mode_filter", counted)
+    steps = _count_steps(monkeypatch)
+
+    def attempt(*args, regime=solver._rough_window):
+        attempts.append(None)
+        return regime(*args)
+    monkeypatch.setattr(solver, "_rough_window", attempt)
+    D = sample_fbm(0.45, 512, 1.0, seed=0, gamma=0.40)
+    res = solve_global(ProblemSpec(neumann_scale, D,
+                                   _squashed(neumann_scale, gain=5.0, amp=4.0),
+                                   lifted_y0, drift=drift))
+    assert len(attempts) > len(res.window_ends) >= 2
+    assert res.iterations == len(steps)
+    assert len(scans) == len(steps) + len(attempts)
 
 
 class _NanAwayFromStart(ConstantBoundary):
