@@ -29,13 +29,13 @@ two-point boundary (Euclidean norm); the same machinery serves both.
 
 Smooth maps into the boundary come in three closed built-ins: a linear trace
 against fixed smooth weights, its tanh-squashed version (bounded derivatives,
-the first supplied analytically), and a constant.  ``lift_extrapolate``
-is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with G = A_{-sigma} N F:
-one ``value_and_dvalue`` call of the map (the squashed trace evaluates its
-tanh once for both) and one product each with the scale's (2, K)
-``generator_lift``, so G(y) is ``diffusion_rows``; the sigma-extrapolation
-and the eta-extrapolation agree on lifted data, so one matrix serves both
-components.
+the first supplied analytically), and a constant.  ``lift_extrapolate``, which
+the studies use, is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with
+G = A_{-sigma} N F: one ``value_and_dvalue`` call (the squashed trace takes one
+tanh for both) and one product each with the scale's (2, K) ``generator_lift``,
+so G(y) is ``diffusion_rows``; on lifted data the sigma- and eta-extrapolations
+agree, so one matrix serves both.  The rough Picard step lifts only its germ,
+formed in the two boundary coordinates (``solver._rough_window``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, GridMismatch, ScaleIndexError, check_positive,
-                     is_integer)
+                     is_integer, read_only_view)
 from .rough_driver import (RoughDriver, check_grid, increment_sups,
                            restriction_indices)
 from .spectral_scale import Scale
@@ -55,7 +55,12 @@ _INDEX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ControlledPath:
-    """Grid-sampled controlled rough path (y, y') at scale index alpha."""
+    """Grid-sampled controlled rough path (y, y') at scale index alpha.
+
+    The arrays are stored as read-only float views, which share memory with
+    the caller's float64 arrays: the caller's stay writeable, and a write to
+    them shows in the path.
+    """
 
     times: np.ndarray
     y: np.ndarray
@@ -65,12 +70,10 @@ class ControlledPath:
     space: object = field(repr=False)
 
     def __post_init__(self):
-        t, y, yp = (np.asarray(a, dtype=float)
-                    for a in (self.times, self.y, self.y_prime))
+        t, y, yp = map(read_only_view, (self.times, self.y, self.y_prime))
         if y.ndim != 2 or y.shape != yp.shape or y.shape[0] != t.size:
             raise ConfigError("controlled path arrays must share shape (n+1, dim)")
         for name, a in (("times", t), ("y", y), ("y_prime", yp)):
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property

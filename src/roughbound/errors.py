@@ -5,9 +5,12 @@ Each class carries the distinct nonzero CLI exit code of its failure mode as
 is the count check behind the ConfigError and GridMismatch of every module,
 `check_positive` the magnitude check behind their ConfigErrors, and
 `check_seed` the driver-seed check of the sampler and the multi-seed studies.
+`read_only_view` is how the immutable value types store their arrays.
 """
 
 import numbers
+
+import numpy as np
 
 
 def is_integer(x) -> bool:
@@ -25,6 +28,17 @@ def check_seed(seed) -> None:
     """ConfigError unless the driver seed is an integer >= 0 (not a bool)."""
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def read_only_view(a) -> np.ndarray:
+    """A read-only view of np.asarray(a, dtype=float).
+
+    The caller's array keeps its own flags.  When it already is a float64
+    array the view shares its memory, so a later write to it shows through.
+    """
+    view = np.asarray(a, dtype=float).view()
+    view.setflags(write=False)
+    return view
 
 
 class RoughboundError(Exception):

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled_path import ControlledPath, crp_norm
-from .errors import ConfigError, GridMismatch, RegularityError, is_integer
+from .errors import (ConfigError, GridMismatch, RegularityError, is_integer,
+                     read_only_view)
 from .rough_driver import RoughDriver, check_grid, rho
 from .spectral_scale import Scale
 
@@ -55,10 +56,10 @@ def _require_interior(P: ControlledPath) -> Scale:
 def mode_filter(damp, xi):
     """z_0 = 0, z_{i+1} = damp_k z_i + xi_i for every mode k; (n+1, K).
 
-    The rough and Young convolutions pass the damped germ e^{-mu h} xi, the
-    drift convolution in the solver its exponential-trapezoid input, and a
-    rough Picard step with a drift the sum of the two, so that one scan gives
-    both convolutions of the step.  The n steps run as a blocked scan with
+    The convolutions pass the damped germ e^{-mu h} xi (a rough Picard step
+    forms it in two boundary columns, lifted by one (2, K) product), the drift
+    convolution its exponential-trapezoid input, and a step with a drift the
+    sum, so one scan serves both.  The n steps run as a blocked scan with
     a = damp.  Inside a block of B steps, z_i = a^i cumsum_j(a^{-j} xi_j)
     from a zero start; the block ends are carried across blocks by a
     doubling scan (log2 of the block count steps, factor a^B per block), and
@@ -108,9 +109,8 @@ def _filter_constants(key: bytes):
     while B > 1 and np.min(damp) < np.exp(-_MAX_EXPONENT / B):
         B //= 2
     up = damp ** np.arange(B)[:, None]           # a^i, (B, K)
-    down, ones, tri, factor = 1.0 / up, np.ones(B), np.tri(B), damp ** B
-    for a in (up, down, ones, tri, factor):
-        a.setflags(write=False)
+    up, down, ones, tri, factor = map(
+        read_only_view, (up, 1.0 / up, np.ones(B), np.tri(B), damp ** B))
     return B, up, down, up[-1], ones, tri, factor
 
 
@@ -127,11 +127,11 @@ def _germ(P: ControlledPath, D: RoughDriver, u, v, k: int):
     return xi
 
 
-def _damped_germ(P: ControlledPath, D: RoughDriver, k: int):
-    """(e^{-mu h}, e^{-mu h} xi) of the order-k germ xi of every grid step.
+def _convolve(P: ControlledPath, D: RoughDriver, k: int):
+    """The compensated sum z on the fine grid with the order-k germ.
 
-    The germ comes from the driver's cached adjacent increments and is
-    damped in place; the array is the caller's to add to.
+    The germ of every grid step comes from the driver's cached adjacent
+    increments and is damped in place by e^{-mu h} before the scan.
     """
     scale = _require_interior(P)
     check_grid(P, D)
@@ -141,12 +141,7 @@ def _damped_germ(P: ControlledPath, D: RoughDriver, k: int):
         xi += P.y_prime[:-1] * dXX[:, None]
     damp = scale.semigroup(D.step)
     xi *= damp
-    return damp, xi
-
-
-def _convolve(P: ControlledPath, D: RoughDriver, k: int):
-    """The compensated sum z on the fine grid with the order-k germ."""
-    return mode_filter(*_damped_germ(P, D, k))
+    return mode_filter(damp, xi)
 
 
 def rough_convolve(P: ControlledPath, D: RoughDriver) -> ControlledPath:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ChenViolation, ConfigError, CovarianceNotPD, GridMismatch,
-                     check_positive, check_seed, is_integer)
+                     check_positive, check_seed, is_integer, read_only_view)
 
 CHEN_TOL = 1e-10
 DEFAULT_GAMMA_SLACK = 0.05
@@ -65,7 +65,12 @@ _GRID_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RoughDriver:
-    """Sampled rough path: uniform grid, X, exponent, bracket path g (None: 0)."""
+    """Sampled rough path: uniform grid, X, exponent, bracket path g (None: 0).
+
+    The arrays are stored as read-only float views, which share memory with
+    the caller's float64 arrays: the caller's stay writeable, and a write to
+    them shows in the driver.
+    """
 
     times: np.ndarray
     X: np.ndarray
@@ -74,8 +79,7 @@ class RoughDriver:
     g: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        x = np.asarray(self.X, dtype=float)
+        t, x = read_only_view(self.times), read_only_view(self.X)
         if t.ndim != 1 or t.size < 2 or x.shape != t.shape:
             raise ConfigError("driver needs matching 1-d times and X with n >= 2 points")
         h = np.diff(t)
@@ -88,11 +92,10 @@ class RoughDriver:
         if x[0] != 0.0:
             raise ConfigError("rough paths are anchored at X_0 = 0")
         check_positive("Hoelder exponent gamma", self.gamma)
-        g = np.zeros(t.size) if self.g is None else np.asarray(self.g, dtype=float)
+        g = read_only_view(np.zeros(t.size) if self.g is None else self.g)
         if g.shape != t.shape or not np.all(np.isfinite(g)) or g[0] != 0.0:
             raise ConfigError("bracket path g needs n+1 finite points with g_0 = 0")
         for name, a in (("times", t), ("X", x), ("g", g)):
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     # -- grid helpers ------------------------------------------------------
@@ -137,9 +140,7 @@ class RoughDriver:
         """
         dX = self.X[1:] - self.X[:-1]
         dXX = 0.5 * dX ** 2 + (self.g[1:] - self.g[:-1])
-        for a in (dX, dXX):
-            a.setflags(write=False)
-        return dX, dXX
+        return read_only_view(dX), read_only_view(dXX)
 
     # -- derived drivers -----------------------------------------------------
 
@@ -375,9 +376,7 @@ def _lag_tables(m: int, span: float, exponent: float, rows: int):
                    strides=(-pad.itemsize, pad.itemsize))
     if rows == m - 1:   # stored so that F.T, the one block's table, is C-contiguous
         F = F.T.copy().T
-    for table in (dt, pad, F):
-        table.setflags(write=False)
-    return dt, F, float(np.max(inv))
+    return read_only_view(dt), read_only_view(F), float(np.max(inv))
 
 
 def increment_sups(times, v, legs, weights, exponents) -> np.ndarray:

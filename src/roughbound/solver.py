@@ -36,14 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,
+# lift_extrapolate, unused here, stays importable for perfbench's tracer
+from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,  # noqa: F401
                               constant_path, crp_distance, diffusion_rows,
                               lift_extrapolate, path_seminorm, sup_norm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch, check_positive,
-                     is_integer)
-from .rough_convolution import (_damped_germ, mode_filter, rough_convolve,
-                                young_convolve)
+                     is_integer, read_only_view)
+from .rough_convolution import mode_filter, rough_convolve, young_convolve
 from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
@@ -112,8 +112,22 @@ def check_problem(scale: Scale, diffusion: SmoothMap, y0, drift, picard) -> None
         raise ConfigError("y0 must be a finite coefficient vector of length K")
     if not isinstance(picard, PicardParams):
         raise ConfigError("picard must be a PicardParams")
-    for name, f in (("diffusion", diffusion), ("drift", drift)):
-        if f is not None and not np.all(np.isfinite(f.value(y0[None, :]))):
+    # the rough step feeds the diffusion's two boundary columns straight into
+    # its germ, and the drift's K columns into the trapezoid input
+    for name, f, shape in (("diffusion", diffusion, (1, 2)),
+                           ("drift", drift, (1, scale.K))):
+        if f is None:
+            continue
+        try:
+            value = np.asarray(f.value(y0[None, :]), dtype=float)
+        except ValueError as exc:   # e.g. trace weights of another length
+            raise ConfigError(f"the {name} map fails at y0 of shape "
+                              f"{(1, scale.K)}, which needs a {shape} value: "
+                              f"{exc}") from exc
+        if value.shape != shape:
+            raise ConfigError(f"the {name} map has a {value.shape} value at y0, "
+                              f"needs {shape}")
+        if not np.all(np.isfinite(value)):
             raise ConfigError(f"the {name} map is non-finite at y0")
     g = scale.gamma
     if drift is not None and g >= 0.5:   # [2 gamma, 1) is empty
@@ -225,9 +239,7 @@ def _trapezoid_weights(scale: Scale, h: float):
     damp = scale.semigroup(h)
     w_right = h * (x + np.expm1(-x)) / x ** 2
     w_left = h * (-np.expm1(-x) - x * damp) / x ** 2
-    for a in (damp, w_left, w_right):
-        a.setflags(write=False)
-    return damp, w_left, w_right
+    return tuple(map(read_only_view, (damp, w_left, w_right)))
 
 
 def _check_stride(n: int) -> int:
@@ -241,16 +253,21 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     require_neumann(scale)
     stride = _check_stride(D.n)
     base = scale.semigroup(D.times) * y0
+    lift, damp = scale.generator_lift, scale.semigroup(D.step)
+    damped_lift, (dX, dXX) = lift * damp, D.adjacent
 
     def step(u):  # one application of Phi; the derivative component is G(u)
-        lifted = lift_extrapolate(spec.diffusion, u, scale)
+        # the germ F(y) X + DF(y)[y'] XX in the two boundary coordinates
+        value, dvalue = spec.diffusion.value_and_dvalue(u.y, u.y_prime)
+        xb = value[:-1] * dX[:, None]
+        xb += dvalue[:-1] * dXX[:, None]
+        xi = xb @ damped_lift   # lifted and damped: e^{-mu h} A_{-sigma} N
         if spec.drift is None:
-            rows = base + rough_convolve(lifted, D).y
+            rows = mode_filter(damp, xi)
         else:  # one scan of the rough germ plus the drift's trapezoid input
-            rows = drift_convolve(scale, D.times, spec.drift.value(u.y),
-                                  germ=_damped_germ(lifted, D, 2)[1])
-            rows += base
-        return ControlledPath(D.times, rows, lifted.y, alpha, g, scale)
+            rows = drift_convolve(scale, D.times, spec.drift.value(u.y), germ=xi)
+        rows += base
+        return ControlledPath(D.times, rows, value @ lift, alpha, g, scale)
 
     # the paper's anchor (S y0 + int S G(y0) dX, G(y0))
     g0 = diffusion_rows(spec.diffusion, scale, y0[None, :])[0]
@@ -273,7 +290,7 @@ def _young_window(spec: ProblemSpec, D: RoughDriver, y0):
     scale, eta, g = spec.scale, spec.scale.eta, D.gamma
     stride = _check_stride(D.n)
     base = scale.semigroup(D.times) * y0
-    zero = np.zeros_like(base)   # read-only once wrapped, so shared by every path
+    zero = np.zeros_like(base)   # every path holds a read-only view of it
 
     def path(rows):  # no Gubinelli derivative in the Young regime
         return ControlledPath(D.times, rows, zero, -eta, g, scale)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, DirichletRegularityError, SingularLift,
-                     check_positive, is_integer)
+                     check_positive, is_integer, read_only_view)
 
 YOUNG_FLOOR = 0.75   # 1 - 1/(2p) at p = 2: Dirichlet noise needs gamma above it
 _SINGULAR_TOL = 1e-300
@@ -114,8 +114,8 @@ class Scale:
             trace = cfg.a * np.stack([d0, -d1], axis=1)
         self.lift = trace / self.mu[:, None]
         self.generator_lift = -trace.T
-        for arr in (self.mu, self.lift, self.generator_lift):
-            arr.setflags(write=False)
+        self.mu, self.lift, self.generator_lift = map(
+            read_only_view, (self.mu, self.lift, self.generator_lift))
 
     # -- basis -----------------------------------------------------------
 
@@ -161,7 +161,9 @@ class SpectralVector:
     """Element of a scale space: eigenbasis coefficients plus a scale index.
 
     The index is bookkeeping; norms are evaluated at whatever alpha the caller
-    requests.  Instances are immutable values.
+    requests.  Instances are immutable values: the coefficients are stored as
+    a read-only float view, which shares memory with a caller's float64 array
+    (that array stays writeable, and a write to it shows in the vector).
     """
 
     coeffs: np.ndarray
@@ -169,7 +171,7 @@ class SpectralVector:
     scale: Scale = field(repr=False)
 
     def __post_init__(self):
-        self.coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", read_only_view(self.coeffs))
 
     def norm(self, alpha=None):
         return self.scale.norm(self.coeffs, self.alpha if alpha is None else alpha)

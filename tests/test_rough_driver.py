@@ -9,7 +9,7 @@ from roughbound import (ChenViolation, ConfigError, ControlledPath,
                         crp_norm, level_sum, lift_explicit,
                         lift_geometric, rho, rough_convolve, rough_metric,
                         sample_fbm, shift, stability_distance, young_convolve)
-from roughbound import rough_driver
+from roughbound import SpectralVector, rough_driver
 from roughbound.cli import cmd_sample
 from roughbound.config import parse_config
 from roughbound.rough_driver import (CHEN_TOL, _fgn_autocovariance,
@@ -523,6 +523,20 @@ def test_constructors_store_the_float_arrays_they_freeze(neumann_scale):
     assert P.times.dtype == float and not P.times.flags.writeable
     with pytest.raises(ConfigError):   # one row per time, one column per mode
         ControlledPath(t, np.zeros(5), np.zeros(5), -0.3, 0.40, neumann_scale)
+
+
+def test_constructors_leave_the_callers_arrays_writeable(neumann_scale):
+    # each stores a read-only view; the arrays passed in keep their flags
+    t, x, g = np.linspace(0.0, 1.0, 5), np.array([0.0, 1, 2, 1, 0]), np.zeros(5)
+    y, c = np.ones((5, 16)), np.ones(16)
+    D = RoughDriver(t, x, 0.4, g=g)
+    P = ControlledPath(t, y, y, -0.3, 0.40, neumann_scale)
+    v = SpectralVector(c, -0.3, neumann_scale)
+    for a in (t, x, g, y, c):
+        assert a.flags.writeable
+    for stored in (D.times, D.X, D.g, P.times, P.y, P.y_prime, v.coeffs):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
 
 
 def test_csv_export_roundtrip(tmp_path):

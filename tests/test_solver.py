@@ -104,13 +104,13 @@ def test_drift_convolve_scans_a_germ_with_its_input(neumann_scale):
             drift_convolve(neumann_scale, t, rows, germ=g)
 
 
-@pytest.mark.parametrize("drift", [LinearDrift(-0.5, 0.85),
+@pytest.mark.parametrize("drift", [None, LinearDrift(-0.5, 0.85),
                                    SmoothBoundedDrift(1.0, 0.85)],
-                         ids=["linear", "smooth_bounded"])
+                         ids=["no_drift", "linear", "smooth_bounded"])
 def test_the_fused_drift_step_is_the_unfused_picard_map(neumann_scale, lifted_y0,
                                                         drift):
-    # every accepted window is a fixed point of S y(a) + int S G(u) dX +
-    # int S f(u) dr, each convolution formed on its own
+    # every accepted window is a fixed point of S y(a) + int S G(u) dX
+    # (+ int S f(u) dr), each convolution formed on its own
     F = _squashed(neumann_scale, gain=5.0, amp=4.0)
     D = sample_fbm(0.45, 512, 1.0, seed=1, gamma=0.40)
     spec = ProblemSpec(neumann_scale, D, F, lifted_y0, drift=drift)
@@ -121,11 +121,40 @@ def test_the_fused_drift_step_is_the_unfused_picard_map(neumann_scale, lifted_y0
         Dw = shift(D, D.times[a]).restricted(1, stop=b - a)
         u = ControlledPath(Dw.times, p.y[a:b + 1], p.y_prime[a:b + 1], p.alpha,
                            p.gamma, p.space)
-        image = (neumann_scale.semigroup(Dw.times) * u.y[0]
-                 + rough_convolve(lift_extrapolate(F, u, neumann_scale), Dw).y
-                 + drift_convolve(neumann_scale, Dw.times, drift.value(u.y)))
+        image = _unfused_step(spec, Dw, u).y
         resid = np.max(neumann_scale.norm(image - u.y, spec.solution_alpha))
         assert resid <= spec.picard.tol, (a, resid)
+
+
+def _unfused_step(spec, D, u):
+    """Phi(u) through the lifted path: S y0 + rough_convolve(lift_extrapolate)
+    (+ drift_convolve), each formed on its own, with y' = G(u)."""
+    scale, F = spec.scale, spec.diffusion
+    rows = (scale.semigroup(D.times) * u.y[0]
+            + rough_convolve(lift_extrapolate(F, u, scale), D).y)
+    if spec.drift is not None:
+        rows = rows + drift_convolve(scale, D.times, spec.drift.value(u.y))
+    return ControlledPath(D.times, rows, diffusion_rows(F, scale, u.y), u.alpha,
+                          u.gamma, scale)
+
+
+@pytest.mark.parametrize("drift", [None, LinearDrift(-0.5, 0.85),
+                                   SmoothBoundedDrift(1.0, 0.85)],
+                         ids=["no_drift", "linear", "smooth_bounded"])
+def test_the_two_column_step_is_the_lifted_picard_map(neumann_scale, lifted_y0,
+                                                      drift):
+    # three iterates from the anchor: the germ formed in the two boundary
+    # columns and lifted once is the convolution of the lifted path, and the
+    # derivative component is G(u) bitwise
+    F = _squashed(neumann_scale, gain=5.0, amp=4.0)
+    D = sample_fbm(0.45, 512, 1.0, seed=1, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, F, lifted_y0, drift=drift)
+    step, _, u = _rough_window(spec, D, lifted_y0)
+    for _ in range(3):
+        out, ref = step(u), _unfused_step(spec, D, u)
+        assert np.max(np.abs(out.y - ref.y)) <= 1e-14 * np.max(np.abs(ref.y))
+        assert np.array_equal(out.y_prime, ref.y_prime)
+        u = out
 
 
 # -- problem validation ----------------------------------------------------------
@@ -149,6 +178,27 @@ def test_spec_validation(neumann_scale, driver_small, lifted_y0):
     with pytest.raises(ConfigError):   # diffusion declared off the solution index
         ProblemSpec(neumann_scale, driver_small,
                     ConstantBoundary(0.0, 0.0, 0.0, 2.0), lifted_y0)
+
+
+class _FirstModes(LinearDrift):
+    """A drift whose value keeps only the first three modes."""
+
+    def value(self, y_rows):
+        return super().value(y_rows)[:, :3]
+
+
+def test_maps_of_the_wrong_shape_are_config_errors(neumann_scale, driver_small,
+                                                   lifted_y0):
+    # the trace weights must have a row per mode and the drift a column per
+    # mode; both are named at the spec, not at a numpy matmul or the scan
+    w8 = np.ones(8)
+    for F in (LinearTrace(w8, w8, -neumann_scale.eta, 2.0),
+              SquashedTrace(w8, w8, 1.0, -neumann_scale.eta, 2.0)):
+        with pytest.raises(ConfigError, match=r"\(1, 16\).*\(1, 2\)"):
+            ProblemSpec(neumann_scale, driver_small, F, lifted_y0)
+    with pytest.raises(ConfigError, match=r"\(1, 3\).*\(1, 16\)"):
+        ProblemSpec(neumann_scale, driver_small, _squashed(neumann_scale),
+                    lifted_y0, drift=_FirstModes(-0.5, 0.85))
 
 
 def test_the_young_solver_needs_a_dirichlet_scale(neumann_scale, driver_small,
