@@ -34,8 +34,7 @@ the studies use, is the map (y, y') -> (G(y), DG(y)[y']) at index -eta with
 G = A_{-sigma} N F: one ``value_and_dvalue`` call (the squashed trace takes one
 tanh for both) and one product each with the scale's (2, K) ``generator_lift``,
 so G(y) is ``diffusion_rows``; on lifted data the sigma- and eta-extrapolations
-agree, so one matrix serves both.  The rough Picard step lifts only its germ,
-formed in the two boundary coordinates (``solver._rough_window``).
+agree, so one matrix serves both.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ def default_trace_weights(scale: Scale, gain: float = 1.0):
 
 
 def _check_domain(F: SmoothMap, P: ControlledPath):
-    if abs(F.domain_alpha - P.alpha) > _INDEX_TOL:
+    if not abs(F.domain_alpha - P.alpha) <= _INDEX_TOL:   # NaN fails too
         raise ScaleIndexError(
             f"map declared for index {F.domain_alpha}, path is at {P.alpha}")
 

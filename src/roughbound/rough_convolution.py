@@ -56,17 +56,14 @@ def _require_interior(P: ControlledPath) -> Scale:
 def mode_filter(damp, xi):
     """z_0 = 0, z_{i+1} = damp_k z_i + xi_i for every mode k; (n+1, K).
 
-    The convolutions pass the damped germ e^{-mu h} xi (a rough Picard step
-    forms it in two boundary columns, lifted by one (2, K) product), the drift
-    convolution its exponential-trapezoid input, and a step with a drift the
-    sum, so one scan serves both.  The n steps run as a blocked scan with
-    a = damp.  Inside a block of B steps, z_i = a^i cumsum_j(a^{-j} xi_j)
-    from a zero start; the block ends are carried across blocks by a
-    doubling scan (log2 of the block count steps, factor a^B per block), and
-    the carry c into a block enters its first step as a c, so that step i
-    adds a^{i+1} c.  One lower-triangular matmul per block does the cumsum,
-    written in place in an output of nb B + 1 rows whose first n + 1 are
-    returned.  B is _BLOCK, halved only until
+    The convolutions here pass the damped germ e^{-mu h} xi.  The n steps
+    run as a blocked scan with a = damp.  Inside a block of B steps,
+    z_i = a^i cumsum_j(a^{-j} xi_j) from a zero start; the block ends are
+    carried across blocks by a doubling scan (log2 of the block count steps,
+    factor a^B per block), and the carry c into a block enters its first step
+    as a c, so that step i adds a^{i+1} c.  One lower-triangular matmul per
+    block does the cumsum, written in place in an output of nb B + 1 rows
+    whose first n + 1 are returned.  B is _BLOCK, halved only until
     a^{-(B-1)} stays below e^{_MAX_EXPONENT}; a damp that underflows to zero
     runs with B = 1, which forms no negative power.
     These constants depend on damp alone, so the last _FILTER_CACHE damping

@@ -36,14 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# lift_extrapolate, unused here, stays importable for perfbench's tracer
-from .controlled_path import (ControlledPath, SmoothMap, _difference_norm,  # noqa: F401
-                              constant_path, crp_distance, diffusion_rows,
-                              lift_extrapolate, path_seminorm, sup_norm)
+# lift_extrapolate and rough_convolve, unused here, stay for perfbench's tracer
+from .controlled_path import (_INDEX_TOL, ControlledPath, SmoothMap,  # noqa: F401
+                              _difference_norm, constant_path, crp_distance,
+                              diffusion_rows, lift_extrapolate, path_seminorm,
+                              sup_norm)
 from .errors import (AprioriBoundViolation, ConfigError, ContractionFailure,
                      DirichletRegularityError, GridMismatch, check_positive,
                      is_integer, read_only_view)
-from .rough_convolution import mode_filter, rough_convolve, young_convolve
+from .rough_convolution import mode_filter, rough_convolve, young_convolve  # noqa: F401
 from .rough_driver import RoughDriver, shift
 from .spectral_scale import DIRICHLET, NEUMANN, YOUNG_FLOOR, Scale
 
@@ -112,23 +113,28 @@ def check_problem(scale: Scale, diffusion: SmoothMap, y0, drift, picard) -> None
         raise ConfigError("y0 must be a finite coefficient vector of length K")
     if not isinstance(picard, PicardParams):
         raise ConfigError("picard must be a PicardParams")
-    # the rough step feeds the diffusion's two boundary columns straight into
-    # its germ, and the drift's K columns into the trapezoid input
+    # the rough step feeds the diffusion's two boundary columns, value and
+    # derivative from one call, straight into its germ, and the drift's K
+    # columns into the trapezoid input
+    y = y0[None, :]
     for name, f, shape in (("diffusion", diffusion, (1, 2)),
                            ("drift", drift, (1, scale.K))):
         if f is None:
             continue
         try:
-            value = np.asarray(f.value(y0[None, :]), dtype=float)
+            outs = (f.value_and_dvalue(y, 0 * y) if f is diffusion
+                    else (f.value(y),))
+            outs = [np.asarray(out, dtype=float) for out in outs]
         except ValueError as exc:   # e.g. trace weights of another length
             raise ConfigError(f"the {name} map fails at y0 of shape "
                               f"{(1, scale.K)}, which needs a {shape} value: "
                               f"{exc}") from exc
-        if value.shape != shape:
-            raise ConfigError(f"the {name} map has a {value.shape} value at y0, "
-                              f"needs {shape}")
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"the {name} map is non-finite at y0")
+        for kind, out in zip(("value", "derivative"), outs):
+            if out.shape != shape:
+                raise ConfigError(f"the {name} map has a {out.shape} {kind} "
+                                  f"at y0, needs {shape}")
+            if not np.all(np.isfinite(out)):
+                raise ConfigError(f"the {name} map is non-finite at y0 ({kind})")
     g = scale.gamma
     if drift is not None and g >= 0.5:   # [2 gamma, 1) is empty
         raise ConfigError(f"a drift needs gamma < 1/2, got gamma={g}")
@@ -142,7 +148,7 @@ def check_problem(scale: Scale, diffusion: SmoothMap, y0, drift, picard) -> None
             f"diffusion index gain delta2={diffusion.delta2} must be "
             f"finite and exceed eta + 3/2 = {floor:.4f}")
     alpha = scale.eps - 1.0   # -eta, where solutions live
-    if abs(diffusion.domain_alpha - alpha) > 1e-9:
+    if not abs(diffusion.domain_alpha - alpha) <= _INDEX_TOL:   # NaN fails too
         raise ConfigError(
             f"diffusion map declared at index {diffusion.domain_alpha}, "
             f"solutions live at {alpha:.4f}")
@@ -256,24 +262,22 @@ def _rough_window(spec: ProblemSpec, D: RoughDriver, y0):
     lift, damp = scale.generator_lift, scale.semigroup(D.step)
     damped_lift, (dX, dXX) = lift * damp, D.adjacent
 
-    def step(u):  # one application of Phi; the derivative component is G(u)
+    def step(u, drift=spec.drift):  # one application of Phi; u' becomes G(u)
         # the germ F(y) X + DF(y)[y'] XX in the two boundary coordinates
         value, dvalue = spec.diffusion.value_and_dvalue(u.y, u.y_prime)
         xb = value[:-1] * dX[:, None]
         xb += dvalue[:-1] * dXX[:, None]
         xi = xb @ damped_lift   # lifted and damped: e^{-mu h} A_{-sigma} N
-        if spec.drift is None:
+        if drift is None:
             rows = mode_filter(damp, xi)
         else:  # one scan of the rough germ plus the drift's trapezoid input
-            rows = drift_convolve(scale, D.times, spec.drift.value(u.y), germ=xi)
+            rows = drift_convolve(scale, D.times, drift.value(u.y), germ=xi)
         rows += base
         return ControlledPath(D.times, rows, value @ lift, alpha, g, scale)
 
-    # the paper's anchor (S y0 + int S G(y0) dX, G(y0))
-    g0 = diffusion_rows(spec.diffusion, scale, y0[None, :])[0]
-    const = constant_path(D.times, g0, np.zeros_like(g0), alpha, g, scale)
-    anchor = ControlledPath(D.times, base + rough_convolve(const, D).y, const.y,
-                            alpha, g, scale)
+    # the paper's anchor (S y0 + int S G(y0) dX, G(y0)): DF(y0)[0] = 0, so it
+    # is the driftless step from the constant path (y0, 0)
+    anchor = step(constant_path(D.times, y0, 0 * y0, alpha, g, scale), None)
     return step, lambda a, b: crp_distance(a, b, D, stride), anchor
 
 

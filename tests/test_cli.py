@@ -25,7 +25,8 @@ def _write(tmp_path, name, text):
 
 
 def _digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _src_env():

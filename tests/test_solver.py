@@ -9,7 +9,7 @@ from roughbound import (AprioriBoundViolation, BoundaryVector, ConfigError,
                         DirichletRegularityError, GridMismatch, LinearDrift,
                         LinearTrace,
                         PicardParams, ProblemSpec, SmoothBoundedDrift,
-                        SquashedTrace, cocycle_defect,
+                        ScaleIndexError, SquashedTrace, cocycle_defect,
                         crp_norm, default_trace_weights, dirichlet_map,
                         lift_geometric, sample_fbm, shift, solve_global,
                         solve_local, solve_young_dirichlet,
@@ -157,6 +157,27 @@ def test_the_two_column_step_is_the_lifted_picard_map(neumann_scale, lifted_y0,
         u = out
 
 
+@pytest.mark.parametrize("drift", [None, LinearDrift(-0.5, 0.85)],
+                         ids=["no_drift", "linear"])
+@pytest.mark.parametrize("n", [64, 512])
+def test_the_anchor_is_the_paper_anchor_without_a_drift(neumann_scale, lifted_y0,
+                                                         n, drift):
+    # (S y0 + int S G(y0) dX, G(y0)) through the K-mode convolution of the
+    # constant path G(y0); a drift leaves the anchor as it is
+    F = _squashed(neumann_scale, gain=5.0, amp=4.0)
+    D = sample_fbm(0.45, n, 1.0, seed=1, gamma=0.40)
+    spec = ProblemSpec(neumann_scale, D, F, lifted_y0, drift=drift)
+    anchor = _rough_window(spec, D, lifted_y0)[2]
+    g0 = diffusion_rows(F, neumann_scale, lifted_y0[None, :])[0]
+    const = constant_path(D.times, g0, 0 * g0, spec.solution_alpha, D.gamma,
+                          neumann_scale)
+    rows = (neumann_scale.semigroup(D.times) * lifted_y0
+            + rough_convolve(const, D).y)
+    assert np.max(np.abs(anchor.y - rows)) <= 1e-14 * np.max(np.abs(rows))
+    assert (np.max(np.abs(anchor.y_prime - const.y))
+            <= 1e-14 * np.max(np.abs(const.y)))
+
+
 # -- problem validation ----------------------------------------------------------
 
 def test_spec_validation(neumann_scale, driver_small, lifted_y0):
@@ -187,6 +208,14 @@ class _FirstModes(LinearDrift):
         return super().value(y_rows)[:, :3]
 
 
+class _WideDerivative(LinearTrace):
+    """A trace whose derivative carries a third column."""
+
+    def dvalue(self, y_rows, h_rows):
+        d = super().dvalue(y_rows, h_rows)
+        return np.hstack((d, d[:, :1]))
+
+
 def test_maps_of_the_wrong_shape_are_config_errors(neumann_scale, driver_small,
                                                    lifted_y0):
     # the trace weights must have a row per mode and the drift a column per
@@ -199,6 +228,24 @@ def test_maps_of_the_wrong_shape_are_config_errors(neumann_scale, driver_small,
     with pytest.raises(ConfigError, match=r"\(1, 3\).*\(1, 16\)"):
         ProblemSpec(neumann_scale, driver_small, _squashed(neumann_scale),
                     lifted_y0, drift=_FirstModes(-0.5, 0.85))
+    # the rough step adds DF(y)[y'] to F(y) column by column, so the
+    # derivative is probed too, not left to a numpy broadcast in the solve
+    w0, w1 = default_trace_weights(neumann_scale)
+    with pytest.raises(ConfigError, match=r"\(1, 3\) derivative.*\(1, 2\)"):
+        ProblemSpec(neumann_scale, driver_small,
+                    _WideDerivative(w0, w1, -neumann_scale.eta, 2.0), lifted_y0)
+
+
+def test_a_nan_domain_index_is_rejected(neumann_scale, driver_small, lifted_y0):
+    # abs(nan - alpha) > tol is False: both index checks must still refuse it
+    w0, w1 = default_trace_weights(neumann_scale)
+    F = SquashedTrace(w0, w1, 1.0, np.nan, 2.0)
+    with pytest.raises(ConfigError, match="declared at index nan"):
+        ProblemSpec(neumann_scale, driver_small, F, lifted_y0)
+    P = constant_path(driver_small.times, lifted_y0, 0 * lifted_y0,
+                      -neumann_scale.eta, 0.40, neumann_scale)
+    with pytest.raises(ScaleIndexError):
+        lift_extrapolate(F, P, neumann_scale)
 
 
 def test_the_young_solver_needs_a_dirichlet_scale(neumann_scale, driver_small,
