@@ -194,22 +194,17 @@ def lift_explicit(times, X, XX, gamma: float) -> RoughDriver:
                        g=g - g[0])
 
 
-def chen_defect_max(X, XX, chunk: int = 64) -> float:
-    """max over grid triples s <= u <= t of |XX_{t,s} - XX_{u,s} - XX_{t,u} - X_{u,s} X_{t,u}|."""
-    m = X.size
-    worst = 0.0
-    for s0 in range(0, m, chunk):
-        s = np.arange(s0, min(s0 + chunk, m))
-        d = (XX[s[:, None, None], np.arange(m)[None, None, :]]
-             - XX[s[:, None, None], np.arange(m)[None, :, None]]
-             - XX[np.arange(m)[None, :, None], np.arange(m)[None, None, :]]
-             - (X[None, :, None] - X[s[:, None, None]])
-             * (X[None, None, :] - X[None, :, None]))
-        u = np.arange(m)[None, :, None]
-        t = np.arange(m)[None, None, :]
-        valid = (s[:, None, None] <= u) & (u <= t)
-        worst = max(worst, float(np.max(np.abs(np.where(valid, d, 0.0)))))
-    return worst
+def chen_defect_max(X, XX) -> float:
+    """max over grid triples s <= u <= t of |XX_{t,s} - XX_{u,s} - XX_{t,u} - X_{u,s} X_{t,u}|,
+    scanned as one (u, t) block per left point s; a NaN or inf among the
+    triples' entries gives NaN."""
+    worst = np.empty(X.size)
+    for s in range(X.size):
+        row, x = XX[s, s:], X[s:]
+        d = (row - row[:, None] - XX[s:, s:]
+             - (x - X[s])[:, None] * (x - x[:, None]))
+        worst[s] = np.max(np.abs(np.triu(d)))
+    return float(np.max(worst))
 
 
 def driver_chen_defect_max(D: RoughDriver) -> float:

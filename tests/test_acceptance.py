@@ -43,39 +43,37 @@ def y0_40(scale40):
 
 
 def test_criterion_01_chen_relation():
-    worst = 0.0
-    for H in (0.35, 0.45, 0.5):
-        for seed in range(100):
-            d = driver_chen_defect_max(rb.sample_fbm(H, 64, 1.0, seed=seed))
-            worst = max(worst, d)
+    worst = float(np.max([
+        driver_chen_defect_max(rb.sample_fbm(H, 64, 1.0, seed=seed))
+        for H in (0.35, 0.45, 0.5) for seed in range(100)]))
     _report(1, "chen_relation_geometric", worst <= 1e-10, worst, 1e-10)
 
 
 def test_criterion_02_interpolation_inequality():
     sc = rb.build_scale(rb.ScaleConfig(K=64, gamma=0.40))
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    trials = 0
-    while trials < 1000:
+    ratios = []
+    while len(ratios) < 1000:
         v = rng.standard_normal(64)
         a1, a2, a3 = np.sort(rng.uniform(-2.0, 2.0, size=3))
         if a3 - a1 < 1e-8:
             continue
-        trials += 1
         lhs = sc.norm(v, a2) ** (a3 - a1)
         rhs = sc.norm(v, a1) ** (a3 - a2) * sc.norm(v, a3) ** (a2 - a1)
-        worst = max(worst, lhs / rhs)
+        ratios.append(lhs / rhs)
+    worst = float(np.max(ratios))
     _report(2, "interpolation_inequality", worst <= 1 + 1e-12, worst, 1 + 1e-12)
 
 
 def test_criterion_03_semigroup_bounds():
     sc = rb.build_scale(rb.ScaleConfig(K=64, gamma=0.40))
     t_grid = np.logspace(-4, 0, 200)
-    worst = 0.0
+    ratios = []
     for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):
         rep = rb.smoothing_constants(sc, sigma, t_grid)
-        worst = max(worst, rep.measured_smoothing / rep.smoothing_bound,
-                    rep.measured_continuity / rep.continuity_bound)
+        ratios += [rep.measured_smoothing / rep.smoothing_bound,
+                   rep.measured_continuity / rep.continuity_bound]
+    worst = float(np.max(ratios))
     _report(3, "semigroup_bounds", worst <= 1 + 1e-12, worst, 1 + 1e-12)
 
 
@@ -130,7 +128,7 @@ def test_criterion_06_remainder_stability(scale40, squashed40, y0_40):
     st = studies.remainder_refinement_study(scale40, squashed40, y0_40,
                                             H=0.45, n=512, T=1.0, gamma=0.40,
                                             seed=5)
-    worst = max(max(st.ratios), 1.0 / min(st.ratios))
+    worst = float(np.max([np.max(st.ratios), 1.0 / np.min(st.ratios)]))
     _report(6, "remainder_ratio_refinement", worst <= 2.0, worst, 2.0)
 
 
@@ -139,11 +137,11 @@ def test_criterion_07_interchange(scale40, squashed40, y0_40):
     maps = (squashed40,
             rb.LinearTrace(w0, w1, -scale40.eta, 2.0),
             rb.ConstantBoundary(0.7, -0.3, -scale40.eta, 2.0))
-    worst = 0.0
+    errors = []
     for seed in range(10):
         D = rb.sample_fbm(0.45, 512, 1.0, seed=seed, gamma=0.40)
-        for F in maps:
-            worst = max(worst, interchange_error(scale40, F, y0_40, D))
+        errors += [interchange_error(scale40, F, y0_40, D) for F in maps]
+    worst = float(np.max(errors))
     _report(7, "interchange_identity", worst <= 1e-10, worst, 1e-10)
 
 

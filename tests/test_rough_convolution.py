@@ -9,6 +9,7 @@ from roughbound import (BOUNDARY, BoundaryVector, ConfigError,
                         lift_geometric, neumann_map, remainder_certificate,
                         rough_convolve, sample_fbm, sewing_convergence,
                         young_convolve)
+from roughbound import ScaleConfig, build_scale
 from roughbound import studies
 from roughbound.controlled_path import crp_distance
 from roughbound.rough_convolution import log2_slope, mode_filter
@@ -429,6 +430,28 @@ def test_multi_seed_studies_check_every_seed_before_any_draw(monkeypatch,
                               np.zeros(16), H=0.45, master_n=256, T=1.0,
                               gamma=0.40, seeds=[0, 1.0], resolutions=(64, 128),
                               t=0.5, tau=0.25)
+
+
+def test_invariants_battery_fails_a_nan_interpolation_ratio():
+    # a = 1e300 overflows the weighted norms, so some of the 200 ratios are
+    # NaN: the check reports NaN and fails instead of dropping them
+    scale = build_scale(ScaleConfig(a=1e300, K=16, gamma=0.40))
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = studies.invariants_battery(scale)
+    check = next(c for c in checks if c.name == "interpolation_inequality")
+    assert np.isnan(check.value) and not check.ok
+    assert "interpolation_inequality FAIL value=nan" in check.line()
+
+
+def test_invariants_battery_fails_a_nan_chen_defect(monkeypatch,
+                                                    neumann_scale):
+    defects = iter([0.0, np.nan, 0.0])
+    monkeypatch.setattr(studies, "driver_chen_defect_max",
+                        lambda D: next(defects))
+    checks = studies.invariants_battery(neumann_scale, seeds=range(3))
+    assert checks[0].name == "chen_geometric_defect"
+    assert np.isnan(checks[0].value) and not checks[0].ok
+    assert all(c.ok for c in checks[1:])
 
 
 def test_numpy_integer_strides_are_accepted(neumann_scale):

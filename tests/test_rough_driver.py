@@ -312,17 +312,29 @@ def test_stratonovich_oracle_matches_geometric_lift():
 
 def test_chen_scan_matches_triple_loop_oracle():
     rng = np.random.default_rng(6)
-    m = 13
-    x = np.concatenate([[0.0], np.cumsum(rng.standard_normal(m - 1))])
-    xx = 0.5 * (x[None, :] - x[:, None]) ** 2 + 1e-13 * rng.standard_normal((m, m))
-    np.fill_diagonal(xx, 0.0)
-    worst = 0.0
-    for s in range(m):
-        for u in range(s, m):
-            for t in range(u, m):
-                d = xx[s, t] - xx[s, u] - xx[u, t] - (x[u] - x[s]) * (x[t] - x[u])
-                worst = max(worst, abs(d))
-    assert chen_defect_max(x, xx, chunk=5) == pytest.approx(worst, rel=1e-12)
+    for m in (13, 2, 63, 64, 65, 129):
+        x = np.concatenate([[0.0], np.cumsum(rng.standard_normal(m - 1))])
+        xx = (0.5 * (x[None, :] - x[:, None]) ** 2
+              + 1e-13 * rng.standard_normal((m, m)))
+        np.fill_diagonal(xx, 0.0)
+        worst = 0.0
+        for s in range(m):
+            for u in range(s, m):
+                for t in range(u, m):
+                    d = (xx[s, t] - xx[s, u] - xx[u, t]
+                         - (x[u] - x[s]) * (x[t] - x[u]))
+                    worst = max(worst, abs(d))
+        assert chen_defect_max(x, xx) == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_chen_scan_reports_a_non_finite_entry(bad):
+    D = sample_fbm(0.45, 16, 1.0, seed=4)
+    i = np.arange(D.n + 1)
+    xx = D.xx_entry(i[:, None], i[None, :])
+    xx[3, 11] = bad
+    with np.errstate(invalid="ignore"):        # inf - inf in the scan
+        assert np.isnan(chen_defect_max(D.X, xx))
 
 
 def test_explicit_lift_accept_and_reject():
